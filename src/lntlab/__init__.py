@@ -33,8 +33,6 @@ from .ode import (
     integrate_eta_difference,
     rhs_eta,
     rhs_eta_difference,
-    rhs_original,
-    rhs_w,
     transform_eta_to_u,
     transform_u_to_eta,
 )

@@ -3,20 +3,21 @@ singular solution, plus the continuity diagnostic for p -> R_p_i.
 
 The map p -> R_p_i is continuous and decays to zero as p grows, so a target
 radius R below R_p_i at the left endpoint is always bracketed by geometric
-expansion and can be bisected. Bisection is used instead of a secant or
-Newton step because only continuity is guaranteed across the numerics.
+expansion. The bracket is then narrowed by Brent's method, which keeps a
+sign change and falls back to bisection, so only continuity is needed
+across the numerics.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import BracketError, EventError, ParameterError
-from .params import ProblemParams, critical_exponent
-from .singular import solve_with_criticals
+from .params import ProblemParams, critical_exponent, lemma_constants
+from .singular import solve_singular, solve_with_criticals
 
 __all__ = [
     "ExponentSolution",
@@ -48,18 +49,17 @@ def find_istar(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> int:
-    """Smallest index i with i-th critical radius above R at the power p_tilde."""
+    """Smallest index i with i-th critical radius above R at the power p_tilde.
+
+    One singular solve covering (0, R]; the answer is 1 plus the number of
+    critical radii at or below R.
+    """
     if not (R > 0):
         raise ParameterError(f"target radius must be positive, got R={R}")
     params = ProblemParams(N, p_tilde, R=R)
-    i = 1
-    while True:
-        sol = solve_with_criticals(params, i, rtol=rtol, atol=atol)
-        radii = sol.critical_radii.radii
-        above = np.nonzero(radii > R)[0]
-        if above.size:
-            return int(above[0]) + 1
-        i = len(sol.critical_radii) + 1
+    r_end = max(R, 2.0 * lemma_constants(params).rtilde_p)
+    sol = solve_singular(params, r_end, rtol, atol)
+    return 1 + int(np.count_nonzero(sol.critical_radii.radii <= R))
 
 
 def _critical_radius_and_crossings(
@@ -84,10 +84,10 @@ def find_exponent(
 
     Requires the i-th critical radius to exceed R at ``p_lo``. The upper
     bracket is found by geometric expansion (decay of critical radii in p
-    guarantees one exists), verified, then bisected until the residual is
-    below ``1e-6 * R``. The accepted solution must show exactly ``i`` unit
-    crossings on (0, R]; a mismatch is retried once at tightened tolerance
-    before failing.
+    guarantees one exists), then narrowed by Brent's method to a relative
+    width of 5e-12 in p; the residual must be below ``1e-6 * R``. The
+    accepted solution must show exactly ``i`` unit crossings on (0, R]; a
+    mismatch is retried once at tightened tolerance before failing.
     """
     if i < 1:
         raise ParameterError(f"oscillation index must be >= 1, got {i}")
@@ -113,15 +113,7 @@ def find_exponent(
         lo = hi
         hi = min(2.0 * hi, p_cap)
         r_hi = radius_at(hi)
-    # bisect on p; the function is continuous but only known to be continuous,
-    # so no derivative-based acceleration is attempted
-    while hi - lo > 5e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if radius_at(mid) > R:
-            lo = mid
-        else:
-            hi = mid
-    p_i = 0.5 * (lo + hi)
+    p_i = brentq(lambda p: radius_at(p) - R, lo, hi, xtol=5e-12 * hi)
 
     for attempt in range(2):
         radius, crossings = _critical_radius_and_crossings(
@@ -133,11 +125,11 @@ def find_exponent(
     else:
         raise EventError(
             f"unit-crossing count {crossings} != i={i} at p_i={p_i} after retry; "
-            "the bisection likely jumped to a different critical branch"
+            "the root finder likely jumped to a different critical branch"
         )
     if residual >= RESIDUAL_RTOL * R:
         raise BracketError(
-            f"bisection converged in p but residual {residual} exceeds "
+            f"root finder converged in p but residual {residual} exceeds "
             f"{RESIDUAL_RTOL * R}"
         )
     return ExponentSolution(i=i, R=R, p_i=p_i, residual=residual, crossings=crossings)

@@ -1,13 +1,13 @@
 """Radial ODE formulations, the energy functional, and adaptive integration.
 
-Three equivalent formulations are exposed: the original equation in the
-radius r, the perturbation equation in logarithmic radius zeta (used for the
-near-origin analysis and, jointly with the difference of two of its
-solutions, for distances between them), and the half-density form whose
-potential drives oscillation counting. The integrator wraps an embedded
+Two equivalent formulations are exposed: the original equation in the
+radius r, and the perturbation equation in logarithmic radius zeta (used for
+the near-origin analysis and, jointly with the difference of two of its
+solutions, for distances between them). The integrator wraps an embedded
 adaptive Runge-Kutta 5(4) pair with dense output; unit crossings (u = 1) and
 critical points (u' = 0) are located on the dense output and recorded on the
-trajectory together with the energy trace.
+trajectory together with the energy trace, and a run can stop at the i-th
+critical point.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ __all__ = [
     "RadialState",
     "EtaState",
     "RadialTrajectory",
-    "rhs_original",
     "rhs_eta",
     "rhs_eta_difference",
-    "rhs_w",
     "energy",
     "energy_values",
     "energy_rate",
@@ -49,10 +47,6 @@ __all__ = [
     "integrate_eta",
     "integrate_eta_difference",
 ]
-
-# |u - 1| below this switches the half-density potential to its analytic
-# limit p - 1, avoiding cancellation in (u**p - u)/(u - 1) near crossings.
-W_LIMIT_WINDOW = 1e-8
 
 # A critical point with |u - 1| below this is degenerate: u'(r) = 0 and
 # u(r) = 1 force the constant solution.
@@ -90,14 +84,6 @@ class EtaState:
     def __post_init__(self):
         if not (1.0 + self.eta > 0.0):
             raise PositivityError(f"1 + eta must be positive, got eta={self.eta}")
-
-
-def rhs_original(state: RadialState, params: ProblemParams) -> tuple[float, float]:
-    """Right-hand side of u'' = -(N-1)/r u' + u - u**p as a first-order system."""
-    if state.u <= 0.0:
-        raise PositivityError(f"solution left the positive cone: u={state.u} at r={state.r}")
-    ddu = -(params.N - 1.0) / state.r * state.du + state.u - state.u**params.p
-    return state.du, ddu
 
 
 def rhs_eta(state: EtaState, c: DerivedConstants, p: float) -> tuple[float, float]:
@@ -141,19 +127,6 @@ def rhs_eta_difference(
         + c.m**2 * math.exp(-2.0 * c.m * ref.zeta) * delta
     )
     return ddelta, ddd
-
-
-def rhs_w(r: float, u: float, w: float, dw: float, params: ProblemParams) -> tuple[float, float]:
-    """Half-density form w'' = -[(u**p - u)/(u-1) - (N-1)(N-3)/(4 r**2)] w.
-
-    The ratio has a removable singularity at u = 1 with limit p - 1.
-    """
-    if abs(u - 1.0) < W_LIMIT_WINDOW:
-        ratio = params.p - 1.0
-    else:
-        ratio = (u**params.p - u) / (u - 1.0)
-    ddw = -(ratio - (params.N - 1.0) * (params.N - 3.0) / (4.0 * r * r)) * w
-    return dw, ddw
 
 
 def energy(state: RadialState, p: float) -> float:
@@ -241,8 +214,9 @@ class RadialTrajectory:
     """Sampled radial solution path with located events and energy trace.
 
     Immutable after construction by convention. ``status`` is ``"ok"`` for a
-    completed integration, ``"nonpositive"`` when the solution reached u = 0
-    and the run was truncated there.
+    run that reached its end radius or stopped at the requested critical
+    point, ``"nonpositive"`` when the solution reached u = 0 and the run was
+    truncated there.
     """
 
     params: ProblemParams
@@ -381,14 +355,14 @@ def integrate_adaptive(
     atol: float = 1e-12,
     *,
     events: bool = True,
-    max_step: float | None = None,
-    first_step: float | None = None,
+    stop_at_critical: int | None = None,
 ) -> RadialTrajectory:
     """Integrate the radial equation outward with event detection.
 
     Uses an embedded Runge-Kutta 5(4) pair with adaptive error control and
     dense output. When ``events`` is set, unit crossings and critical points
-    are root-polished on the dense output and recorded in increasing order;
+    are root-polished on the dense output and recorded in increasing order,
+    and ``stop_at_critical = i`` ends the run at the i-th critical point;
     reaching u = 0 truncates the run and marks the trajectory nonpositive.
 
     Raises
@@ -400,6 +374,10 @@ def integrate_adaptive(
     """
     if not (r_end > start.r):
         raise ParameterError(f"r_end={r_end} must exceed the start radius {start.r}")
+    if stop_at_critical is not None and not (events and stop_at_critical >= 1):
+        raise ParameterError(
+            f"stop_at_critical={stop_at_critical} needs events and an index >= 1"
+        )
 
     if start.u == 1.0 and start.du == 0.0:
         # constant equilibrium: nothing to integrate
@@ -427,6 +405,8 @@ def integrate_adaptive(
         def critical_event(r, y):
             return y[1]
 
+        if stop_at_critical is not None:
+            critical_event.terminal = stop_at_critical
         event_fns = [unit_event, critical_event]
 
     def floor_event(r, y):
@@ -445,8 +425,6 @@ def integrate_adaptive(
         atol=atol,
         dense_output=True,
         events=event_fns,
-        max_step=max_step if max_step is not None else np.inf,
-        first_step=first_step,
     )
 
     status, message = "ok", ""
@@ -457,7 +435,7 @@ def integrate_adaptive(
                 params, sol, events, rtol, atol, status="failed", message=sol.message
             )
         raise IntegrationError(f"integration failed: {sol.message}", partial=partial)
-    if sol.status == 1:
+    if sol.t_events[-1].size:
         status, message = "nonpositive", "solution reached u = 0; run truncated"
 
     return _build_trajectory(params, sol, events, rtol, atol, status=status, message=message)

@@ -323,6 +323,8 @@ def ctilde_record(N: int, p_range: tuple[float, float]) -> dict:
         p_samples = np.array([lo])
     else:
         p_samples = np.exp(np.linspace(math.log(lo), math.log(hi), _P_SAMPLES))
+        # exp(log(x)) can round below x, and lo may be the critical exponent
+        p_samples[[0, -1]] = lo, hi
     constants = [derive_constants(ProblemParams(N, float(p))) for p in p_samples]
     for ctilde in _CTILDE_GRID:
         margin = math.inf

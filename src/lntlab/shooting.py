@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import BracketError, EventError, IntegrationError, ParameterError
 from .ode import (
@@ -26,6 +27,7 @@ from .ode import (
 )
 from .params import ProblemParams, derive_constants, lemma_constants
 from .singular import (
+    R_END_EXTENSION_CAP,
     CriticalRadii,
     SingularSolution,
     _critical_radii_from,
@@ -103,12 +105,15 @@ def shoot(
     r_end: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
+    *,
+    stop_at_critical: int | None = None,
 ) -> ShootingResult:
     """Integrate the regular initial-value problem out to r_end.
 
     gamma = 1 returns the constant equilibrium. A shot that reaches u = 0 is
     returned with its trajectory marked nonpositive rather than raised, since
-    some (gamma, p) genuinely leave the positive cone.
+    some (gamma, p) genuinely leave the positive cone. ``stop_at_critical = i``
+    ends the shot at its i-th critical point if that comes before r_end.
     """
     if not (gamma > 0):
         raise ParameterError(f"initial value must be positive, got gamma={gamma}")
@@ -116,7 +121,8 @@ def shoot(
         start = RadialState(r=1e-6 * r_end, u=1.0, du=0.0)
     else:
         start = _taylor_start(gamma, params, r_end, rtol, atol)
-    traj = integrate_adaptive(params, start, r_end, rtol, atol)
+    traj = integrate_adaptive(params, start, r_end, rtol, atol,
+                              stop_at_critical=stop_at_critical)
     return ShootingResult(
         gamma=gamma,
         params=params,
@@ -232,24 +238,20 @@ def _critical_radius_of_shot(
     atol: float,
     r_end0: float,
 ) -> float:
-    """The i-th critical radius of a shot, extending r_end as needed."""
-    r_end = r_end0
-    cap = r_end0 * 2**10
-    while True:
-        shot = shoot(gamma, params, r_end, rtol, atol)
-        if len(shot.critical_radii) >= i:
-            return shot.critical_radii[i - 1]
-        if shot.nonpositive:
-            raise EventError(
-                f"shot gamma={gamma}, p={params.p} lost positivity before "
-                f"critical point {i}"
-            )
-        if r_end >= cap:
-            raise EventError(
-                f"critical point {i} of shot gamma={gamma}, p={params.p} "
-                f"not found up to r={r_end}"
-            )
-        r_end *= 2.0
+    """The i-th critical radius of a shot, from one run that stops there."""
+    r_cap = r_end0 * R_END_EXTENSION_CAP
+    shot = shoot(gamma, params, r_cap, rtol, atol, stop_at_critical=i)
+    if len(shot.critical_radii) >= i:
+        return shot.critical_radii[i - 1]
+    if shot.nonpositive:
+        raise EventError(
+            f"shot gamma={gamma}, p={params.p} lost positivity before "
+            f"critical point {i}"
+        )
+    raise EventError(
+        f"critical point {i} of shot gamma={gamma}, p={params.p} "
+        f"not found up to r={r_cap}"
+    )
 
 
 def branch_sample(
@@ -263,9 +265,10 @@ def branch_sample(
 ) -> float:
     """Power p at which the i-th critical radius of u_gamma equals R.
 
-    Bisects p on ``p_bracket`` against the residual r_i(p) - R; one sample of
-    the upper-branch diagram data at fixed gamma. The residual of the
-    returned power is below 1e-8.
+    Finds the root of the residual r_i(p) - R on ``p_bracket`` by Brent's
+    method to a relative width of 5e-13 in p; one sample of the upper-branch
+    diagram data at fixed gamma. The residual of the returned power is below
+    1e-8, else :class:`BracketError` is raised.
     """
     if i < 1:
         raise ParameterError(f"critical index must be >= 1, got {i}")
@@ -279,28 +282,16 @@ def branch_sample(
         return _critical_radius_of_shot(gamma, params, i, rtol, atol, r_end0) - R
 
     f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    if f_lo * f_hi > 0.0:
         raise BracketError(
             f"no sign change of r_{i} - R on p in [{lo}, {hi}]: "
             f"residuals ({f_lo}, {f_hi})"
         )
-    f_mid = math.inf
-    while hi - lo > 5e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if abs(f_mid) < BRANCH_RESIDUAL_TOL:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    if abs(f_mid) < BRANCH_RESIDUAL_TOL:
-        return 0.5 * (lo + hi)
+    p = brentq(residual, lo, hi, xtol=5e-13 * hi)
+    f_p = residual(p)
+    if abs(f_p) < BRANCH_RESIDUAL_TOL:
+        return p
     raise BracketError(
-        f"bisection exhausted the bracket without meeting the residual "
-        f"tolerance: |r_{i} - R| = {abs(f_mid)}"
+        f"root finder exhausted the bracket without meeting the residual "
+        f"tolerance: |r_{i} - R| = {abs(f_p)}"
     )

@@ -154,12 +154,15 @@ def solve_singular(
     *,
     seed_radius: float | None = None,
     seed_check: bool = True,
+    stop_at_critical: int | None = None,
 ) -> SingularSolution:
     """Construct the singular solution on (0, r_end].
 
     Seeds the two-term origin expansion at ``seed_radius`` (default
     ``rtilde_p / 16``), integrates outward with event detection, and fills
-    the first unit crossing and the critical radii. Two runs seeded at r0
+    the first unit crossing and the critical radii; ``stop_at_critical = i``
+    ends the run at the i-th critical radius if it comes before r_end. Two
+    runs seeded at r0
     and r0/2 must agree at rtilde_p within 10x the integrator tolerance,
     otherwise the construction is rejected.
 
@@ -177,7 +180,8 @@ def solve_singular(
             f"r_end={r_end} must exceed the validated window rtilde_p={lem.rtilde_p}"
         )
     seed = seed_at_origin(params, c, r0)
-    traj = integrate_adaptive(params, seed, r_end, rtol, atol)
+    traj = integrate_adaptive(params, seed, r_end, rtol, atol,
+                              stop_at_critical=stop_at_critical)
     if traj.status == "nonpositive":
         raise IntegrationError(
             "singular solution lost positivity; decrease tolerances", partial=traj
@@ -232,25 +236,23 @@ def solve_with_criticals(
     atol: float = 1e-12,
     **kwargs,
 ) -> SingularSolution:
-    """Singular solution carrying at least ``i`` critical radii.
+    """Singular solution up to its i-th critical radius.
 
-    Extends r_end geometrically (factor 2, capped at 2**10 times the initial
-    guess) until the i-th critical point is found.
+    One run to ``r_end * R_END_EXTENSION_CAP`` (``r_end`` defaults to a
+    guess from the crossing spacing) that stops at the i-th critical point,
+    so the trajectory ends at ``critical_radii[i - 1]``.
     """
     if i < 1:
         raise ParameterError(f"critical index must be >= 1, got {i}")
     r_end = r_end if r_end is not None else _initial_r_end(params, i)
-    cap = r_end * R_END_EXTENSION_CAP
-    while True:
-        sol = solve_singular(params, r_end, rtol, atol, **kwargs)
-        if len(sol.critical_radii) >= i:
-            return sol
-        if r_end >= cap:
-            raise EventError(
-                f"critical point {i} not found up to r_end={r_end} (cap reached); "
-                "this indicates tolerance problems, not a missing point"
-            )
-        r_end *= 2.0
+    r_cap = r_end * R_END_EXTENSION_CAP
+    sol = solve_singular(params, r_cap, rtol, atol, stop_at_critical=i, **kwargs)
+    if len(sol.critical_radii) < i:
+        raise EventError(
+            f"critical point {i} not found up to r_end={r_cap} (cap reached); "
+            "this indicates tolerance problems, not a missing point"
+        )
+    return sol
 
 
 def critical_radius(

@@ -9,10 +9,15 @@ from lntlab import (
     find_exponent,
     find_istar,
 )
+from lntlab import exponents
 from lntlab.exponents import continuity_scan
 
 # regression fixture: power with first critical radius at R = 1 (N = 5)
 REF_P1_5 = 22.78759155
+# powers with i-th critical radius at R = 1 (N = 5, p_lo = 6, default
+# tolerances), found by plain bisection to a relative bracket width of 5e-12
+REF_P_5 = {1: 22.78759155284206, 2: 67.573840613215,
+           3: 130.9975275202305, 4: 214.40357669850346}
 
 
 def test_find_istar_fixture_and_monotonicity():
@@ -33,6 +38,21 @@ def test_find_exponent_first_index():
     # the endpoint signs of the accepted bracket
     assert critical_radius(ProblemParams(5, 6.0), 1) > 1.0
     assert critical_radius(ProblemParams(5, 2.0 * sol.p_i), 1) < 1.0
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_find_exponent_reference_powers_and_evaluations(i, monkeypatch):
+    calls = []
+    helper = exponents._critical_radius_and_crossings
+
+    def counted(*args):
+        calls.append(args)
+        return helper(*args)
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", counted)
+    sol = find_exponent(i, 1.0, 5, p_lo=6.0)
+    assert sol.p_i == pytest.approx(REF_P_5[i], rel=1e-10)
+    assert len(calls) <= 20
 
 
 def test_find_exponent_rejects_index_below_istar():

@@ -17,27 +17,19 @@ from lntlab import (
     integrate_eta,
     rhs_eta,
     rhs_eta_difference,
-    rhs_original,
-    rhs_w,
     transform_eta_to_u,
     transform_u_to_eta,
 )
-from lntlab.ode import energy_values
+from lntlab.ode import _vector_field, energy_values
 from lntlab.params import derive_constants, f_envelope, lemma_constants
 
 
-def test_rhs_original_equilibrium_and_hand_value():
-    params = ProblemParams(3, 5.5)
-    du, ddu = rhs_original(RadialState(2.0, 1.0, 0.0), params)
+def test_vector_field_equilibrium_and_hand_value():
+    du, ddu = _vector_field(ProblemParams(3, 5.5))(2.0, (1.0, 0.0))
     assert du == 0.0 and ddu == 0.0
-    du, ddu = rhs_original(RadialState(1.0, 2.0, -1.0), ProblemParams(3, 5.0))
+    du, ddu = _vector_field(ProblemParams(3, 5.0))(1.0, (2.0, -1.0))
     assert du == -1.0
     assert ddu == pytest.approx(-28.0, rel=1e-14)
-
-
-def test_rhs_original_rejects_nonpositive():
-    with pytest.raises(PositivityError):
-        rhs_original(RadialState(1.0, -0.5, 0.0), ProblemParams(3, 5.5))
 
 
 def _alpha_zero_constants():
@@ -87,23 +79,6 @@ def test_rhs_eta_difference_matches_subtraction():
 def test_eta_state_rejects_nonpositive_base():
     with pytest.raises(PositivityError):
         EtaState(0.0, -1.0, 0.0)
-
-
-def test_rhs_w_limit_and_linearity():
-    params = ProblemParams(4, 3.5)
-    # removable singularity takes the analytic value p - 1
-    _, ddw = rhs_w(1.0, 1.0, 2.0, 0.0, params)
-    pot = (params.p - 1.0) - (params.N - 1) * (params.N - 3) / 4.0
-    assert ddw == pytest.approx(-pot * 2.0, rel=1e-14)
-    _, ddw0 = rhs_w(1.0, 1.4, 0.0, 3.0, params)
-    assert ddw0 == 0.0
-
-
-def test_rhs_w_no_angular_term_in_dimension_three():
-    params = ProblemParams(3, 6.0)
-    _, ddw = rhs_w(0.5, 2.0, 1.0, 0.0, params)
-    ratio = (2.0**6.0 - 2.0) / (2.0 - 1.0)
-    assert ddw == pytest.approx(-ratio, rel=1e-14)
 
 
 def test_energy_equilibrium_values():
@@ -205,6 +180,13 @@ def test_positivity_truncation():
     assert traj.status == "nonpositive"
     assert np.all(traj.u > 0.0)
     assert traj.r_end < 3.0
+
+
+def test_stop_at_critical_validation():
+    start = RadialState(0.5, 1.5, -1.0)
+    for kwargs in ({"stop_at_critical": 0}, {"stop_at_critical": 1, "events": False}):
+        with pytest.raises(ParameterError):
+            integrate_adaptive(ProblemParams(5, 20.0), start, 3.0, **kwargs)
 
 
 def test_trajectory_serialization(tmp_path, sing_5_20):

@@ -229,6 +229,16 @@ def test_f_envelope_at_window_edge():
     assert f_envelope(lem.zetatilde_p, c) == pytest.approx(want, rel=1e-12)
 
 
+def test_lemma_constants_at_critical_exponent():
+    # the log-spaced power samples must not round the critical exponent below
+    # itself, which ProblemParams admits
+    for N in (3, 4, 5):
+        p = critical_exponent(N)
+        lem = lemma_constants(ProblemParams(N, p))
+        assert lem.p == p
+        assert lem.PN < lem.PN_threshold
+
+
 def test_compute_PN_threshold_below_half():
     for N, p in [(5, 50.0), (12, 50.0), (10, 30.0), (3, 100.0)]:
         c = derive_constants(ProblemParams(N, p))

@@ -7,6 +7,7 @@ from scipy.special import jv
 
 from lntlab import (
     BracketError,
+    EventError,
     IntegrationError,
     ParameterError,
     ProblemParams,
@@ -15,6 +16,8 @@ from lntlab import (
     shoot,
     solve_singular,
 )
+from lntlab import shooting
+from lntlab.shooting import _critical_radius_of_shot
 
 # regression fixture from a run at rtol=1e-12, atol=1e-14
 REF_SHOT_R1 = 1.06900443866011
@@ -38,6 +41,21 @@ def test_large_gamma_initially_decreasing():
 
 def test_shot_regression(shot_gamma10):
     assert shot_gamma10.critical_radii[0] == pytest.approx(REF_SHOT_R1, rel=1e-8)
+
+
+def test_shot_stops_at_requested_critical_point(shot_gamma10):
+    stopped = shoot(10.0, ProblemParams(5, 20.0), r_end=5.0, stop_at_critical=2)
+    traj = stopped.trajectory
+    assert traj.status == "ok" and not stopped.nonpositive
+    assert len(stopped.critical_radii) == 2
+    assert traj.r_end == pytest.approx(stopped.critical_radii[1], rel=1e-15)
+    assert stopped.critical_radii[1] == pytest.approx(shot_gamma10.critical_radii[1], rel=1e-12)
+
+
+def test_shot_critical_radius_cap_too_small(monkeypatch):
+    monkeypatch.setattr(shooting, "R_END_EXTENSION_CAP", 1)
+    with pytest.raises(EventError):
+        _critical_radius_of_shot(10.0, ProblemParams(5, 20.0), 3, 1e-10, 1e-12, 0.5)
 
 
 def test_shot_rejects_nonpositive_gamma():

@@ -19,6 +19,7 @@ from lntlab import (
     solve_with_criticals,
     verify_origin_bounds,
 )
+from lntlab import singular
 from lntlab.singular import CriticalRadii, derivative_decay_sweep
 
 # regression fixtures from a run at rtol=1e-12, atol=1e-14
@@ -112,11 +113,25 @@ def test_seed_sensitivity_catches_bad_seed():
 
 def test_critical_radius_ordering_and_extension():
     params = ProblemParams(5, 20.0)
-    sol = solve_with_criticals(params, 3, r_end=0.5)  # forces extension
+    sol = solve_with_criticals(params, 3, r_end=0.5)  # runs past r_end
     radii = sol.critical_radii.radii
     assert radii.size >= 3
     assert radii[0] < radii[1] < radii[2]
     assert critical_radius(params, 1) == pytest.approx(REF_R1_5_20, rel=1e-8)
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_solve_with_criticals_stops_at_requested_point(i):
+    sol = solve_with_criticals(ProblemParams(5, 20.0), i)
+    assert len(sol.critical_radii) == i
+    assert sol.trajectory.status == "ok"
+    assert sol.trajectory.r_end == pytest.approx(sol.critical_radii[i - 1], rel=1e-15)
+
+
+def test_solve_with_criticals_cap_too_small(monkeypatch):
+    monkeypatch.setattr(singular, "R_END_EXTENSION_CAP", 1)
+    with pytest.raises(EventError):
+        solve_with_criticals(ProblemParams(5, 20.0), 3, r_end=0.5)
 
 
 def test_critical_radius_rejects_bad_index():
