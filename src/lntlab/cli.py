@@ -481,6 +481,15 @@ def _sweep_point(payload):
         return {"p": p, "status": "error", "error": str(exc)}
 
 
+def _read_point(path: Path) -> dict | None:
+    """A cached sweep point, or None when it is missing or unreadable."""
+    try:
+        point = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return None
+    return point if isinstance(point, dict) and "status" in point else None
+
+
 def cmd_sweep(args, common, bundle, outdir: Path):
     points_dir = outdir / "points"
     points_dir.mkdir(exist_ok=True)
@@ -490,9 +499,9 @@ def cmd_sweep(args, common, bundle, outdir: Path):
     pending = []
     n_cached = 0
     for k, payload in enumerate(payloads):
-        cache = points_dir / f"point-{k:03d}.json"
-        if cache.exists():
-            results[k] = json.loads(cache.read_text(encoding="utf-8"))
+        cached = _read_point(points_dir / f"point-{k:03d}.json")
+        if cached is not None:
+            results[k] = cached
             n_cached += 1
         else:
             pending.append((k, payload))
@@ -505,9 +514,13 @@ def cmd_sweep(args, common, bundle, outdir: Path):
         for (k, _), res in zip(pending, computed):
             results[k] = res
             cache = points_dir / f"point-{k:03d}.json"
-            with open(cache, "w", encoding="utf-8") as fh:
+            # write-then-rename, so an interrupted sweep never leaves a
+            # truncated point behind
+            tmp = cache.with_name(cache.name + ".tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(res, fh, indent=1)
                 fh.write("\n")
+            os.replace(tmp, cache)
             bundle.add_artifact(cache)
 
     ok = [res for res in results if res["status"] == "ok"]

@@ -94,8 +94,19 @@ def find_exponent(
     if not (p_lo > critical_exponent(N)):
         raise ParameterError(f"p_lo={p_lo} is not supercritical for N={N}")
 
+    # brentq re-evaluates the bracket ends and the residual check the root,
+    # so each (power, tolerance) is solved once per call
+    memo: dict[tuple[float, float, float], tuple[float, int]] = {}
+
+    def radius_and_crossings(p: float, rtol: float, atol: float) -> tuple[float, int]:
+        key = (p, rtol, atol)
+        if key not in memo:
+            memo[key] = _critical_radius_and_crossings(
+                ProblemParams(N, p, R=R), i, rtol, atol)
+        return memo[key]
+
     def radius_at(p: float) -> float:
-        return _critical_radius_and_crossings(ProblemParams(N, p, R=R), i, rtol, atol)[0]
+        return radius_and_crossings(p, rtol, atol)[0]
 
     r_lo = radius_at(p_lo)
     if not (r_lo > R):
@@ -116,9 +127,8 @@ def find_exponent(
     p_i = brentq(lambda p: radius_at(p) - R, lo, hi, xtol=5e-12 * hi)
 
     for attempt in range(2):
-        radius, crossings = _critical_radius_and_crossings(
-            ProblemParams(N, p_i, R=R), i, rtol / 10**attempt, atol / 10**attempt
-        )
+        radius, crossings = radius_and_crossings(
+            p_i, rtol / 10**attempt, atol / 10**attempt)
         residual = abs(radius - R)
         if crossings == i:
             break

@@ -3,11 +3,14 @@
 Two equivalent formulations are exposed: the original equation in the
 radius r, and the perturbation equation in logarithmic radius zeta (used for
 the near-origin analysis and, jointly with the difference of two of its
-solutions, for distances between them). The integrator wraps an embedded
-adaptive Runge-Kutta 5(4) pair with dense output; unit crossings (u = 1) and
-critical points (u' = 0) are located on the dense output and recorded on the
-trajectory together with the energy trace, and a run can stop at the i-th
-critical point.
+solutions, for distances between them). All integrations run the in-house
+Dormand-Prince 5(4) stepper of :mod:`lntlab._dp45` on tuples of floats,
+which follows the step rules of scipy's RK45 and so takes the same steps;
+its dense output is one piecewise quartic. Unit crossings (u = 1) and
+critical points (u' = 0) are located by Brent's method on the interpolant
+of the step where they change sign and recorded on the trajectory together
+with the energy trace and the solver counters, and a run can stop at the
+i-th critical point.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dp45
 from .errors import (
     CoverageError,
     DegenerateEventError,
@@ -196,19 +199,6 @@ def transform_u_to_eta(state: RadialState, c: DerivedConstants) -> EtaState:
     return EtaState(zeta=zeta, eta=eta, deta=deta)
 
 
-class _ConstantDense:
-    """Dense output of the constant equilibrium, mirroring OdeSolution calls."""
-
-    def __init__(self, u: float):
-        self._u = u
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return np.array([self._u, 0.0])
-        return np.vstack([np.full(t.shape, self._u), np.zeros(t.shape)])
-
-
 @dataclass
 class RadialTrajectory:
     """Sampled radial solution path with located events and energy trace.
@@ -232,6 +222,10 @@ class RadialTrajectory:
     status: str = "ok"
     message: str = ""
     dense: object | None = field(default=None, repr=False)
+    # solver counters: right-hand-side evaluations, accepted and rejected steps
+    nfev: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     def __post_init__(self):
         if self.r.size < 2:
@@ -359,11 +353,12 @@ def integrate_adaptive(
 ) -> RadialTrajectory:
     """Integrate the radial equation outward with event detection.
 
-    Uses an embedded Runge-Kutta 5(4) pair with adaptive error control and
-    dense output. When ``events`` is set, unit crossings and critical points
-    are root-polished on the dense output and recorded in increasing order,
-    and ``stop_at_critical = i`` ends the run at the i-th critical point;
-    reaching u = 0 truncates the run and marks the trajectory nonpositive.
+    Uses the Dormand-Prince 5(4) pair with adaptive error control and dense
+    output. When ``events`` is set, unit crossings and critical points are
+    root-polished on each step's interpolant and recorded in increasing
+    order, and ``stop_at_critical = i`` ends the run at the i-th critical
+    point; reaching u = 0 truncates the run and marks the trajectory
+    nonpositive.
 
     Raises
     ------
@@ -372,6 +367,8 @@ def integrate_adaptive(
     DegenerateEventError
         If a critical point lies on u = 1, which forces u == 1.
     """
+    if not math.isfinite(r_end):
+        raise ParameterError(f"r_end must be finite, got r_end={r_end}")
     if not (r_end > start.r):
         raise ParameterError(f"r_end={r_end} must exceed the start radius {start.r}")
     if stop_at_critical is not None and not (events and stop_at_critical >= 1):
@@ -394,62 +391,43 @@ def integrate_adaptive(
             critical_kinds=(),
             rtol=rtol,
             atol=atol,
-            dense=_ConstantDense(1.0),
+            dense=_dp45.Dense(r, [r_end - start.r], [[1.0, 0.0]], np.zeros((1, 2, 4))),
         )
 
-    event_fns = []
+    event_list = []
     if events:
-        def unit_event(r, y):
-            return y[0] - 1.0
+        event_list = [
+            _dp45.Event(lambda r, y: y[0] - 1.0),
+            _dp45.Event(lambda r, y: y[1], terminal=stop_at_critical or 0),
+        ]
+    event_list.append(_dp45.Event(lambda r, y: y[0], direction=-1.0, terminal=1))
 
-        def critical_event(r, y):
-            return y[1]
+    run = _dp45.solve(_vector_field(params), start.r, (start.u, start.du), r_end,
+                      rtol, atol, event_list)
 
-        if stop_at_critical is not None:
-            critical_event.terminal = stop_at_critical
-        event_fns = [unit_event, critical_event]
-
-    def floor_event(r, y):
-        return y[0]
-
-    floor_event.terminal = True
-    floor_event.direction = -1.0
-    event_fns = event_fns + [floor_event]
-
-    sol = solve_ivp(
-        _vector_field(params),
-        (start.r, r_end),
-        (start.u, start.du),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=event_fns,
-    )
-
-    status, message = "ok", ""
-    if sol.status == -1:
+    if run.status == "failed":
         partial = None
-        if sol.t.size >= 2:
+        if run.t.size >= 2:
             partial = _build_trajectory(
-                params, sol, events, rtol, atol, status="failed", message=sol.message
+                params, run, events, rtol, atol, status="failed", message=run.message
             )
-        raise IntegrationError(f"integration failed: {sol.message}", partial=partial)
-    if sol.t_events[-1].size:
+        raise IntegrationError(f"integration failed: {run.message}", partial=partial)
+    status, message = "ok", ""
+    if run.t_events[-1].size:
         status, message = "nonpositive", "solution reached u = 0; run truncated"
 
-    return _build_trajectory(params, sol, events, rtol, atol, status=status, message=message)
+    return _build_trajectory(params, run, events, rtol, atol, status=status, message=message)
 
 
-def _build_trajectory(params, sol, events, rtol, atol, status, message):
+def _build_trajectory(params, run, events, rtol, atol, status, message):
     unit = np.array([])
     crit = np.array([])
     kinds: tuple[PointKind, ...] = ()
     if events:
-        unit = _dedupe(np.sort(np.asarray(sol.t_events[0], dtype=float)))
-        crit = _dedupe(np.sort(np.asarray(sol.t_events[1], dtype=float)))
+        unit = _dedupe(np.sort(run.t_events[0]))
+        crit = _dedupe(np.sort(run.t_events[1]))
         if crit.size:
-            u_at = np.atleast_1d(sol.sol(crit)[0])
+            u_at = np.atleast_1d(run.dense(crit)[0])
             ties = np.abs(u_at - 1.0) < DEGENERATE_EVENT_TOL
             if np.any(ties):
                 raise DegenerateEventError(
@@ -457,19 +435,16 @@ def _build_trajectory(params, sol, events, rtol, atol, status, message):
                     "only the constant solution admits this"
                 )
             kinds = tuple(PointKind.MIN if v < 1.0 else PointKind.MAX for v in u_at)
-    u = sol.y[0]
-    du = sol.y[1]
+    tr, u, du = run.t, run.y[0], run.y[1]
     # the terminal floor event can leave a final sample with u <= 0; clip it
     if u.size and u[-1] <= 0.0:
         keep = u > 0.0
-        tr, u, du = sol.t[keep], u[keep], du[keep]
-    else:
-        tr = sol.t
+        tr, u, du = tr[keep], u[keep], du[keep]
     return RadialTrajectory(
         params=params,
-        r=np.asarray(tr, dtype=float),
-        u=np.asarray(u, dtype=float),
-        du=np.asarray(du, dtype=float),
+        r=tr,
+        u=u,
+        du=du,
         energy=energy_values(u, du, params.p),
         unit_crossings=unit,
         critical_points=crit,
@@ -478,7 +453,10 @@ def _build_trajectory(params, sol, events, rtol, atol, status, message):
         atol=atol,
         status=status,
         message=message,
-        dense=sol.sol,
+        dense=run.dense,
+        nfev=run.nfev,
+        n_accepted=run.n_accepted,
+        n_rejected=run.n_rejected,
     )
 
 
@@ -510,18 +488,10 @@ def integrate_eta(
         st = EtaState(zeta=z, eta=y[0], deta=y[1])
         return rhs_eta(st, c, p)
 
-    sol = solve_ivp(
-        f,
-        (start.zeta, zeta_end),
-        (start.eta, start.deta),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if sol.status != 0:
-        raise IntegrationError(f"eta integration failed: {sol.message}")
-    return EtaPath(zeta=sol.t, eta=sol.y[0], deta=sol.y[1], dense=sol.sol)
+    run = _dp45.solve(f, start.zeta, (start.eta, start.deta), zeta_end, rtol, atol)
+    if run.status != "finished":
+        raise IntegrationError(f"eta integration failed: {run.message}")
+    return EtaPath(zeta=run.t, eta=run.y[0], deta=run.y[1], dense=run.dense)
 
 
 @dataclass
@@ -570,29 +540,15 @@ def integrate_eta_difference(
         st = EtaState(zeta=z, eta=y[0], deta=y[1])
         return (*rhs_eta(st, c, p), *rhs_eta_difference(st, y[2], y[3], c, p))
 
-    def underflow_event(z, y):
-        return math.hypot(y[2], y[3]) - floor
-
-    def floor_event(z, y):
-        return 1.0 + y[0] + y[2]
-
-    for ev in (underflow_event, floor_event):
-        ev.terminal = True
-        ev.direction = -1.0
-
-    sol = solve_ivp(
-        f,
-        (ref.zeta, zeta_end),
-        (ref.eta, ref.deta, delta[0], delta[1]),
-        method="RK45",
-        rtol=rtol,
-        atol=(atol, atol, 0.0, 0.0),
-        dense_output=True,
-        events=(underflow_event, floor_event),
+    events = (
+        _dp45.Event(lambda z, y: math.hypot(y[2], y[3]) - floor, direction=-1.0, terminal=1),
+        _dp45.Event(lambda z, y: 1.0 + y[0] + y[2], direction=-1.0, terminal=1),
     )
-    if sol.status == -1:
-        raise IntegrationError(f"eta difference integration failed: {sol.message}")
+    run = _dp45.solve(f, ref.zeta, (ref.eta, ref.deta, delta[0], delta[1]), zeta_end,
+                rtol, (atol, atol, 0.0, 0.0), events)
+    if run.status == "failed":
+        raise IntegrationError(f"eta difference integration failed: {run.message}")
     status = "ok"
-    if sol.status == 1:
-        status = "underflow" if sol.t_events[0].size else "nonpositive"
-    return EtaDifferencePath(zeta=sol.t, status=status, dense=sol.sol)
+    if run.status == "event":
+        status = "underflow" if run.t_events[0].size else "nonpositive"
+    return EtaDifferencePath(zeta=run.t, status=status, dense=run.dense)

@@ -87,13 +87,15 @@ class ProblemParams:
 
     def __post_init__(self):
         _check_dimension(self.N)
+        if not math.isfinite(self.p):
+            raise ParameterError(f"power must be finite, got p={self.p}")
         ps = critical_exponent(self.N)
         if not (self.p >= ps):
             raise ParameterError(
                 f"supercritical power required: p={self.p} < (N+2)/(N-2)={ps} at N={self.N}"
             )
-        if self.R is not None and not (self.R > 0):
-            raise ParameterError(f"ball radius must be positive, got R={self.R}")
+        if self.R is not None and not (math.isfinite(self.R) and self.R > 0):
+            raise ParameterError(f"ball radius must be positive and finite, got R={self.R}")
 
     def as_dict(self) -> dict:
         return {"N": self.N, "p": self.p, "R": self.R}

@@ -276,10 +276,15 @@ def branch_sample(
     if not (lo < hi):
         raise ParameterError(f"invalid bracket {p_bracket}")
     r_end0 = max(2.0 * R, 1.0)
+    # brentq re-evaluates the bracket ends and the final check the root, so
+    # each power is shot once per call
+    memo: dict[float, float] = {}
 
     def residual(p: float) -> float:
-        params = ProblemParams(N, p, R=R)
-        return _critical_radius_of_shot(gamma, params, i, rtol, atol, r_end0) - R
+        if p not in memo:
+            params = ProblemParams(N, p, R=R)
+            memo[p] = _critical_radius_of_shot(gamma, params, i, rtol, atol, r_end0) - R
+        return memo[p]
 
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo * f_hi > 0.0:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lntlab
 from lntlab.cli import main
 
 
@@ -143,3 +148,36 @@ def test_verify_all_command(tmp_path):
     names = {c["name"] for c in rep["checks"]}
     assert {"origin-sandwich", "derivative-window", "hardy-threshold-side",
             "energy-monotonicity", "energy-rate-identity"} <= names
+
+
+@pytest.mark.parametrize("flags", [["--p", "inf", "--r-end", "1"],
+                                   ["--p", "20", "--r-end", "inf"]])
+def test_non_finite_input_exits_2(tmp_path, flags):
+    # runs in a child process so a hang would hit the timeout, not the suite
+    env = dict(os.environ)
+    src = str(Path(lntlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "lntlab.cli", "singular", "--N", "5", *flags,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "must be finite" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_sweep_recomputes_truncated_point(tmp_path):
+    base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
+            "--jobs", 1, "--out-dir", tmp_path]
+    assert run_cli(base) == 0
+    points = sorted(tmp_path.glob("run-*/points/point-*.json"))
+    assert len(points) == 2
+    assert not list(tmp_path.glob("run-*/points/*.tmp"))
+    good = points[0].read_bytes()
+    points[0].write_bytes(good[: len(good) // 2])
+    assert run_cli(base) == 0
+    rep = read_report(tmp_path)
+    resume = next(c for c in rep["checks"] if c["name"] == "sweep-resume")
+    assert resume["margins"] == {"cached": 1, "computed": 1}
+    assert points[0].read_bytes() == good

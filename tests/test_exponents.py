@@ -94,3 +94,19 @@ def test_continuity_scan_validation():
         continuity_scan(1, 5, [10.0, 20.0])
     with pytest.raises(ParameterError):
         continuity_scan(1, 5, [1.0, 10.0, 20.0])
+
+
+def test_find_exponent_solves_each_power_once(monkeypatch):
+    # the bracket ends and the root are reused, not re-solved
+    keys = []
+    helper = exponents._critical_radius_and_crossings
+
+    def counted(params, i, rtol, atol):
+        keys.append((params.p, rtol, atol))
+        return helper(params, i, rtol, atol)
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", counted)
+    sol = find_exponent(1, 1.0, 5, p_lo=6.0)
+    assert sol.p_i == pytest.approx(REF_P_5[1], rel=1e-10)
+    assert len(keys) == len(set(keys))
+    assert (sol.p_i, 1e-10, 1e-12) in keys

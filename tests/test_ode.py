@@ -227,6 +227,12 @@ def test_integrate_rejects_backward_span():
         integrate_adaptive(params, RadialState(1.0, 2.0, 0.0), 0.5)
 
 
+@pytest.mark.parametrize("r_end", [math.inf, math.nan])
+def test_integrate_rejects_non_finite_end(r_end):
+    with pytest.raises(ParameterError):
+        integrate_adaptive(ProblemParams(5, 20.0), RadialState(1.0, 2.0, 0.0), r_end)
+
+
 def test_eta_integration_matches_radial():
     # integrating the log-radius form and mapping back agrees with the
     # direct radial integration on the overlap

@@ -306,3 +306,10 @@ def test_constants_json_round_trip():
     assert d["regime"] == "OSCILLATORY"
     d11 = derive_constants(ProblemParams(11, 10.0)).as_dict()
     assert isinstance(d11["pJL"], float)
+
+
+@pytest.mark.parametrize("p, R", [(math.inf, None), (math.nan, None),
+                                  (20.0, math.inf), (20.0, math.nan)])
+def test_problem_params_rejects_non_finite(p, R):
+    with pytest.raises(ParameterError):
+        ProblemParams(5, p, R=R)

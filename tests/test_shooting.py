@@ -185,3 +185,18 @@ def test_branch_sample_validation():
         branch_sample(0, 1.0, 12, 5.0, (150.0, 250.0))
     with pytest.raises(ParameterError):
         branch_sample(2, 1.0, 12, 5.0, (250.0, 150.0))
+
+
+def test_branch_sample_shoots_each_power_once(monkeypatch):
+    # the bracket ends and the root are reused, not re-shot
+    powers = []
+
+    def counted(gamma, params, *args):
+        powers.append(params.p)
+        return _critical_radius_of_shot(gamma, params, *args)
+
+    monkeypatch.setattr(shooting, "_critical_radius_of_shot", counted)
+    p_found = branch_sample(1, 1.0, 5, 2.0, (5.0, 40.0))
+    assert 5.0 < p_found < 40.0
+    assert len(powers) == len(set(powers))
+    assert {5.0, 40.0, p_found} <= set(powers)
