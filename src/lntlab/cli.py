@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -593,6 +594,7 @@ def _public_config(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = False
     try:
         common = _resolve_common(args)
         config = _public_config(args)
@@ -604,14 +606,22 @@ def main(argv=None) -> int:
             tolerances={"rel": common["tol_rel"], "abs": common["tol_abs"]},
         )
         outdir = Path(common["out_dir"]) / f"run-{bundle.hash}"
+        created = not outdir.exists()
         outdir.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.command](args, common, bundle, outdir)
     except (ParameterError, FileNotFoundError) as exc:
+        # a configuration error leaves no run directory behind
+        if created:
+            shutil.rmtree(outdir, ignore_errors=True)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except _RUNTIME_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+        bundle.add(CheckRecord(
+            "run-error", FAIL, claim="run-completes",
+            fixtures={"exception": type(exc).__name__},
+            message=f"{type(exc).__name__}: {exc}",
+        ))
     bundle.save(outdir / "report.json")
     for line in bundle.summary_lines():
         print(line)

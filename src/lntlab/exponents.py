@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import BracketError, EventError, ParameterError
 from .params import ProblemParams, critical_exponent, lemma_constants
 from .singular import solve_singular, solve_with_criticals

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import BracketError, EventError, IntegrationError, ParameterError
 from .ode import (
     RadialState,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
 from .ode import RadialTrajectory
@@ -226,6 +225,10 @@ def negative_count(system, shift: float = 0.0) -> int:
 
 def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     """The k smallest pencil eigenvalues via the mass-normalized standard form."""
+    # imported here: scipy.linalg takes about 0.3 s to load, and no other
+    # path of the package needs it
+    from scipy.linalg import eigh_tridiagonal
+
     form = system.form if isinstance(system, AssembledOperator) else system
     diag = np.asarray(form.diag, dtype=float)
     off = np.asarray(form.offdiag, dtype=float)

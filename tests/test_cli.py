@@ -150,21 +150,46 @@ def test_verify_all_command(tmp_path):
             "energy-monotonicity", "energy-rate-identity"} <= names
 
 
-@pytest.mark.parametrize("flags", [["--p", "inf", "--r-end", "1"],
-                                   ["--p", "20", "--r-end", "inf"]])
-def test_non_finite_input_exits_2(tmp_path, flags):
-    # runs in a child process so a hang would hit the timeout, not the suite
+def run_child(args, timeout=60):
+    """The CLI in a child process, so a hang hits the timeout, not the suite."""
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "lntlab.cli", "singular", "--N", "5", *flags,
-         "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "lntlab.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("flags", [["--p", "inf", "--r-end", "1"],
+                                   ["--p", "20", "--r-end", "inf"]])
+def test_non_finite_input_exits_2(tmp_path, flags):
+    out = run_child(["singular", "--N", "5", *flags, "--out-dir", tmp_path])
     assert out.returncode == 2, out.stderr
     assert "must be finite" in out.stderr
     assert "Traceback" not in out.stderr
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("flags", [["--p", "nan", "--r-end", "1"],
+                                   ["--p", "20", "--R", "inf", "--r-end", "1"]])
+def test_config_error_leaves_no_run_directory(tmp_path, flags):
+    out = run_child(["singular", "--N", "5", *flags, "--out-dir", tmp_path])
+    assert out.returncode == 2, out.stderr
+    assert "configuration error" in out.stderr
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_runtime_error_writes_failure_report(tmp_path):
+    # a numerical breakdown exits 1 and still explains itself in report.json
+    out = run_child(["singular", "--N", "5", "--p", "1e6", "--r-end", "1",
+                     "--out-dir", tmp_path], timeout=120)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    report = read_report(tmp_path)
+    assert report["worst_status"] == "FAIL"
+    failure = report["checks"][-1]
+    assert failure["name"] == "run-error" and failure["status"] == "FAIL"
+    assert failure["fixtures"]["exception"] == "DegenerateEventError"
+    assert "critical point on u = 1" in failure["message"]
 
 
 def test_sweep_recomputes_truncated_point(tmp_path):

@@ -29,7 +29,7 @@ from lntlab import (
     solve_singular,
     transform_u_to_eta,
 )
-from lntlab import ode
+from lntlab import _dp45, ode
 from lntlab.ode import EtaState, _vector_field, rhs_eta, rhs_eta_difference
 from lntlab.params import derive_constants, lemma_constants
 from lntlab.shooting import _taylor_start
@@ -150,11 +150,28 @@ def test_solver_counters():
     assert "nfev" not in traj.to_json_dict()
 
 
+def test_step_budget_fails_with_partial_trajectory(monkeypatch):
+    params = ProblemParams(5, 20.0)
+    start = solve_singular(params, 1.0).trajectory
+    state = RadialState(start.r[-1], start.u[-1], start.du[-1])
+    assert integrate_adaptive(params, state, 5.0).n_accepted > 40
+    monkeypatch.setattr(_dp45, "MAX_STEPS", 40)
+    with pytest.raises(IntegrationError, match="budget") as exc:
+        integrate_adaptive(params, state, 5.0)
+    partial = exc.value.partial
+    assert partial is not None and partial.status == "failed"
+    assert partial.n_accepted == 40 and partial.r.size == 41
+    assert partial.r[-1] < 5.0
+
+
 def test_import_leaves_scipy_integrate_out():
+    # nor scipy.optimize and scipy.linalg, which take most of a second to
+    # load; scipy.linalg is imported by smallest_eigenvalues alone
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, lntlab, lntlab.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, lntlab, lntlab.cli; print([m for m in sys.modules if m.startswith("
+            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg'))])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
