@@ -1,4 +1,4 @@
-"""Radial Morse index machinery: weighted Sturm-Liouville discretization,
+"""Radial Morse index machinery: log-radius Sturm-Liouville discretization,
 inertia-based negative-eigenvalue counting, Rayleigh quotients, and the
 logarithmically oscillating Hardy test functions.
 
@@ -11,11 +11,17 @@ delta > 0 and a natural Neumann condition at the outer radius R. The inner
 Dirichlet condition shrinks the form domain, so a negative-eigenvalue count
 that keeps growing as delta -> 0 is unambiguous evidence of an infinite
 index, while a plateau indicates a finite one.
+
+Everything is carried in s = ln r with y = r**nu phi and nu = (N-2)/2, the
+variables in which the near-origin potential q r**2 tends to a constant and
+the threshold modes oscillate uniformly; one grid uniform in s serves every
+cutoff.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,7 +30,7 @@ import numpy as np
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
 from .ode import RadialTrajectory
 from .params import ProblemParams
-from .singular import SingularSolution
+from .singular import SingularSolution, asymptotic_profile
 
 __all__ = [
     "EigenProblemSpec",
@@ -46,6 +52,11 @@ __all__ = [
 
 DEFAULT_EPS0 = 0.35
 MIN_GRID_SIZE = 32
+GRID_START = 1024  # intervals of the first grid a cutoff scan tries
+GRID_CAP = 2**16  # largest grid a cutoff scan tries before giving up
+# eigenvalues grow like delta**-2 and their Sturm sequences square them, which
+# leaves double range below about 1e-77
+MIN_CUTOFF = 1e-75
 
 
 class TailClass(Enum):
@@ -58,12 +69,8 @@ class TailClass(Enum):
 class EigenProblemSpec:
     """Discretization metadata of one eigenvalue problem instance."""
 
-    grid: np.ndarray  # nodes delta = r_0 < ... < r_M = R
+    grid: np.ndarray  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
     potential: np.ndarray  # q(r) = p u**(p-1) - 1 at the nodes
-    inner_cutoff: float
-    inner_bc: str = "dirichlet"
-    outer_bc: str = "neumann"
-    weight_exponent: int = 0  # N - 1
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,17 @@ class MorseScanResult:
 def _as_radial_callable(u):
     """Normalize the solution argument to a vectorized callable r -> u(r)."""
     if isinstance(u, SingularSolution):
+        # below the seed radius the two-term origin expansion the run was
+        # seeded from is at least as accurate as at the seed itself
         traj = u.trajectory
-        return lambda r: traj.sample(r)[0], (traj.r_start, traj.r_end)
+        profile = asymptotic_profile(u.constants)
+        r0 = traj.r_start
+
+        def ueval(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r < r0, profile(r), traj.sample(np.maximum(r, r0))[0])
+
+        return ueval, (0.0, traj.r_end)
     if isinstance(u, RadialTrajectory):
         return lambda r: u.sample(r)[0], (u.r_start, u.r_end)
     if isinstance(u, (int, float)):
@@ -132,12 +148,17 @@ def assemble_operator(
 ) -> AssembledOperator:
     """Symmetric tridiagonal discretization of the linearized operator.
 
-    Conservative second-order finite differences of -(r**(N-1) phi')' on a
-    uniform grid over [delta, R], symmetrized by the r**(N-1) weight with a
-    lumped diagonal mass. The row at delta is Dirichlet (the node is
-    eliminated); the row at R applies the zero-flux Neumann condition with a
-    half mass cell. ``grid_size`` counts intervals; unknowns are the
-    ``grid_size`` nodes strictly above delta.
+    Nodes are uniform in s = ln r over [ln delta, ln R] and the unknowns are
+    y = r**nu phi, nu = (N-2)/2. In these variables the form
+    integral of (phi'**2 - q phi**2) r**(N-1) dr is
+
+        Q(y) = integral of y_s**2 + (nu**2 - q r**2) y**2 ds - nu y(ln R)**2,
+
+    whose entries stay of order one however small delta is, and the pencil
+    mass is r**2 ds. Linear elements with lumped mass give the three-point
+    stiffness; the node at delta is eliminated (Dirichlet) and the node at R
+    carries a half cell (natural Neumann condition). ``grid_size`` counts
+    intervals; unknowns are the ``grid_size`` nodes strictly above delta.
     """
     if params.R is None:
         raise ParameterError("params.R is required to assemble the operator")
@@ -153,29 +174,27 @@ def assemble_operator(
             f"eigenproblem needs [{delta}, {R}]"
         )
     M = int(grid_size)
-    nodes = np.linspace(delta, R, M + 1)
-    h = (R - delta) / M
+    s = np.linspace(math.log(delta), math.log(R), M + 1)
+    h = s[1] - s[0]
+    nodes = np.exp(s)
+    nodes[0], nodes[-1] = delta, R
     uvals = ueval(nodes)
     if np.any(uvals <= 0.0):
         raise PositivityError("solution must be positive on the eigenproblem domain")
-    q = params.p * uvals ** (params.p - 1.0) - 1.0
+    qr2 = _q_r2(uvals, nodes, params.p)
 
-    Nw = params.N - 1
-    w_mid = (0.5 * (nodes[:-1] + nodes[1:])) ** Nw  # flux weights at midpoints
-    mass = h * nodes[1:] ** Nw
-    mass[-1] *= 0.5  # half cell at the Neumann end
+    nu = 0.5 * (params.N - 2.0)
+    cell = np.full(M, h)
+    cell[-1] *= 0.5  # half cell at the Neumann end
+    diag = np.full(M, 2.0 / h)
+    diag[-1] = 1.0 / h - nu
+    diag += cell * (nu * nu - qr2[1:])
+    off = np.full(M - 1, -1.0 / h)
+    mass = cell * nodes[1:] ** 2
 
-    diag = np.empty(M)
-    diag[:-1] = (w_mid[:-1] + w_mid[1:]) / h - q[1:-1] * mass[:-1]
-    diag[-1] = w_mid[-1] / h - q[-1] * mass[-1]
-    off = -w_mid[1:] / h
-
-    spec = EigenProblemSpec(
-        grid=nodes,
-        potential=q,
-        inner_cutoff=delta,
-        weight_exponent=Nw,
-    )
+    # q itself overflows where r**2 underflows; the form only uses q r**2
+    with np.errstate(over="ignore", divide="ignore"):
+        spec = EigenProblemSpec(grid=nodes, potential=qr2 / nodes**2)
     return AssembledOperator(spec=spec, form=TridiagonalForm(diag=diag, offdiag=off, mass=mass))
 
 
@@ -236,7 +255,11 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     d = diag / mass
     e = off / np.sqrt(mass[:-1] * mass[1:]) if off.size else off
     k = min(k, diag.size)
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True)
+    # the log-radius pencil is graded: its standard form grows like r**-2
+    # towards the cutoff, so LAPACK's default tolerance eps * |T| would swamp
+    # eigenvalues of order one; bisect to relative accuracy instead
+    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True,
+                            tol=sys.float_info.min)
     return tuple(float(v) for v in vals)
 
 
@@ -247,52 +270,32 @@ def _doubling(start: int, cap: int):
         size *= 2
 
 
-def _resolution_floor(params: ProblemParams, delta: float) -> int:
-    """Grid size resolving the innermost oscillation of threshold modes.
-
-    Near the origin the potential behaves like C/r**2 with
-    C = p theta (N-2-theta); when C exceeds the Hardy constant, eigenmodes
-    near zero oscillate in log-radius with wavenumber sqrt(C - H), giving a
-    local wavelength 2 pi r / sqrt(C - H). Sixteen points across that
-    wavelength at r = delta fixes the minimum uniform grid.
-    """
-    theta = 2.0 / (params.p - 1.0)
-    climit = params.p * theta * (params.N - 2.0 - theta)
-    hardy = 0.25 * (params.N - 2.0) ** 2
-    wavenumber = math.sqrt(max(climit - hardy, 1.0))
-    needed = 16.0 * (params.R - delta) * wavenumber / (2.0 * math.pi * delta)
-    size = 1
-    while size < needed:
-        size *= 2
-    return size
-
-
 def morse_scan(
     params: ProblemParams,
     sol,
     deltas,
     grid_sizes=None,
     eig_k: int = 3,
-    grid_start: int = 8192,
-    grid_cap: int = 2**20,
 ) -> MorseScanResult:
     """Grid-converged negative-eigenvalue counts along a decreasing cutoff list.
 
-    At each cutoff the grid is refined (doubling by default, or the supplied
-    ``grid_sizes``) until two successive grids agree on the count; only then
-    is the count accepted. Counts that keep increasing as the cutoff shrinks
-    classify the tail as UNBOUNDED, a plateau as SUPERCRITICAL_STABLE_TAIL.
+    At each cutoff the grid is refined (doubling from GRID_START up to
+    GRID_CAP intervals by default, or the supplied ``grid_sizes``) until two
+    successive grids agree on the count; only then is the count accepted.
+    Counts that keep increasing as the cutoff shrinks classify the tail as
+    UNBOUNDED, a plateau as SUPERCRITICAL_STABLE_TAIL.
     """
     deltas = [float(d) for d in deltas]
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ParameterError("cutoffs must be strictly decreasing")
+    if deltas and not deltas[-1] >= MIN_CUTOFF:
+        raise ParameterError(
+            f"cutoff {deltas[-1]} below {MIN_CUTOFF}: eigenvalues of order "
+            "delta**-2 leave double range"
+        )
     reports = []
     for delta in deltas:
-        if grid_sizes is not None:
-            sizes = list(grid_sizes)
-        else:
-            start = max(grid_start, _resolution_floor(params, delta))
-            sizes = _doubling(start, max(grid_cap, start))
+        sizes = _doubling(GRID_START, GRID_CAP) if grid_sizes is None else grid_sizes
         prev_count, accepted = None, None
         for size in sizes:
             op = assemble_operator(sol, params, delta, size)
@@ -350,10 +353,6 @@ class SampledRadialFunction:
     def radii(self) -> np.ndarray:
         return np.exp(self.log_r)
 
-    def values(self) -> np.ndarray:
-        """Plain phi(r) samples; may overflow for supports very close to 0."""
-        return self.scaled * np.exp(-self.nu * self.log_r)
-
     @classmethod
     def from_plain(cls, r, phi, dphi, N: int) -> "SampledRadialFunction":
         """Build the scaled representation from plain (r, phi, phi') samples."""
@@ -368,9 +367,10 @@ class SampledRadialFunction:
         return cls(N=N, log_r=s, scaled=y, scaled_d=dy)
 
 
-def _q_r2(ueval, r: np.ndarray, p: float) -> np.ndarray:
-    """r**2 (p u**(p-1) - 1), grouped so steep profiles do not overflow."""
-    t = ueval(r) * r ** (2.0 / (p - 1.0))
+def _q_r2(u: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+    """r**2 (p u**(p-1) - 1) from samples u at r, grouped so steep profiles
+    do not overflow."""
+    t = u * r ** (2.0 / (p - 1.0))
     return p * t ** (p - 1.0) - r * r
 
 
@@ -396,7 +396,7 @@ def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> f
             f"function is supported on [{r[0]}, {r[-1]}]"
         )
     grad = (phi.scaled_d - phi.nu * phi.scaled) ** 2
-    pot = _q_r2(ueval, r, params.p) * phi.scaled**2
+    pot = _q_r2(ueval(r), r, params.p) * phi.scaled**2
     return float(np.trapezoid(grad - pot, phi.log_r))
 
 
@@ -415,10 +415,16 @@ def hardy_test_function(
     """
     if j < 1:
         raise ParameterError(f"index must be >= 1, got {j}")
-    if not (eps0 > 0):
-        raise ParameterError(f"eps0 must be positive, got {eps0}")
+    if not (eps0 > 0 and math.isfinite(eps0)):
+        raise ParameterError(f"eps0 must be positive and finite, got {eps0}")
+    s_in = -2.0 * math.pi * (j + 1) / eps0
+    if not math.exp(s_in) >= sys.float_info.min:
+        raise ParameterError(
+            f"support of f_{j} at eps0={eps0} reaches r = exp({s_in:.6g}), "
+            "below the smallest normal double"
+        )
     n_points = max(int(n_points), 256)
-    s = np.linspace(-2.0 * math.pi * (j + 1) / eps0, -2.0 * math.pi * j / eps0, n_points)
+    s = np.linspace(s_in, -2.0 * math.pi * j / eps0, n_points)
     y = np.sin(0.5 * eps0 * s)
     dy = 0.5 * eps0 * np.cos(0.5 * eps0 * s)
     # the sine vanishes at both endpoints by construction; make it exact
@@ -463,8 +469,7 @@ def potential_threshold_check(
     params = sol.params
     c = sol.constants
     radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, n_samples)
-    traj = sol.trajectory
-    scaled = _q_r2(lambda r: traj.sample(r)[0], radii, params.p)
+    scaled = _q_r2(sol.trajectory.sample(radii)[0], radii, params.p)
     limit_computed = float(scaled[0])
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)
     hardy = 0.25 * (params.N - 2.0) ** 2

@@ -244,7 +244,7 @@ def test_c10_hardy_certificates():
     t0 = time.time()
     params = ProblemParams(5, 10.0)
     prof = asymptotic_profile(derive_constants(params))
-    eps0 = 1.0  # supports stay reachable by uniform-in-radius grids
+    eps0 = 1.0
     ok = True
     for j in range(1, 6):
         fj = hardy_test_function(j, eps0, 5)
@@ -252,9 +252,9 @@ def test_c10_hardy_certificates():
         r = fj.radii
         sub = ProblemParams(5, 10.0, R=float(r[-1]))
         op = assemble_operator(prof, sub, float(r[0]), 16384)
-        phi = np.interp(op.spec.grid[1:], r, fj.values())
-        quad = float(np.sum(op.form.diag * phi**2)
-                     + 2.0 * np.sum(op.form.offdiag * phi[:-1] * phi[1:]))
+        y = np.interp(np.log(op.spec.grid[1:]), fj.log_r, fj.scaled)
+        quad = float(np.sum(op.form.diag * y**2)
+                     + 2.0 * np.sum(op.form.offdiag * y[:-1] * y[1:]))
         ok = ok and quad < 0.0
     # the log-domain quadrature also certifies the default small eps0
     for j in range(1, 6):

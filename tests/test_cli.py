@@ -115,6 +115,17 @@ def test_morse_command(tmp_path):
     assert [r["negative_count"] for r in blob["reports"]] == [1, 1]
 
 
+@pytest.mark.parametrize("flags", [["--N", 12, "--p", 3.0123, "--R", 0.9817],
+                                   ["--N", 5, "--p", 10.1, "--R", 1.05]])
+def test_morse_command_near_threshold_inputs(tmp_path, flags):
+    # inputs near (12, 3) and (5, 10) whose counts at delta=1e-5 need the
+    # grid resolved down to the cutoff
+    assert run_cli(["morse", *flags, "--deltas", "1e-2,1e-3,1e-4,1e-5",
+                    "--out-dir", tmp_path]) == 0
+    blob = json.loads(next(tmp_path.glob("run-*/morse.json")).read_text())
+    assert blob["classification"] == "UNBOUNDED"
+
+
 def test_hardy_command(tmp_path):
     assert run_cli(["hardy", "--N", 5, "--p", 10, "--eps0", 1.0, "--j-max", 2,
                     "--out-dir", tmp_path]) == 0
@@ -124,13 +135,19 @@ def test_hardy_command(tmp_path):
     assert names["hardy-discrete-j1"] == "PASS"
 
 
-def test_hardy_small_eps0_skips_discrete(tmp_path):
-    assert run_cli(["hardy", "--N", 5, "--p", 10, "--eps0", 0.35, "--j-max", 1,
-                    "--out-dir", tmp_path]) == 0
-    rep = read_report(tmp_path)
-    names = {c["name"]: c["status"] for c in rep["checks"]}
-    assert names["hardy-negativity-j1"] == "PASS"
-    assert names["hardy-discrete"] == "INFO"
+def test_hardy_default_eps0_runs_discrete(tmp_path):
+    # N=12, p=3 is where a form on nodal phi broke down at this eps0
+    for N, p in [(5, 10), (12, 3)]:
+        out = tmp_path / f"N{N}"
+        assert run_cli(["hardy", "--N", N, "--p", p, "--eps0", 0.35,
+                        "--out-dir", out]) == 0
+        checks = {c["name"]: c for c in read_report(out)["checks"]}
+        for j in range(1, 6):
+            quadrature = checks[f"hardy-negativity-j{j}"]
+            discrete = checks[f"hardy-discrete-j{j}"]
+            assert quadrature["status"] == discrete["status"] == "PASS"
+            J = quadrature["margins"]["J"]
+            assert discrete["margins"]["quadratic_form"] == pytest.approx(J, rel=1e-2)
 
 
 def test_continuity_command(tmp_path):
@@ -169,10 +186,14 @@ def test_non_finite_input_exits_2(tmp_path, flags):
     assert not list(tmp_path.glob("run-*"))
 
 
-@pytest.mark.parametrize("flags", [["--p", "nan", "--r-end", "1"],
-                                   ["--p", "20", "--R", "inf", "--r-end", "1"]])
+@pytest.mark.parametrize("flags", [
+    ["singular", "--N", "5", "--p", "nan", "--r-end", "1"],
+    ["singular", "--N", "5", "--p", "20", "--R", "inf", "--r-end", "1"],
+    ["hardy", "--N", "5", "--p", "10", "--eps0", "0"],
+    ["hardy", "--N", "5", "--p", "10", "--eps0", "1e-3"],
+])
 def test_config_error_leaves_no_run_directory(tmp_path, flags):
-    out = run_child(["singular", "--N", "5", *flags, "--out-dir", tmp_path])
+    out = run_child([*flags, "--out-dir", tmp_path])
     assert out.returncode == 2, out.stderr
     assert "configuration error" in out.stderr
     assert not list(tmp_path.glob("run-*"))

@@ -145,6 +145,32 @@ def test_morse_scan_validation(sing_5_20):
     params = ProblemParams(5, 20.0, R=1.0)
     with pytest.raises(ParameterError):
         morse_scan(params, sing_5_20, [1e-3, 1e-2])
+    with pytest.raises(ParameterError, match="double range"):
+        morse_scan(params, sing_5_20, [1e-2, 1e-76])
+
+
+def test_sturm_oscillation_rate_below_joseph_lundgren():
+    # below pJL the count grows by sqrt(C - H) / pi per unit of ln(1/delta)
+    for N, p in [(12, 3.0), (5, 10.0)]:
+        params = ProblemParams(N, p, R=1.0)
+        sol = solve_singular(params, r_end=1.05)
+        scan = morse_scan(params, sol, [1e-6, 1e-12])
+        c = derive_constants(params)
+        C = p * c.theta * (N - 2.0 - c.theta)
+        H = 0.25 * (N - 2.0) ** 2
+        predicted = math.sqrt(C - H) / math.pi * math.log(1e6)
+        assert scan.classification is TailClass.UNBOUNDED
+        assert abs(scan.counts[1] - scan.counts[0] - predicted) <= 1.0
+
+
+def test_count_and_spectrum_flat_above_joseph_lundgren():
+    params = ProblemParams(12, 5.0, R=1.0)
+    sol = solve_singular(params, r_end=1.05)
+    scan = morse_scan(params, sol, [1e-6, 1e-12])
+    assert scan.counts == (1, 1)
+    # the low eigenvalues live near R and must not move with the cutoff
+    shallow, deep = (rep.smallest_eigenvalues for rep in scan.reports)
+    assert deep == pytest.approx(shallow, rel=1e-2)
 
 
 def test_hardy_function_shape():
@@ -165,8 +191,12 @@ def test_hardy_supports_disjoint():
 def test_hardy_validation():
     with pytest.raises(ParameterError):
         hardy_test_function(0, 0.35, 5)
-    with pytest.raises(ParameterError):
-        hardy_test_function(1, -0.1, 5)
+    for eps0 in (-0.1, 0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            hardy_test_function(1, eps0, 5)
+    # the support would reach radii below the smallest normal double
+    with pytest.raises(ParameterError, match="smallest normal double"):
+        hardy_test_function(1, 1e-3, 5)
 
 
 def test_hardy_log_ode_residual_second_order():
@@ -212,9 +242,16 @@ def test_rayleigh_negative_on_hardy_functions():
 
 
 def test_rayleigh_coverage_error(sing_5_20):
+    # the bare trajectory starts at the seed radius; the singular solution
+    # itself covers (0, r_end] through its origin expansion
     fj = hardy_test_function(1, 0.35, 5)
+    params = ProblemParams(5, 20.0)
     with pytest.raises(CoverageError):
-        rayleigh_quotient(fj, sing_5_20, ProblemParams(5, 20.0))
+        rayleigh_quotient(fj, sing_5_20.trajectory, params)
+    # below the seed radius the solution is its two-term origin expansion
+    assert fj.radii[-1] < sing_5_20.seed_radius
+    prof = asymptotic_profile(sing_5_20.constants)
+    assert rayleigh_quotient(fj, sing_5_20, params) == rayleigh_quotient(fj, prof, params)
 
 
 def test_discrete_projection_stays_negative():
@@ -224,10 +261,10 @@ def test_discrete_projection_stays_negative():
     r = fj.radii
     sub = ProblemParams(5, 10.0, R=float(r[-1]))
     op = assemble_operator(prof, sub, float(r[0]), 8192)
-    nodes = op.spec.grid[1:]
-    phi = np.interp(nodes, r, fj.values())
-    quad = float(np.sum(op.form.diag * phi**2)
-                 + 2.0 * np.sum(op.form.offdiag * phi[:-1] * phi[1:]))
+    # the unknowns are y = r**nu phi, the test function's scaled samples
+    y = np.interp(np.log(op.spec.grid[1:]), fj.log_r, fj.scaled)
+    quad = float(np.sum(op.form.diag * y**2)
+                 + 2.0 * np.sum(op.form.offdiag * y[:-1] * y[1:]))
     assert quad < 0.0
     # consistent with the quadrature value of the same functional
     J = rayleigh_quotient(fj, prof, params)
