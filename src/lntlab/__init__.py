@@ -58,9 +58,7 @@ from .singular import (
     CriticalRadii,
     SingularSolution,
     asymptotic_profile,
-    critical_radius,
     derivative_bound_check,
-    first_unit_crossing,
     seed_at_origin,
     solve_singular,
     solve_with_criticals,

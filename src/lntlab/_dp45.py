@@ -138,11 +138,13 @@ class Event(NamedTuple):
 @dataclass
 class Run:
     """Output of :func:`solve`: step ends ``t`` with states ``y`` (n, m),
-    event roots per event, the dense output and the solver counters."""
+    event roots per event with whether g rose across each, the dense output
+    and the solver counters."""
 
     t: np.ndarray
     y: np.ndarray
     t_events: list
+    rises: list
     status: str  # "finished", "event" (terminal event) or "failed"
     message: str
     dense: Dense
@@ -162,7 +164,8 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
     rejection, failure once the step falls below 10 ulp of t, and rtol
     raised to at least 100 eps. A run also fails once it has taken
     ``MAX_STEPS`` steps without reaching t_end. Event zeros are located by
-    Brent's method on each step's quartic interpolant.
+    Brent's method on each step's quartic interpolant, and each records
+    whether g rose across its step.
     """
     if t_end == t0:
         raise ParameterError(f"empty integration span at t={t0}")
@@ -180,6 +183,7 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
     g = [ev.g(t, y) for ev in events]
     counts = [0] * len(events)
     t_events = [[] for _ in events]
+    rises = [[] for _ in events]
     status, message = None, ""
     sqrt_n = math.sqrt(n)
     while status is None:
@@ -248,7 +252,6 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
                 if (ev.direction >= 0 and g[j] <= 0 <= g_new[j])
                 or (ev.direction <= 0 and g[j] >= 0 >= g_new[j])
             ]
-            g = g_new
             if active:
                 K = (k1, k2, k3, k4, k5, k6, f_new)
                 interp = _interpolant(t_old, h, y_old, _quartic(K))
@@ -268,6 +271,8 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
                     y = interp(t)
                 for j in active:
                     t_events[j].append(roots[j])
+                    rises[j].append(g_new[j] > g[j])
+            g = g_new
         if len(ts) > 1 and t == ts[-1]:
             # a terminal zero on the step's start: the step adds nothing
             hs.pop()
@@ -281,6 +286,7 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
         t=np.array(ts),
         y=ys.T,
         t_events=[np.array(te) for te in t_events],
+        rises=[np.array(up, dtype=bool) for up in rises],
         status=status,
         message=message,
         dense=Dense(ts, hs, ys[:-1], Q),

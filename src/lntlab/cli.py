@@ -37,7 +37,6 @@ from .params import ProblemParams, derive_constants, lemma_constants
 from .reports import FAIL, INFO, PASS, CheckRecord, ReportBundle
 from .shooting import branch_sample, shoot
 from .singular import (
-    asymptotic_profile,
     derivative_bound_check,
     solve_singular,
     solve_with_criticals,
@@ -59,6 +58,7 @@ _RUNTIME_ERRORS = (
     EventError,
     FeasibilityError,
     IntegrationError,
+    OverflowError,  # a float operation left double range: numerical breakdown
     PositivityError,
 )
 
@@ -205,7 +205,7 @@ def _resolve_common(args) -> dict:
             return cast(file_cfg[name])
         return DEFAULTS[name]
 
-    return {
+    common = {
         "tol_rel": pick("tol_rel", float),
         "tol_abs": pick("tol_abs", float),
         "out_dir": pick("out_dir", str),
@@ -213,6 +213,12 @@ def _resolve_common(args) -> dict:
         "jobs": int(pick("jobs", int)),
         "full": bool(getattr(args, "full", False)),
     }
+    if not (0.0 < common["tol_rel"] < 1.0 and 0.0 <= common["tol_abs"] < math.inf):
+        raise ParameterError(
+            "tolerances must satisfy 0 < tol_rel < 1 and 0 <= tol_abs < inf, got "
+            f"tol_rel={common['tol_rel']}, tol_abs={common['tol_abs']}"
+        )
+    return common
 
 
 def _emit_trajectory(traj, outdir: Path, stem: str, emit: str, full: bool, bundle):
@@ -283,7 +289,8 @@ def cmd_singular(args, common, bundle, outdir: Path):
         status=PASS,
         claim="singular-solution-constructed",
         margins={"r_p": sol.r_p if sol.r_p is not None else math.nan,
-                 "n_critical": len(sol.critical_radii)},
+                 "n_critical": len(sol.critical_radii),
+                 "seed_truncation": sol.seed_truncation},
     ))
     if args.check_bounds:
         _verification_checks(bundle, sol, common["tol_rel"], common["tol_abs"])
@@ -408,7 +415,6 @@ def cmd_hardy(args, common, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p)
     c = derive_constants(params)
     lem = lemma_constants(params)
-    profile = asymptotic_profile(c)
     # built first: they validate eps0 and the supports before any work
     fjs = [hardy_test_function(j, args.eps0, args.N) for j in range(1, args.j_max + 1)]
     r1 = math.exp(-2.0 * math.pi / args.eps0)
@@ -419,7 +425,9 @@ def cmd_hardy(args, common, bundle, outdir: Path):
         )
     rows = []
     for j, fj in enumerate(fjs, start=1):
-        value = rayleigh_quotient(fj, profile, params)
+        # the solution is the two-term origin expansion of c, which the
+        # spectral code evaluates in scaled form: no overflow at large theta
+        value = rayleigh_quotient(fj, c, params)
         rows.append((j, value))
         bundle.add(CheckRecord(
             name=f"hardy-negativity-j{j}",
@@ -430,7 +438,7 @@ def cmd_hardy(args, common, bundle, outdir: Path):
         # the operator's grid is the test function's own log-radius grid, and
         # its unknowns are the scaled samples y = r**nu phi
         sub = ProblemParams(args.N, args.p, R=float(fj.radii[-1]))
-        op = assemble_operator(profile, sub, float(fj.radii[0]), fj.log_r.size - 1)
+        op = assemble_operator(c, sub, float(fj.radii[0]), fj.log_r.size - 1)
         y = fj.scaled[1:]
         quad = float(np.sum(op.form.diag * y * y)
                      + 2.0 * np.sum(op.form.offdiag * y[:-1] * y[1:]))

@@ -18,7 +18,7 @@ class IntegrationError(RuntimeError):
 
 
 class DegenerateEventError(RuntimeError):
-    """A unit crossing and a critical point coincide, which forces u == 1."""
+    """Critical points fail to alternate between minima and maxima."""
 
 
 class EventError(RuntimeError):

@@ -9,8 +9,8 @@ which follows the step rules of scipy's RK45 and so takes the same steps;
 its dense output is one piecewise quartic. Unit crossings (u = 1) and
 critical points (u' = 0) are located by Brent's method on the interpolant
 of the step where they change sign and recorded on the trajectory together
-with the energy trace and the solver counters, and a run can stop at the
-i-th critical point.
+with the energy trace and the solver counters; a critical point is a minimum
+where u' rises through zero, and a run can stop at the i-th critical point.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ __all__ = [
     "integrate_eta",
     "integrate_eta_difference",
 ]
-
-# A critical point with |u - 1| below this is degenerate: u'(r) = 0 and
-# u(r) = 1 force the constant solution.
-DEGENERATE_EVENT_TOL = 1e-9
 
 
 class PointKind(Enum):
@@ -334,11 +330,12 @@ def _vector_field(params: ProblemParams):
     return f
 
 
-def _dedupe(values: np.ndarray) -> np.ndarray:
-    if values.size < 2:
-        return values
-    keep = np.concatenate([[True], np.diff(values) > 1e-13 * np.abs(values[1:])])
-    return values[keep]
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Mask dropping increasing event radii that repeat the previous one (a
+    zero on a step end is found by both steps)."""
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = np.diff(values) > 1e-13 * np.abs(values[1:])
+    return keep
 
 
 def integrate_adaptive(
@@ -365,7 +362,8 @@ def integrate_adaptive(
     IntegrationError
         If the step size underflows; the partial trajectory is attached.
     DegenerateEventError
-        If a critical point lies on u = 1, which forces u == 1.
+        If the kinds of the critical points fail to alternate, as at a
+        tangential zero of u'.
     """
     if not math.isfinite(r_end):
         raise ParameterError(f"r_end must be finite, got r_end={r_end}")
@@ -424,17 +422,18 @@ def _build_trajectory(params, run, events, rtol, atol, status, message):
     crit = np.array([])
     kinds: tuple[PointKind, ...] = ()
     if events:
-        unit = _dedupe(np.sort(run.t_events[0]))
-        crit = _dedupe(np.sort(run.t_events[1]))
-        if crit.size:
-            u_at = np.atleast_1d(run.dense(crit)[0])
-            ties = np.abs(u_at - 1.0) < DEGENERATE_EVENT_TOL
-            if np.any(ties):
-                raise DegenerateEventError(
-                    f"critical point on u = 1 at r={crit[ties][0]}: "
-                    "only the constant solution admits this"
-                )
-            kinds = tuple(PointKind.MIN if v < 1.0 else PointKind.MAX for v in u_at)
+        unit = run.t_events[0][_distinct(run.t_events[0])]
+        keep = _distinct(run.t_events[1])
+        crit = run.t_events[1][keep]
+        kinds = tuple(PointKind.MIN if up else PointKind.MAX for up in run.rises[1][keep])
+        # a failed run keeps whatever it found, so its own error surfaces
+        twice = [k for k in range(1, len(kinds)) if kinds[k] is kinds[k - 1]]
+        if twice and status != "failed":
+            k = twice[0]
+            raise DegenerateEventError(
+                f"critical points at r={crit[k - 1]} and r={crit[k]} are both of "
+                f"kind {kinds[k].value}: u' touched zero without crossing"
+            )
     tr, u, du = run.t, run.y[0], run.y[1]
     # the terminal floor event can leave a final sample with u <= 0; clip it
     if u.size and u[-1] <= 0.0:

@@ -192,7 +192,7 @@ def convergence_to_singular(
     c = derive_constants(params)
     power = c.A * grid**-c.theta
     zeta_grid = -np.log(grid) / c.m
-    seed_cap = _default_seed_radius(lemma_constants(params).rtilde_p, rtol)
+    seed_cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, rtol)
 
     distances, statuses = [], []
     for g in gammas:

@@ -3,9 +3,11 @@
 The solution blowing up like ``A * r**(-theta)`` at the origin is built by
 seeding the two-term expansion ``A r**(-theta) (1 + Dp r**2)`` at a small
 radius inside the validated window ``r <= ctilde/sqrt(p)`` and integrating
-outward. The module also locates the first unit crossing and the increasing
-sequence of critical radii, and exposes the origin-envelope and
-derivative-decay verification reports.
+outward. The seed is certified a priori: the first term it leaves out,
+``D2 r**4`` of the origin series, must stay within the integration
+tolerance. The module also records the first unit crossing and the
+increasing sequence of critical radii, and exposes the origin-envelope and
+derivative verification reports.
 """
 
 from __future__ import annotations
@@ -30,31 +32,16 @@ __all__ = [
     "SingularSolution",
     "seed_at_origin",
     "solve_singular",
-    "first_unit_crossing",
-    "critical_radius",
     "solve_with_criticals",
     "verify_origin_bounds",
     "derivative_bound_check",
-    "derivative_decay_sweep",
     "asymptotic_profile",
     "OriginBoundsReport",
     "DerivativeBoundReport",
 ]
 
-SEED_SHRINK = 16.0  # default seed radius is rtilde_p / SEED_SHRINK
-SEED_RTOL_REF = 1e-10  # tolerance at which the default shrink is calibrated
+SEED_SHRINK = 16.0  # default seed radius is at most rtilde_p / SEED_SHRINK
 R_END_EXTENSION_CAP = 2**10  # critical-radius search may extend r_end this far
-
-
-def _default_seed_radius(rtilde_p: float, rtol: float) -> float:
-    """Seed radius balancing the fourth-order expansion error against rtol.
-
-    The truncation error of the two-term seed scales like r0**4, so keeping
-    it proportional to the integration tolerance requires r0 ~ rtol**(1/4).
-    At the reference tolerance this reduces to the plain rtilde_p / 16.
-    """
-    shrink = min(1.0, (rtol / SEED_RTOL_REF) ** 0.25)
-    return rtilde_p / SEED_SHRINK * shrink
 
 
 @dataclass(frozen=True)
@@ -99,6 +86,7 @@ class SingularSolution:
     constants: DerivedConstants
     lemma: LemmaConstants
     seed_radius: float
+    seed_truncation: float  # |D2| seed_radius**4, the seed's relative error
     trajectory: RadialTrajectory
     r_p: float | None
     critical_radii: CriticalRadii
@@ -137,13 +125,27 @@ def seed_at_origin(
     return RadialState(r=r0, u=u0, du=du0)
 
 
-def _probe_at_rtilde(params, c, lem, r0, rtol, atol) -> tuple[float, float]:
-    seed = seed_at_origin(params, c, r0)
-    if r0 >= lem.rtilde_p:
-        return seed.u, seed.du
-    run = integrate_adaptive(params, seed, lem.rtilde_p, rtol, atol, events=False)
-    u, du = run.sample(lem.rtilde_p)
-    return float(u[0]), float(du[0])
+def _r4_coefficient(c: DerivedConstants) -> float:
+    """Coefficient D2 of the origin series A r**(-theta) (1 + Dp r**2 + D2 r**4 + ...).
+
+    Matching the r**(2-theta) terms of the equation, with
+    a = A**(p-1) = theta (N-2-theta), gives
+    D2 ((4-theta)(N+2-theta) + p a) = Dp (1 - p (p-1) a Dp / 2).
+    """
+    a = c.theta * (c.N - 2.0 - c.theta)
+    return c.Dp * (1.0 - 0.5 * c.p * (c.p - 1.0) * a * c.Dp) / (
+        (4.0 - c.theta) * (c.N + 2.0 - c.theta) + c.p * a)
+
+
+def _max_seed_radius(c: DerivedConstants, rtol: float) -> float:
+    """Largest seed radius whose truncation |D2| r0**4 stays within rtol."""
+    d2 = abs(_r4_coefficient(c))
+    return (rtol / d2) ** 0.25 if d2 else math.inf
+
+
+def _default_seed_radius(c: DerivedConstants, rtilde_p: float, rtol: float) -> float:
+    """rtilde_p / 16, shrunk where the seed's truncation would exceed rtol."""
+    return min(rtilde_p / SEED_SHRINK, _max_seed_radius(c, rtol))
 
 
 def solve_singular(
@@ -153,33 +155,39 @@ def solve_singular(
     atol: float = 1e-12,
     *,
     seed_radius: float | None = None,
-    seed_check: bool = True,
     stop_at_critical: int | None = None,
 ) -> SingularSolution:
     """Construct the singular solution on (0, r_end].
 
-    Seeds the two-term origin expansion at ``seed_radius`` (default
-    ``rtilde_p / 16``), integrates outward with event detection, and fills
-    the first unit crossing and the critical radii; ``stop_at_critical = i``
-    ends the run at the i-th critical radius if it comes before r_end. Two
-    runs seeded at r0
-    and r0/2 must agree at rtilde_p within 10x the integrator tolerance,
-    otherwise the construction is rejected.
+    Seeds the two-term origin expansion at ``seed_radius``, integrates
+    outward with event detection, and fills the first unit crossing and the
+    critical radii; ``stop_at_critical = i`` ends the run at the i-th
+    critical radius if it comes before r_end. The seed's truncation error is
+    the first term it leaves out, ``|D2| r0**4`` relative to u; it must not
+    exceed rtol. The default seed radius is ``rtilde_p / 16``, shrunk to
+    ``(rtol / |D2|)**(1/4)`` where that is smaller.
 
     Raises
     ------
     IntegrationError
-        On seed-sensitivity failure (both runs are reported) or integration
-        breakdown.
+        If the seed's truncation exceeds rtol (only a supplied
+        ``seed_radius`` can), or on integration breakdown.
     """
     c = derive_constants(params)
     lem = lemma_constants(params)
-    r0 = seed_radius if seed_radius is not None else _default_seed_radius(lem.rtilde_p, rtol)
+    r0 = seed_radius if seed_radius is not None else _default_seed_radius(c, lem.rtilde_p, rtol)
     if not (r_end > lem.rtilde_p):
         raise ParameterError(
             f"r_end={r_end} must exceed the validated window rtilde_p={lem.rtilde_p}"
         )
     seed = seed_at_origin(params, c, r0)
+    truncation = abs(_r4_coefficient(c)) * r0**4
+    # compared as radii, so the default radius passes without rounding doubt
+    if r0 > _max_seed_radius(c, rtol):
+        raise IntegrationError(
+            f"seed radius r0={r0} leaves a truncation |D2| r0**4 = {truncation} "
+            f"above rtol={rtol}; seed closer to the origin"
+        )
     traj = integrate_adaptive(params, seed, r_end, rtol, atol,
                               stop_at_critical=stop_at_critical)
     if traj.status == "nonpositive":
@@ -187,40 +195,17 @@ def solve_singular(
             "singular solution lost positivity; decrease tolerances", partial=traj
         )
 
-    if seed_check:
-        # both legs run at a tighter tolerance so the comparison measures the
-        # seed expansion error, not the transport error of the instrument;
-        # the budget stays at 10x the requested tolerance
-        ua, dua = _probe_at_rtilde(params, c, lem, r0, rtol / 4.0, atol / 4.0)
-        ub, dub = _probe_at_rtilde(params, c, lem, r0 / 2.0, rtol / 4.0, atol / 4.0)
-        scale = max(abs(ua), abs(ub), abs(dua), abs(dub), 1.0)
-        budget = 10.0 * (atol + rtol * scale)
-        if abs(ua - ub) > budget or abs(dua - dub) > budget:
-            raise IntegrationError(
-                "seed-sensitivity check failed at rtilde_p="
-                f"{lem.rtilde_p}: seeds r0={r0} and r0/2 give "
-                f"(u, u')=({ua}, {dua}) vs ({ub}, {dub}), allowed {budget}"
-            )
-
     r_p = float(traj.unit_crossings[0]) if traj.unit_crossings.size else None
     return SingularSolution(
         params=params,
         constants=c,
         lemma=lem,
         seed_radius=r0,
+        seed_truncation=truncation,
         trajectory=traj,
         r_p=r_p,
         critical_radii=_critical_radii_from(traj, require_first_min=True),
     )
-
-
-def first_unit_crossing(sol: SingularSolution) -> float:
-    """Radius of the first solution of u(r) = 1."""
-    if sol.r_p is None:
-        raise EventError(
-            f"no unit crossing on (0, {sol.trajectory.r_end}]; extend r_end"
-        )
-    return sol.r_p
 
 
 def _initial_r_end(params: ProblemParams, i: int) -> float:
@@ -253,18 +238,6 @@ def solve_with_criticals(
             "this indicates tolerance problems, not a missing point"
         )
     return sol
-
-
-def critical_radius(
-    params: ProblemParams,
-    i: int,
-    r_end: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> float:
-    """The i-th critical radius of the singular solution (i >= 1)."""
-    sol = solve_with_criticals(params, i, r_end, rtol, atol)
-    return sol.critical_radii[i - 1]
 
 
 @dataclass(frozen=True)
@@ -334,19 +307,3 @@ def derivative_bound_check(sol: SingularSolution, n_samples: int = 64) -> Deriva
         u_at_rtilde=float(u_rt[0]),
         sup_remainder_ratio=float(np.max(ratio)),
     )
-
-
-def derivative_decay_sweep(
-    N: int,
-    p_list,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> list[DerivativeBoundReport]:
-    """Derivative-decay reports over a power sweep at fixed dimension."""
-    reports = []
-    for p in p_list:
-        params = ProblemParams(N, float(p))
-        lem = lemma_constants(params)
-        sol = solve_singular(params, r_end=2.0 * lem.rtilde_p, rtol=rtol, atol=atol)
-        reports.append(derivative_bound_check(sol))
-    return reports

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
 from .ode import RadialTrajectory
-from .params import ProblemParams
-from .singular import SingularSolution, asymptotic_profile
+from .params import DerivedConstants, ProblemParams
+from .singular import SingularSolution
 
 __all__ = [
     "EigenProblemSpec",
@@ -114,29 +114,40 @@ class MorseScanResult:
         return tuple(rep.negative_count for rep in self.reports)
 
 
-def _as_radial_callable(u):
-    """Normalize the solution argument to a vectorized callable r -> u(r)."""
+def _scaled_profile(u, p: float):
+    """Normalize the solution argument to a vectorized callable for the
+    scaled profile r -> u(r) r**theta, theta = 2/(p-1), and the radii it
+    covers (None: all). ``DerivedConstants`` stand for their two-term origin
+    expansion.
+
+    The scaled profile tends to A at the origin, where u itself overflows
+    once theta is large.
+    """
+    theta = 2.0 / (p - 1.0)
+    if isinstance(u, DerivedConstants):
+        # the two-term origin expansion A r**(-theta) (1 + Dp r**2)
+        return lambda r: u.A * (1.0 + u.Dp * np.square(r)), None
     if isinstance(u, SingularSolution):
         # below the seed radius the two-term origin expansion the run was
         # seeded from is at least as accurate as at the seed itself
         traj = u.trajectory
-        profile = asymptotic_profile(u.constants)
+        inner, _ = _scaled_profile(u.constants, p)
         r0 = traj.r_start
 
-        def ueval(r):
+        def scaled(r):
             r = np.asarray(r, dtype=float)
-            return np.where(r < r0, profile(r), traj.sample(np.maximum(r, r0))[0])
+            return np.where(r < r0, inner(r), traj.sample(np.maximum(r, r0))[0] * r**theta)
 
-        return ueval, (0.0, traj.r_end)
+        return scaled, (0.0, traj.r_end)
     if isinstance(u, RadialTrajectory):
-        return lambda r: u.sample(r)[0], (u.r_start, u.r_end)
+        return lambda r: u.sample(r)[0] * r**theta, (u.r_start, u.r_end)
     if isinstance(u, (int, float)):
         val = float(u)
         if val <= 0:
             raise PositivityError("constant solution must be positive")
-        return lambda r: np.full(np.shape(r), val, dtype=float), None
+        return lambda r: val * np.asarray(r, dtype=float) ** theta, None
     if callable(u):
-        return lambda r: np.asarray(u(r), dtype=float), None
+        return lambda r: np.asarray(u(r), dtype=float) * np.asarray(r, dtype=float) ** theta, None
     raise ParameterError(f"unsupported solution object {type(u)!r}")
 
 
@@ -167,7 +178,7 @@ def assemble_operator(
         raise ParameterError(f"cutoff must satisfy 0 < delta < R, got {delta}")
     if grid_size < MIN_GRID_SIZE:
         raise ParameterError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
-    ueval, coverage = _as_radial_callable(u)
+    scaled, coverage = _scaled_profile(u, params.p)
     if coverage is not None and not (coverage[0] <= delta and R <= coverage[1]):
         raise CoverageError(
             f"solution covers [{coverage[0]}, {coverage[1]}] but the "
@@ -178,10 +189,10 @@ def assemble_operator(
     h = s[1] - s[0]
     nodes = np.exp(s)
     nodes[0], nodes[-1] = delta, R
-    uvals = ueval(nodes)
-    if np.any(uvals <= 0.0):
+    tvals = scaled(nodes)
+    if np.any(tvals <= 0.0):
         raise PositivityError("solution must be positive on the eigenproblem domain")
-    qr2 = _q_r2(uvals, nodes, params.p)
+    qr2 = _q_r2(tvals, nodes, params.p)
 
     nu = 0.5 * (params.N - 2.0)
     cell = np.full(M, h)
@@ -367,10 +378,9 @@ class SampledRadialFunction:
         return cls(N=N, log_r=s, scaled=y, scaled_d=dy)
 
 
-def _q_r2(u: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
-    """r**2 (p u**(p-1) - 1) from samples u at r, grouped so steep profiles
-    do not overflow."""
-    t = u * r ** (2.0 / (p - 1.0))
+def _q_r2(t: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+    """r**2 (p u**(p-1) - 1) from the scaled profile t = u r**theta at r;
+    theta (p-1) = 2, so r**2 u**(p-1) = t**(p-1)."""
     return p * t ** (p - 1.0) - r * r
 
 
@@ -388,7 +398,7 @@ def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> f
     """
     if phi.N != params.N:
         raise ParameterError("test function and problem dimension disagree")
-    ueval, coverage = _as_radial_callable(u)
+    scaled, coverage = _scaled_profile(u, params.p)
     r = phi.radii
     if coverage is not None and not (coverage[0] <= r[0] and r[-1] <= coverage[1]):
         raise CoverageError(
@@ -396,7 +406,7 @@ def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> f
             f"function is supported on [{r[0]}, {r[-1]}]"
         )
     grad = (phi.scaled_d - phi.nu * phi.scaled) ** 2
-    pot = _q_r2(ueval(r), r, params.p) * phi.scaled**2
+    pot = _q_r2(scaled(r), r, params.p) * phi.scaled**2
     return float(np.trapezoid(grad - pot, phi.log_r))
 
 
@@ -469,7 +479,7 @@ def potential_threshold_check(
     params = sol.params
     c = sol.constants
     radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, n_samples)
-    scaled = _q_r2(sol.trajectory.sample(radii)[0], radii, params.p)
+    scaled = _q_r2(sol.trajectory.sample(radii)[0] * radii**c.theta, radii, params.p)
     limit_computed = float(scaled[0])
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)
     hardy = 0.25 * (params.N - 2.0) ** 2

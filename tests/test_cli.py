@@ -1,13 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lntlab
 from lntlab.cli import main
+from lntlab.params import joseph_lundgren
 
 
 def run_cli(args):
@@ -35,6 +40,8 @@ def test_singular_command_and_determinism(tmp_path):
     assert report["worst_status"] in ("PASS", "INFO")
     # every verdict names the property it tests
     assert all(c["claim"] for c in report["checks"])
+    solve = next(c for c in report["checks"] if c["name"] == "singular-solve")
+    assert 0.0 < solve["margins"]["seed_truncation"] <= 1e-10
 
 
 def test_config_error_exit_code(tmp_path):
@@ -115,15 +122,20 @@ def test_morse_command(tmp_path):
     assert [r["negative_count"] for r in blob["reports"]] == [1, 1]
 
 
-@pytest.mark.parametrize("flags", [["--N", 12, "--p", 3.0123, "--R", 0.9817],
-                                   ["--N", 5, "--p", 10.1, "--R", 1.05]])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    # near (12, 3) and (5, 10): counts at delta=1e-5 need the grid resolved
+    # down to the cutoff
+    ["--N", 12, "--p", 3.0123, "--R", 0.9817, "--deltas", "1e-2,1e-3,1e-4,1e-5"],
+    ["--N", 5, "--p", 10.1, "--R", 1.05, "--deltas", "1e-2,1e-3,1e-4,1e-5"],
+    # just above pJL at N=30: theta = 6.7, so A r**(-theta) overflows at 1e-50
+    ["--N", 30, "--p", 1.3, "--deltas", "1e-2,1e-50"],
+])
 def test_morse_command_near_threshold_inputs(tmp_path, flags):
-    # inputs near (12, 3) and (5, 10) whose counts at delta=1e-5 need the
-    # grid resolved down to the cutoff
-    assert run_cli(["morse", *flags, "--deltas", "1e-2,1e-3,1e-4,1e-5",
-                    "--out-dir", tmp_path]) == 0
+    assert run_cli(["morse", *flags, "--out-dir", tmp_path]) == 0
     blob = json.loads(next(tmp_path.glob("run-*/morse.json")).read_text())
-    assert blob["classification"] == "UNBOUNDED"
+    unbounded = flags[3] < joseph_lundgren(flags[1])
+    assert blob["classification"] == ("UNBOUNDED" if unbounded else "SUPERCRITICAL_STABLE_TAIL")
 
 
 def test_hardy_command(tmp_path):
@@ -199,18 +211,59 @@ def test_config_error_leaves_no_run_directory(tmp_path, flags):
     assert not list(tmp_path.glob("run-*"))
 
 
+SPECIAL = [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-300, 1e300]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(N=st.integers(3, 30), ratio=st.floats(1.0, 30.0), r_end=st.floats(0.01, 20.0),
+       tol_rel=st.floats(1e-13, 1e-4), tol_abs=st.floats(0.0, 1e-6),
+       replaced=st.sampled_from(["", "N", "p", "r_end", "tol_rel", "tol_abs"]),
+       special=st.sampled_from(SPECIAL))
+def test_singular_fuzz_exit_codes(N, ratio, r_end, tol_rel, tol_abs, replaced, special):
+    # any input ends in bounded time with exit 0, 1 or 2 and no traceback; a
+    # finished or failed run leaves its report, a configuration error nothing.
+    # One input at most is replaced by a non-finite, zero, negative, tiny or
+    # huge value; a huge end radius only ends at the step budget, after about
+    # 10 s, and test_singular covers that path with a smaller budget.
+    assume(not (replaced == "r_end" and special == 1e300))
+    args = {"N": N, "p": ratio * (N + 2) / (N - 2), "r_end": r_end,
+            "tol_rel": tol_rel, "tol_abs": tol_abs}
+    if replaced:
+        args[replaced] = special
+    with tempfile.TemporaryDirectory() as tmp:
+        out = run_child(["singular", *(f"--{k.replace('_', '-')}={v!r}" for k, v in args.items()),
+                         "--out-dir", tmp])
+        assert out.returncode in (0, 1, 2), out.stderr
+        assert "Traceback" not in out.stderr
+        runs = list(Path(tmp).glob("run-*"))
+        if out.returncode == 2:
+            assert not runs
+        else:
+            assert runs and all((r / "report.json").is_file() for r in runs)
+
+
 def test_runtime_error_writes_failure_report(tmp_path):
-    # a numerical breakdown exits 1 and still explains itself in report.json
-    out = run_child(["singular", "--N", "5", "--p", "1e6", "--r-end", "1",
-                     "--out-dir", tmp_path], timeout=120)
+    # a run that fails exits 1 and still explains itself in report.json; no
+    # power up to p_cap = 7 puts the first critical radius at R = 1
+    out = run_child(["find-exponent", "--i", "1", "--R", "1", "--N", "5", "--p-lo", "6",
+                     "--p-cap", "7", "--out-dir", tmp_path], timeout=120)
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr
     report = read_report(tmp_path)
     assert report["worst_status"] == "FAIL"
     failure = report["checks"][-1]
     assert failure["name"] == "run-error" and failure["status"] == "FAIL"
-    assert failure["fixtures"]["exception"] == "DegenerateEventError"
-    assert "critical point on u = 1" in failure["message"]
+    assert failure["fixtures"]["exception"] == "BracketError"
+
+
+def test_large_power_singular_exits_0(tmp_path):
+    # at p = 1e6, |u - 1| at the critical points falls to 1e-12; their kinds
+    # come from the direction u' crosses zero, and they still alternate
+    out = run_child(["singular", "--N", "5", "--p", "1e6", "--r-end", "1",
+                     "--out-dir", tmp_path], timeout=120)
+    assert out.returncode == 0, out.stderr
+    solve = next(c for c in read_report(tmp_path)["checks"] if c["name"] == "singular-solve")
+    assert solve["margins"]["n_critical"] > 300
 
 
 def test_sweep_recomputes_truncated_point(tmp_path):

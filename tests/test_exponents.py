@@ -5,9 +5,9 @@ from lntlab import (
     BracketError,
     ParameterError,
     ProblemParams,
-    critical_radius,
     find_exponent,
     find_istar,
+    solve_with_criticals,
 )
 from lntlab import exponents
 from lntlab.exponents import continuity_scan
@@ -22,8 +22,7 @@ REF_P_5 = {1: 22.78759155284206, 2: 67.573840613215,
 
 def test_find_istar_fixture_and_monotonicity():
     assert find_istar(5, 6.0, 1.0) == 1
-    r1 = critical_radius(ProblemParams(5, 6.0), 1)
-    r2 = critical_radius(ProblemParams(5, 6.0), 2)
+    r1, r2 = solve_with_criticals(ProblemParams(5, 6.0), 2).critical_radii.radii
     assert r1 > 1.0  # consistent with istar = 1 at R = 1
     # smallest index above R steps up once R passes each critical radius
     assert find_istar(5, 6.0, 0.5 * r1) == 1
@@ -36,8 +35,8 @@ def test_find_exponent_first_index():
     assert sol.residual < 1e-6
     assert sol.crossings == 1
     # the endpoint signs of the accepted bracket
-    assert critical_radius(ProblemParams(5, 6.0), 1) > 1.0
-    assert critical_radius(ProblemParams(5, 2.0 * sol.p_i), 1) < 1.0
+    assert solve_with_criticals(ProblemParams(5, 6.0), 1).critical_radii[0] > 1.0
+    assert solve_with_criticals(ProblemParams(5, 2.0 * sol.p_i), 1).critical_radii[0] < 1.0
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])

@@ -87,7 +87,7 @@ def test_eta_difference_toward_decreasing_zeta_matches_rk45():
     params = ProblemParams(5, 20.0)
     c = derive_constants(params)
     rtol, atol = 1e-10, 1e-12
-    seed_cap = _default_seed_radius(lemma_constants(params).rtilde_p, rtol)
+    seed_cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, rtol)
     start = _taylor_start(10.0, params, 2.1, rtol, atol, h_max=seed_cap)
     ref_state = transform_u_to_eta(seed_at_origin(params, c, start.r), c)
     shot = transform_u_to_eta(start, c)

@@ -9,18 +9,18 @@ from lntlab import (
     ParameterError,
     PointKind,
     ProblemParams,
-    critical_radius,
     derivative_bound_check,
     derive_constants,
-    first_unit_crossing,
+    integrate_adaptive,
     lemma_constants,
     seed_at_origin,
     solve_singular,
     solve_with_criticals,
     verify_origin_bounds,
 )
-from lntlab import singular
-from lntlab.singular import CriticalRadii, derivative_decay_sweep
+from lntlab import _dp45, singular
+from lntlab.params import critical_exponent
+from lntlab.singular import CriticalRadii, _default_seed_radius, _max_seed_radius
 
 # regression fixtures from a run at rtol=1e-12, atol=1e-14
 REF_R_P_5_20 = 0.78556695084947
@@ -59,16 +59,14 @@ def test_solve_singular_rejects_short_range():
 
 
 def test_first_crossing_beyond_window(sing_5_20):
-    assert first_unit_crossing(sing_5_20) > sing_5_20.lemma.rtilde_p
+    assert sing_5_20.r_p > sing_5_20.lemma.rtilde_p
 
 
-def test_first_crossing_absent_raises():
+def test_first_crossing_absent():
     params = ProblemParams(5, 20.0)
     lem = lemma_constants(params)
     sol = solve_singular(params, r_end=2.0 * lem.rtilde_p)
     assert sol.r_p is None
-    with pytest.raises(EventError):
-        first_unit_crossing(sol)
 
 
 def test_origin_sandwich(sing_5_20):
@@ -95,8 +93,8 @@ def test_uniqueness_proxy_two_seeds():
     params = ProblemParams(5, 20.0)
     lem = lemma_constants(params)
     r0 = lem.rtilde_p / 16.0
-    a = solve_singular(params, r_end=3.0, seed_radius=r0, seed_check=False)
-    b = solve_singular(params, r_end=3.0, seed_radius=r0 / 2.0, seed_check=False)
+    a = solve_singular(params, r_end=3.0, seed_radius=r0)
+    b = solve_singular(params, r_end=3.0, seed_radius=r0 / 2.0)
     grid = np.linspace(lem.rtilde_p, 3.0, 800)
     ua, _ = a.sample(grid)
     ub, _ = b.sample(grid)
@@ -111,13 +109,57 @@ def test_seed_sensitivity_catches_bad_seed():
         solve_singular(params, r_end=1.0, seed_radius=lem.rtilde_p)
 
 
+def _probe_at_rtilde(params, r0, rtol, atol):
+    """(u, u') at rtilde_p of the run seeded at r0."""
+    lem = lemma_constants(params)
+    seed = seed_at_origin(params, derive_constants(params), r0)
+    run = integrate_adaptive(params, seed, lem.rtilde_p, rtol, atol, events=False)
+    u, du = run.sample(lem.rtilde_p)
+    return float(u[0]), float(du[0])
+
+
+def _probes_accept(params, r0, rtol, atol=1e-12):
+    """Empirical seed check: runs seeded at r0 and r0/2, at a quarter of the
+    tolerances, agree at rtilde_p within 10 (atol + rtol scale)."""
+    ua, dua = _probe_at_rtilde(params, r0, rtol / 4.0, atol / 4.0)
+    ub, dub = _probe_at_rtilde(params, r0 / 2.0, rtol / 4.0, atol / 4.0)
+    budget = 10.0 * (atol + rtol * max(abs(ua), abs(ub), abs(dua), abs(dub), 1.0))
+    return abs(ua - ub) <= budget and abs(dua - dub) <= budget
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+@pytest.mark.parametrize("ratio", [1.0, 1.1, 2.0])
+@pytest.mark.parametrize("N", [3, 4, 8, 12])
+def test_seed_bound_against_probe_oracle(N, ratio, rtol):
+    # the a priori bound |D2| r0**4 <= rtol against two probe runs from r0
+    # and r0/2: the default seed passes the probes, and so does every other
+    # seed the bound accepts
+    params = ProblemParams(N, ratio * critical_exponent(N))
+    c = derive_constants(params)
+    rtilde_p = lemma_constants(params).rtilde_p
+    r0 = _default_seed_radius(c, rtilde_p, rtol)
+    assert _probes_accept(params, r0, rtol)
+    for r in (rtilde_p / 16.0, rtilde_p / 8.0, 2.0 * r0):
+        if r <= _max_seed_radius(c, rtol):
+            assert _probes_accept(params, r, rtol)
+
+
+def test_critical_exponent_seed_solves():
+    # at p = (N+2)/(N-2) the default seed shrinks below rtilde_p / 16, to the
+    # radius where the truncation meets rtol
+    sol = solve_singular(ProblemParams(3, 5.0), 5.0)
+    assert sol.seed_radius < sol.lemma.rtilde_p / 16.0
+    assert sol.seed_truncation == pytest.approx(1e-10, rel=1e-12)
+
+
 def test_critical_radius_ordering_and_extension():
     params = ProblemParams(5, 20.0)
     sol = solve_with_criticals(params, 3, r_end=0.5)  # runs past r_end
     radii = sol.critical_radii.radii
     assert radii.size >= 3
     assert radii[0] < radii[1] < radii[2]
-    assert critical_radius(params, 1) == pytest.approx(REF_R1_5_20, rel=1e-8)
+    first = solve_with_criticals(params, 1).critical_radii[0]
+    assert first == pytest.approx(REF_R1_5_20, rel=1e-8)
 
 
 @pytest.mark.parametrize("i", [1, 3])
@@ -136,7 +178,7 @@ def test_solve_with_criticals_cap_too_small(monkeypatch):
 
 def test_critical_radius_rejects_bad_index():
     with pytest.raises(ParameterError):
-        critical_radius(ProblemParams(5, 20.0), 0)
+        solve_with_criticals(ProblemParams(5, 20.0), 0)
 
 
 def test_crossing_count_grows_with_power():
@@ -156,7 +198,11 @@ def test_derivative_bound_single_run(sing_5_20):
 
 
 def test_derivative_decay_sweep():
-    reps = derivative_decay_sweep(5, [20.0, 80.0, 320.0])
+    reps = []
+    for p in (20.0, 80.0, 320.0):
+        params = ProblemParams(5, p)
+        sol = solve_singular(params, r_end=2.0 * lemma_constants(params).rtilde_p)
+        reps.append(derivative_bound_check(sol))
     scaled = [r.du_scaled for r in reps]
     # |u'(rtilde)| sqrt(p) stays in a narrow band over the sweep
     assert max(scaled) < 6.0
@@ -182,3 +228,12 @@ def test_deep_seed_covers_small_radii():
     u, _ = sol.sample(1e-4)
     c = sol.constants
     assert u[0] == pytest.approx(c.A * 1e-4**-c.theta, rel=1e-4)
+
+
+def test_step_budget_error_surfaces(monkeypatch):
+    # the p = 1e6 run takes about 1,900 steps; a failed run reports the budget,
+    # whatever its partial critical points look like
+    monkeypatch.setattr(_dp45, "MAX_STEPS", 1000)
+    with pytest.raises(IntegrationError, match="Step budget") as exc:
+        solve_singular(ProblemParams(5, 1e6), 1.0)
+    assert exc.value.partial.critical_points.size > 0

@@ -248,10 +248,24 @@ def test_rayleigh_coverage_error(sing_5_20):
     params = ProblemParams(5, 20.0)
     with pytest.raises(CoverageError):
         rayleigh_quotient(fj, sing_5_20.trajectory, params)
-    # below the seed radius the solution is its two-term origin expansion
+    # below the seed radius the solution is its two-term origin expansion,
+    # there evaluated in the scaled form A (1 + Dp r**2), so the two agree to
+    # rounding
     assert fj.radii[-1] < sing_5_20.seed_radius
     prof = asymptotic_profile(sing_5_20.constants)
-    assert rayleigh_quotient(fj, sing_5_20, params) == rayleigh_quotient(fj, prof, params)
+    assert rayleigh_quotient(fj, sing_5_20, params) == pytest.approx(
+        rayleigh_quotient(fj, prof, params), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_origin_expansion_at_large_theta():
+    # theta = 6.7, so A r**(-theta) overflows on the support of f_5 (r ~ 1e-47);
+    # constants stand for their origin expansion, evaluated in scaled form,
+    # and the scale-invariant value is the same on every support
+    params = ProblemParams(30, 1.3)
+    c = derive_constants(params)
+    vals = [rayleigh_quotient(hardy_test_function(j, 0.35, 30), c, params) for j in (1, 5)]
+    assert vals[1] == pytest.approx(vals[0], rel=1e-6)
 
 
 def test_discrete_projection_stays_negative():
