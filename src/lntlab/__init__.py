@@ -57,7 +57,6 @@ from .shooting import ShootingResult, branch_sample, convergence_to_singular, sh
 from .singular import (
     CriticalRadii,
     SingularSolution,
-    asymptotic_profile,
     derivative_bound_check,
     seed_at_origin,
     solve_singular,

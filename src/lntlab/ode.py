@@ -26,7 +26,6 @@ import numpy as np
 from . import _dp45
 from .errors import (
     CoverageError,
-    DegenerateEventError,
     IntegrationError,
     ParameterError,
     PositivityError,
@@ -361,9 +360,6 @@ def integrate_adaptive(
     ------
     IntegrationError
         If the step size underflows; the partial trajectory is attached.
-    DegenerateEventError
-        If the kinds of the critical points fail to alternate, as at a
-        tangential zero of u'.
     """
     if not math.isfinite(r_end):
         raise ParameterError(f"r_end must be finite, got r_end={r_end}")
@@ -426,14 +422,6 @@ def _build_trajectory(params, run, events, rtol, atol, status, message):
         keep = _distinct(run.t_events[1])
         crit = run.t_events[1][keep]
         kinds = tuple(PointKind.MIN if up else PointKind.MAX for up in run.rises[1][keep])
-        # a failed run keeps whatever it found, so its own error surfaces
-        twice = [k for k in range(1, len(kinds)) if kinds[k] is kinds[k - 1]]
-        if twice and status != "failed":
-            k = twice[0]
-            raise DegenerateEventError(
-                f"critical points at r={crit[k - 1]} and r={crit[k]} are both of "
-                f"kind {kinds[k].value}: u' touched zero without crossing"
-            )
     tr, u, du = run.t, run.y[0], run.y[1]
     # the terminal floor event can leave a final sample with u <= 0; clip it
     if u.size and u[-1] <= 0.0:

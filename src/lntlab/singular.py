@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EventError, IntegrationError, ParameterError
+from .errors import DegenerateEventError, EventError, IntegrationError, ParameterError
 from .ode import PointKind, RadialState, RadialTrajectory, integrate_adaptive
 from .params import (
     DerivedConstants,
@@ -35,7 +35,6 @@ __all__ = [
     "solve_with_criticals",
     "verify_origin_bounds",
     "derivative_bound_check",
-    "asymptotic_profile",
     "OriginBoundsReport",
     "DerivativeBoundReport",
 ]
@@ -56,9 +55,12 @@ class CriticalRadii:
             raise ParameterError("one kind per critical radius required")
         if self.radii.size > 1 and np.any(np.diff(self.radii) <= 0):
             raise ParameterError("critical radii must be strictly increasing")
-        for a, b in zip(self.kinds, self.kinds[1:]):
-            if a is b:
-                raise ParameterError("critical point kinds must alternate")
+        for k in range(1, len(self.kinds)):
+            if self.kinds[k] is self.kinds[k - 1]:
+                raise DegenerateEventError(
+                    f"critical points at r={self.radii[k - 1]} and r={self.radii[k]} are "
+                    f"both of kind {self.kinds[k].value}: u' touched zero without crossing"
+                )
 
     def __len__(self) -> int:
         return int(self.radii.size)
@@ -93,17 +95,6 @@ class SingularSolution:
 
     def sample(self, radii):
         return self.trajectory.sample(radii)
-
-
-def asymptotic_profile(c: DerivedConstants):
-    """Two-term origin profile r -> A r**(-theta) (1 + Dp r**2) as a callable."""
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        out = c.A * r**-c.theta * (1.0 + c.Dp * r * r)
-        return float(out) if out.ndim == 0 else out
-
-    return profile
 
 
 def seed_at_origin(

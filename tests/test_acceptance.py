@@ -38,7 +38,6 @@ from lntlab import (
     solve_singular,
     verify_origin_bounds,
 )
-from lntlab.singular import asymptotic_profile
 from lntlab.spectral import TailClass, TridiagonalForm, assemble_operator
 
 # r_p * sqrt(p) at N=5 recorded from the first reference run (rtol=1e-12)
@@ -243,7 +242,7 @@ def test_c09_morse_dichotomy():
 def test_c10_hardy_certificates():
     t0 = time.time()
     params = ProblemParams(5, 10.0)
-    prof = asymptotic_profile(derive_constants(params))
+    prof = derive_constants(params)  # stands for its two-term origin expansion
     eps0 = 1.0
     ok = True
     for j in range(1, 6):

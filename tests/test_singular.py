@@ -1,9 +1,9 @@
-import math
 
 import numpy as np
 import pytest
 
 from lntlab import (
+    DegenerateEventError,
     EventError,
     IntegrationError,
     ParameterError,
@@ -18,7 +18,7 @@ from lntlab import (
     solve_with_criticals,
     verify_origin_bounds,
 )
-from lntlab import _dp45, singular
+from lntlab import _dp45, ode, singular
 from lntlab.params import critical_exponent
 from lntlab.singular import CriticalRadii, _default_seed_radius, _max_seed_radius
 
@@ -214,11 +214,35 @@ def test_derivative_decay_sweep():
 def test_critical_radii_validation():
     with pytest.raises(ParameterError):
         CriticalRadii(radii=np.array([1.0, 0.5]), kinds=(PointKind.MIN, PointKind.MAX))
-    with pytest.raises(ParameterError):
+    with pytest.raises(DegenerateEventError, match="both of kind min"):
         CriticalRadii(radii=np.array([0.5, 1.0]), kinds=(PointKind.MIN, PointKind.MIN))
     ok = CriticalRadii(radii=np.array([0.5, 1.0]), kinds=(PointKind.MIN, PointKind.MAX))
     assert len(ok) == 2
     assert ok[1] == 1.0
+
+
+@pytest.mark.parametrize("rises, kinds", [
+    ((True, False), (PointKind.MIN, PointKind.MAX)),
+    ((False, True), (PointKind.MAX, PointKind.MIN)),
+    ((True, True), (PointKind.MIN, PointKind.MIN)),
+])
+def test_kinds_from_crossing_direction(rises, kinds):
+    # a critical point is a minimum where u' rises through zero, whatever u
+    # is there; two of one kind in a row mean u' touched zero without
+    # crossing, which the critical radii reject
+    run = _dp45.Run(t=np.array([0.1, 1.0]), y=np.array([[2.0, 0.5], [-1.0, 0.1]]),
+                    t_events=[np.array([]), np.array([0.4, 0.7]), np.array([])],
+                    rises=[np.array([], bool), np.array(rises), np.array([], bool)],
+                    status="finished", message="", dense=None,
+                    nfev=0, n_accepted=1, n_rejected=0)
+    traj = ode._build_trajectory(ProblemParams(5, 20.0), run, True, 1e-10, 1e-12,
+                                 status="ok", message="")
+    assert traj.critical_kinds == kinds
+    if kinds[0] is kinds[1]:
+        with pytest.raises(DegenerateEventError):
+            singular._critical_radii_from(traj, require_first_min=False)
+    else:
+        assert len(singular._critical_radii_from(traj, require_first_min=False)) == 2
 
 
 def test_deep_seed_covers_small_radii():

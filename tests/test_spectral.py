@@ -19,7 +19,6 @@ from lntlab import (
     smallest_eigenvalues,
     solve_singular,
 )
-from lntlab.singular import asymptotic_profile
 from lntlab.spectral import SampledRadialFunction, TailClass, TridiagonalForm
 from lntlab.params import derive_constants
 
@@ -229,11 +228,13 @@ def test_rayleigh_constant_function_on_constant_solution():
     got = rayleigh_quotient(phi, 1.0, params)
     want = -(p - 1.0) * 4.0 * (R**N - delta**N) / N
     assert got == pytest.approx(want, rel=1e-6)
+    # any vectorized callable stands for a solution
+    assert rayleigh_quotient(phi, lambda r: np.ones_like(r), params) == pytest.approx(got, rel=1e-14)
 
 
 def test_rayleigh_negative_on_hardy_functions():
     params = ProblemParams(5, 10.0)
-    prof = asymptotic_profile(derive_constants(params))
+    prof = derive_constants(params)  # stands for its two-term origin expansion
     vals = [rayleigh_quotient(hardy_test_function(j, 0.35, 5), prof, params)
             for j in (1, 3, 5)]
     assert all(v < 0.0 for v in vals)
@@ -248,13 +249,10 @@ def test_rayleigh_coverage_error(sing_5_20):
     params = ProblemParams(5, 20.0)
     with pytest.raises(CoverageError):
         rayleigh_quotient(fj, sing_5_20.trajectory, params)
-    # below the seed radius the solution is its two-term origin expansion,
-    # there evaluated in the scaled form A (1 + Dp r**2), so the two agree to
-    # rounding
+    # below the seed radius the solution is its two-term origin expansion
     assert fj.radii[-1] < sing_5_20.seed_radius
-    prof = asymptotic_profile(sing_5_20.constants)
-    assert rayleigh_quotient(fj, sing_5_20, params) == pytest.approx(
-        rayleigh_quotient(fj, prof, params), rel=1e-14)
+    assert (rayleigh_quotient(fj, sing_5_20, params)
+            == rayleigh_quotient(fj, sing_5_20.constants, params))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -270,7 +268,7 @@ def test_origin_expansion_at_large_theta():
 
 def test_discrete_projection_stays_negative():
     params = ProblemParams(5, 10.0)
-    prof = asymptotic_profile(derive_constants(params))
+    prof = derive_constants(params)  # stands for its two-term origin expansion
     fj = hardy_test_function(1, 1.0, 5)
     r = fj.radii
     sub = ProblemParams(5, 10.0, R=float(r[-1]))
