@@ -359,7 +359,9 @@ def integrate_adaptive(
     Raises
     ------
     IntegrationError
-        If the step size underflows; the partial trajectory is attached.
+        If the run fails: the step size falls below 10 ulp of r (as when
+        every trial step overflows), or ``_dp45.MAX_STEPS`` accepted steps
+        do not reach ``r_end``. The partial trajectory is attached.
     """
     if not math.isfinite(r_end):
         raise ParameterError(f"r_end must be finite, got r_end={r_end}")

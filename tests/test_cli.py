@@ -225,14 +225,12 @@ BASE = ["--N", "5", "--p", "20", "--r-end", "1"]
       "--tol-abs", "0"], (0,)),
     # p = p_S at N = 23: no admissible smallness constant, a runtime failure
     (["--N", "23", "--p", "1.1904761904761905", "--r-end", "0.01"], (1,)),
-    pytest.param(["--N", "6", "--p", "15062.811244616925", "--r-end", "1.3254",
-                  "--tol-rel", "1.06e-13", "--tol-abs", "1.28e-3"], (0,),
-                 marks=pytest.mark.xfail(strict=True, reason="a trial stage whose u**p "
-                                         "overflows ends the run instead of the step")),
-    pytest.param(["--N", "12", "--p", "674.7872085423724", "--r-end", "0.8594164168429487",
-                  "--tol-rel", "4.923077638502184e-09", "--tol-abs", "1e300"], (0, 1),
-                 marks=pytest.mark.xfail(strict=True, reason="an event bracket judged on the "
-                                         "step ends but polished on the interpolant")),
+    # a trial stage whose u**p overflows is rejected, not the run ended
+    (["--N", "6", "--p", "15062.811244616925", "--r-end", "1.3254",
+      "--tol-rel", "1.06e-13", "--tol-abs", "1.28e-3"], (0,)),
+    # the quartic's ends miss the sign change the accepted states show
+    (["--N", "12", "--p", "674.7872085423724", "--r-end", "0.8594164168429487",
+      "--tol-rel", "4.923077638502184e-09", "--tol-abs", "1e300"], (0, 1)),
 ])
 def test_singular_exit_codes(tmp_path, flags, codes):
     # an input ends with its exit code and no traceback; a finished or failed

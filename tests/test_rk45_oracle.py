@@ -56,6 +56,16 @@ def _radial_events(stop_at_critical):
     return [unit, critical, floor]
 
 
+def _eta_pair_field(params):
+    c = derive_constants(params)
+
+    def f(z, y):
+        st = EtaState(zeta=z, eta=y[0], deta=y[1])
+        return (*rhs_eta(st, c, params.p), *rhs_eta_difference(st, y[2], y[3], c, params.p))
+
+    return f
+
+
 def _scaled_gap(a, b):
     """Largest |a - b| relative to max(|b|, 1), per component."""
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0), axis=-1)
@@ -96,11 +106,7 @@ def test_eta_difference_toward_decreasing_zeta_matches_rk45():
     assert zeta_end < ref_state.zeta
     path = integrate_eta_difference(c, params.p, ref_state, delta, zeta_end, rtol, atol)
 
-    def f(z, y):
-        st = EtaState(zeta=z, eta=y[0], deta=y[1])
-        return (*rhs_eta(st, c, params.p), *rhs_eta_difference(st, y[2], y[3], c, params.p))
-
-    ref = solve_ivp(f, (ref_state.zeta, zeta_end),
+    ref = solve_ivp(_eta_pair_field(params), (ref_state.zeta, zeta_end),
                     (ref_state.eta, ref_state.deta, *delta), method="RK45",
                     rtol=rtol, atol=(atol, atol, 0.0, 0.0), dense_output=True)
     assert ref.status == 0 and path.status == "ok"
@@ -175,3 +181,109 @@ def test_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
     assert out.stdout.strip() == "[]"
+
+
+# The trial step as the stepper once wrote it, one generator per stage sum,
+# with its own copy of scipy's tableau: the reference the generated kernel
+# must match bit for bit.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+
+
+def _reference_trial_step(fun, t, y, f, h, rtol, atol):
+    k1 = f
+    k2 = fun(t + _C2 * h, tuple(v + (_A21 * a) * h for v, a in zip(y, k1)))
+    k3 = fun(t + _C3 * h, tuple(v + (_A31 * a + _A32 * b) * h
+                                for v, a, b in zip(y, k1, k2)))
+    k4 = fun(t + _C4 * h, tuple(v + (_A41 * a + _A42 * b + _A43 * c) * h
+                                for v, a, b, c in zip(y, k1, k2, k3)))
+    k5 = fun(t + _C5 * h, tuple(v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                                for v, a, b, c, d in zip(y, k1, k2, k3, k4)))
+    k6 = fun(t + h, tuple(v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                          for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)))
+    y_new = tuple(v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * q)
+                  for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6))
+    f_new = fun(t + h, y_new)
+    # a plain left-to-right sum: sum() of floats compensates from Python 3.12
+    total = 0
+    try:
+        for a, c, d, e, q, w, v, vn, tol in zip(k1, k3, k4, k5, k6, f_new, y, y_new, atol):
+            total += ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * q + _E7 * w) * h
+                      / (tol + max(abs(v), abs(vn)) * rtol)) ** 2
+        err = math.sqrt(total) / math.sqrt(len(y))
+    except ZeroDivisionError:
+        err = math.inf
+    return y_new, f_new, err, (*k1, *k2, *k3, *k4, *k5, *k6, *f_new)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# states drawn where each field is tame: u > 0 for the radial field, eta and
+# the difference within (-1/2, 1/2) for the log-radius pair
+@pytest.mark.parametrize("n, field, y_lo, y_hi", [(2, _vector_field, 0.2, 1.5),
+                                                  (4, _eta_pair_field, -0.5, 0.5)])
+def test_trial_step_kernel_matches_reference(n, field, y_lo, y_hi):
+    fun = field(ProblemParams(5, 20.0))
+    step = _dp45._trial_step(n)
+    rng = np.random.default_rng(20 + n)
+    for _ in range(200):
+        t = float(rng.uniform(0.05, 5.0))
+        y = tuple(rng.uniform(y_lo, y_hi, n).tolist())
+        f = fun(t, y)
+        h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, -2))
+        rtol = float(10.0 ** rng.uniform(-13, -3))
+        atol = tuple((10.0 ** rng.uniform(-14, -6, n) * rng.integers(0, 2, n)).tolist())
+        got = step(fun, t, y, f, h, rtol, atol)
+        want = _reference_trial_step(fun, t, y, f, h, rtol, atol)
+        assert _hex(got[0]) == _hex(want[0])
+        assert _hex(got[1]) == _hex(want[1])
+        assert float(got[2]).hex() == float(want[2]).hex()
+        assert _hex(got[3]) == _hex(want[3])
+
+
+def test_trial_step_zero_scale_gives_infinite_error():
+    # a component that stays 0 with no absolute tolerance has a zero scale
+    def fun(t, y):
+        return (0.0, 1.0)
+
+    step = _dp45._trial_step(2)
+    assert step(fun, 0.0, (0.0, 1.0), (0.0, 1.0), 0.1, 1e-6, (0.0, 0.0))[2] == math.inf
+    assert _reference_trial_step(fun, 0.0, (0.0, 1.0), (0.0, 1.0), 0.1, 1e-6,
+                                 (0.0, 0.0))[2] == math.inf
+
+
+def _overflowing_decay(overflows):
+    """y' = -y, whose evaluations number ``overflows`` (0-based) raise
+    OverflowError, as u**p does once u leaves the double range."""
+    calls = iter(range(10**6))
+
+    def fun(t, y):
+        if next(calls) in overflows:
+            raise OverflowError("Numerical result out of range")
+        return (-y[0],)
+
+    return fun
+
+
+def test_overflowing_stage_rejects_the_step():
+    clean = _dp45.solve(_overflowing_decay(()), 0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    # evaluations 0 and 1 pick the first step; 3 is the first trial's second stage
+    run = _dp45.solve(_overflowing_decay({3}), 0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    assert run.status == "finished"
+    assert run.n_rejected == clean.n_rejected + 1
+    assert run.nfev == 6 * (run.n_accepted + run.n_rejected) + 2
+    assert run.y[0, -1] == pytest.approx(math.exp(-1.0), rel=1e-7)
+    # a stage that overflows on every trial ends the run at the minimum step
+    always = _dp45.solve(_overflowing_decay(range(2, 10**6)), 0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    assert always.status == "failed" and always.n_accepted == 0
+    assert "spacing between numbers" in always.message
