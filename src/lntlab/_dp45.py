@@ -243,6 +243,8 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
     nfev, n_accepted, n_rejected = 2, 0, 0
     # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
+    # per event: g, whether it may rise and whether it may fall through zero
+    scan = [(ev.g, ev.direction >= 0, ev.direction <= 0) for ev in events]
     g = [ev.g(t, y) for ev in events]
     counts = [0] * len(events)
     t_events = [[] for _ in events]
@@ -292,43 +294,46 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
         stages.extend(K)
         if direction * (t - t_end) >= 0:
             status = "finished"
-        if events:
-            g_new = [ev.g(t, y) for ev in events]
-            active = [
-                j for j, ev in enumerate(events)
-                if (ev.direction >= 0 and g[j] <= 0 <= g_new[j])
-                or (ev.direction <= 0 and g[j] >= 0 >= g_new[j])
-            ]
-            if active:
-                interp = _interpolant(t_old, h, y_old, _quartic(K))
-                roots = {}
-                for j in active:
-                    counts[j] += 1
-                    ev = events[j]
+        # one pass over the events: g is updated in place, and the old value
+        # of each event that changed sign is kept for its crossing
+        before = None
+        for j, (gj, rise, fall) in enumerate(scan):
+            old = g[j]
+            g[j] = new = gj(t, y)
+            if (rise and old <= 0 <= new) or (fall and old >= 0 >= new):
+                if before is None:
+                    before = {}
+                before[j] = old
+        if before is not None:
+            active = list(before)
+            interp = _interpolant(t_old, h, y_old, _quartic(K))
+            roots = {}
+            for j in active:
+                counts[j] += 1
+                ev = events[j]
 
-                    def on_step(s, ev=ev):
-                        return ev.g(s, interp(s))
+                def on_step(s, ev=ev):
+                    return ev.g(s, interp(s))
 
-                    try:
-                        roots[j] = brentq(on_step, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                    except ValueError:
-                        # the interpolant's ends miss the sign change of the
-                        # accepted states: take those at the ends, it inside
-                        ends = {t_old: g[j], t: g_new[j]}
-                        roots[j] = brentq(lambda s: ends[s] if s in ends else on_step(s),
-                                          t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                done = {j for j in active if 0 < events[j].terminal <= counts[j]}
-                if done:
-                    # keep the zeros up to the first one that ends the run
-                    active.sort(key=lambda j: direction * roots[j])
-                    active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
-                    status = "event"
-                    t = roots[active[-1]]
-                    y = interp(t)
-                for j in active:
-                    t_events[j].append(roots[j])
-                    rises[j].append(g_new[j] > g[j])
-            g = g_new
+                try:
+                    roots[j] = brentq(on_step, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                except ValueError:
+                    # the interpolant's ends miss the sign change of the
+                    # accepted states: take those at the ends, it inside
+                    ends = {t_old: before[j], t: g[j]}
+                    roots[j] = brentq(lambda s: ends[s] if s in ends else on_step(s),
+                                      t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            done = {j for j in active if 0 < events[j].terminal <= counts[j]}
+            if done:
+                # keep the zeros up to the first one that ends the run
+                active.sort(key=lambda j: direction * roots[j])
+                active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
+                status = "event"
+                t = roots[active[-1]]
+                y = interp(t)
+            for j in active:
+                t_events[j].append(roots[j])
+                rises[j].append(g[j] > before[j])
         if len(ts) > 1 and t == ts[-1]:
             # a terminal zero on the step's start: the step adds nothing
             hs.pop()

@@ -354,7 +354,8 @@ def cmd_find_exponent(args, common, bundle, outdir: Path):
         name="find-exponent",
         status=PASS,
         claim="prescribed-critical-radius-realized-with-matching-crossing-count",
-        margins={"p_i": sol.p_i, "residual": sol.residual, "crossings": sol.crossings},
+        margins={"p_i": sol.p_i, "residual": sol.residual, "crossings": sol.crossings,
+                 "solves": sol.solves, "bracket": sol.bracket},
     ))
 
 

@@ -1,15 +1,19 @@
 """Root-finding on the power p: prescribe the i-th critical radius of the
 singular solution, plus the continuity diagnostic for p -> R_p_i.
 
-The map p -> R_p_i is continuous and decays to zero as p grows, so a target
-radius R below R_p_i at the left endpoint is always bracketed by geometric
-expansion. The bracket is then narrowed by Brent's method, which keeps a
-sign change and falls back to bisection, so only continuity is needed
-across the numerics.
+The map p -> R_p_i is continuous and decays to zero as p grows. The
+critical radii follow the crossing spacing pi/sqrt(p - 1), so in the
+coordinates x = log(p - 1) the function f(x) = log(R_p_i / R) is close to a
+line of slope -1/2. The search steps to where that line, and then the
+secant through its last two points, puts the root, until f changes sign;
+secant steps at least double, so a flat stretch cannot stall it. Brent's
+method on f in x then narrows the bracket; it keeps a sign change and falls
+back to bisection, so only continuity is needed across the numerics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,7 @@ __all__ = [
 
 P_CAP_DEFAULT = 1.0e4
 RESIDUAL_RTOL = 1e-6
+XTOL = 5e-12  # width of the final bracket in x = log(p - 1)
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,8 @@ class ExponentSolution:
     p_i: float
     residual: float  # |R_{p_i}^i - R|
     crossings: int  # number of u = 1 solutions on (0, R]
+    solves: int  # singular solves made, one per (power, tolerance)
+    bracket: tuple[float, float]  # powers handed to Brent: R_p^i >= R, then < R
 
 
 def find_istar(
@@ -82,12 +89,20 @@ def find_exponent(
 ) -> ExponentSolution:
     """Find p_i with i-th critical radius of the singular solution equal to R.
 
-    Requires the i-th critical radius to exceed R at ``p_lo``. The upper
-    bracket is found by geometric expansion (decay of critical radii in p
-    guarantees one exists), then narrowed by Brent's method to a relative
-    width of 5e-12 in p; the residual must be below ``1e-6 * R``. The
-    accepted solution must show exactly ``i`` unit crossings on (0, R]; a
-    mismatch is retried once at tightened tolerance before failing.
+    Requires the i-th critical radius to exceed R at ``p_lo``; otherwise the
+    error names the smallest admissible index, :func:`find_istar` at
+    ``p_lo``. The search runs in x = log(p - 1) on f(x) = log(R_p_i / R),
+    which the radii's (p - 1)^(-1/2) law makes nearly linear with slope
+    -1/2. The first step goes to ``x_lo + 2 f(x_lo)``, each later one to the
+    root of the secant through the last two points (slope -1/2 where the
+    secant does not fall), until f < 0 or the step reaches ``p_cap``. From
+    the first secant step on, each step is at least twice the last, and no
+    step is shorter than the root's tolerance. Brent's method then narrows
+    the bracket to a width of 5e-12 in x, the same relative width in p - 1;
+    the residual must be below ``1e-6 * R``. The accepted solution must show
+    exactly ``i`` unit crossings on (0, R]; a mismatch is retried once at
+    tightened tolerance before failing. ``solves`` counts the singular
+    solves, and ``bracket`` holds the powers handed to Brent's method.
     """
     if i < 1:
         raise ParameterError(f"oscillation index must be >= 1, got {i}")
@@ -105,26 +120,45 @@ def find_exponent(
                 ProblemParams(N, p, R=R), i, rtol, atol)
         return memo[key]
 
-    def radius_at(p: float) -> float:
-        return radius_and_crossings(p, rtol, atol)[0]
+    # a cap at or below p_lo leaves no room to search: BracketError at once
+    x_lo, x_cap = math.log(p_lo - 1.0), math.log(max(p_cap, p_lo) - 1.0)
 
-    r_lo = radius_at(p_lo)
+    def power(x: float) -> float:
+        # 1 + exp(log(p_lo - 1)) can miss p_lo by an ulp, and the memo must
+        # see the power it solved; no power above the cap is evaluated
+        return p_lo if x == x_lo else min(1.0 + math.exp(x), p_cap)
+
+    def f(x: float) -> float:
+        return math.log(radius_and_crossings(power(x), rtol, atol)[0] / R)
+
+    r_lo = radius_and_crossings(p_lo, rtol, atol)[0]
     if not (r_lo > R):
+        istar = find_istar(N, p_lo, R, rtol, atol)
         raise ParameterError(
             f"critical radius {i} at p_lo={p_lo} is {r_lo} <= R={R}; "
-            "choose i >= istar(p_lo, R)"
+            f"choose i >= {istar}"
         )
-    lo, hi = p_lo, p_lo
-    r_hi = r_lo
-    while r_hi >= R:
-        if hi >= p_cap:
+    a, fa = x_lo, math.log(r_lo / R)
+    slope, floor = -0.5, XTOL
+    while True:
+        if a >= x_cap:
             raise BracketError(
                 f"critical radius {i} still >= R={R} at the power cap {p_cap}"
             )
-        lo = hi
-        hi = min(2.0 * hi, p_cap)
-        r_hi = radius_at(hi)
-    p_i = brentq(lambda p: radius_at(p) - R, lo, hi, xtol=5e-12 * hi)
+        step = max(-fa / slope, floor)
+        b = min(a + step, x_cap)
+        fb = f(b)
+        if fb < 0.0:
+            break
+        if a > x_lo:
+            # from the first secant step on, each step at least doubles, so a
+            # stretch where f stays flat is crossed in a few steps
+            floor = 2.0 * step
+        slope = (fb - fa) / (b - a)
+        if not (slope < 0.0):
+            slope = -0.5
+        a, fa = b, fb
+    p_i = power(brentq(f, a, b, xtol=XTOL))
 
     for attempt in range(2):
         radius, crossings = radius_and_crossings(
@@ -142,7 +176,8 @@ def find_exponent(
             f"root finder converged in p but residual {residual} exceeds "
             f"{RESIDUAL_RTOL * R}"
         )
-    return ExponentSolution(i=i, R=R, p_i=p_i, residual=residual, crossings=crossings)
+    return ExponentSolution(i=i, R=R, p_i=p_i, residual=residual, crossings=crossings,
+                            solves=len(memo), bracket=(power(a), power(b)))
 
 
 @dataclass(frozen=True)

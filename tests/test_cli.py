@@ -103,11 +103,31 @@ def test_sweep_fresh_resume_and_failure_demotion(tmp_path):
 
 
 def test_find_exponent_command(tmp_path):
-    assert run_cli(["find-exponent", "--i", 1, "--R", 1, "--N", 5, "--p-lo", 6,
-                    "--out-dir", tmp_path]) == 0
-    blob = json.loads(next(tmp_path.glob("run-*/exponent.json")).read_text())
+    args = ["find-exponent", "--i", 1, "--R", 1, "--N", 5, "--p-lo", 6]
+    assert run_cli(args + ["--out-dir", tmp_path / "a"]) == 0
+    blob = json.loads(next((tmp_path / "a").glob("run-*/exponent.json")).read_text())
     assert blob["crossings"] == 1
     assert abs(blob["p_i"] - 22.7876) < 1e-3
+    # the root finder's trace: singular solves made and the bracket of powers
+    check = next(c for c in read_report(tmp_path / "a")["checks"]
+                 if c["name"] == "find-exponent")
+    assert 3 <= check["margins"]["solves"] <= 8
+    lo, hi = check["margins"]["bracket"]
+    assert 6.0 < lo <= blob["p_i"] <= hi
+    # and a rerun records the same trace
+    assert run_cli(args + ["--out-dir", tmp_path / "b"]) == 0
+    rerun = next(c for c in read_report(tmp_path / "b")["checks"]
+                 if c["name"] == "find-exponent")
+    assert rerun == check
+
+
+def test_find_exponent_index_below_istar_exits_2(tmp_path, capsys):
+    # the first critical radius at p_lo = 6 is about 1.9 < R = 2.5: the error
+    # names the smallest admissible index and leaves no run directory
+    assert run_cli(["find-exponent", "--i", 1, "--R", 2.5, "--N", 5, "--p-lo", 6,
+                    "--out-dir", tmp_path]) == 2
+    assert "i >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_morse_command(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,18 +53,93 @@ def test_find_exponent_reference_powers_and_evaluations(i, monkeypatch):
     monkeypatch.setattr(exponents, "_critical_radius_and_crossings", counted)
     sol = find_exponent(i, 1.0, 5, p_lo=6.0)
     assert sol.p_i == pytest.approx(REF_P_5[i], rel=1e-10)
-    assert len(calls) <= 20
+    # the slope -1/2 step and one secant step close the bracket
+    assert len(calls) <= 8
+    assert sol.solves == len(calls)
+    lo, hi = sol.bracket
+    assert lo <= sol.p_i <= hi
+
+
+@pytest.mark.parametrize("k", [0.3, 0.8])
+@pytest.mark.parametrize("p_root", [7.0, 50.0, 5000.0])
+def test_find_exponent_off_law_radii(k, p_root, monkeypatch):
+    # radii c (p - 1)^(-k): the slope -1/2 step falls short of the root for
+    # k = 0.3 and overshoots it for k = 0.8; the secant repairs either
+    powers = []
+    c = (p_root - 1.0) ** k
+
+    def law(params, i, rtol, atol):
+        powers.append(params.p)
+        return c * (params.p - 1.0) ** -k, i
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", law)
+    sol = find_exponent(1, 1.0, 5, p_lo=6.0)
+    assert sol.p_i == pytest.approx(p_root, rel=1e-10)
+    lo, hi = sol.bracket
+    assert lo <= p_root <= hi
+    assert len(powers) <= 6
+    # p_lo itself is the only power reused from outside: log(p_lo - 1) maps
+    # back to 5.999999999999999, which must not be solved
+    assert min(powers) == 6.0
+    assert max(powers) <= exponents.P_CAP_DEFAULT
+
+
+def test_find_exponent_flat_stretch(monkeypatch):
+    # log(R_p / R) stays at 1e-7 up to p = 1000 and falls with slope -1/2
+    # in log(p - 1) beyond: steps of the size f suggests would need some
+    # 1e7 solves to get there; doubling steps need about 25, and Brent's
+    # method about 40 more on the kink next to the root
+    powers = []
+    x_knee = math.log(999.0)
+
+    def flat(params, i, rtol, atol):
+        powers.append(params.p)
+        if len(powers) > 200:
+            raise RuntimeError("the bracket search does not progress")
+        x = math.log(params.p - 1.0)
+        return math.exp(1e-7 - 0.5 * max(x - x_knee, 0.0)), i
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", flat)
+    sol = find_exponent(1, 1.0, 5, p_lo=6.0)
+    assert sol.p_i == pytest.approx(1.0 + 999.0 * math.exp(2e-7), rel=1e-10)
+    assert len(powers) <= 70
+
+
+def test_find_exponent_target_just_below_start():
+    # R a relative 1e-9 below the first critical radius at p_lo: the root
+    # lies about 1e-8 above p_lo, and the first two steps bracket it
+    r_lo = solve_with_criticals(ProblemParams(5, 6.0), 1).critical_radii[0]
+    R = r_lo * (1.0 - 1e-9)
+    sol = find_exponent(1, R, 5, p_lo=6.0)
+    assert 6.0 < sol.p_i < 6.0 + 1e-7
+    assert sol.residual < 1e-10 * R
+    assert sol.solves <= 5
 
 
 def test_find_exponent_rejects_index_below_istar():
     # at p_lo = 6 the first critical radius is about 1.9, so R = 2.5 needs i >= 2
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"choose i >= 2$"):
         find_exponent(1, 2.5, 5, p_lo=6.0)
 
 
-def test_find_exponent_bracket_cap():
+def test_find_exponent_bracket_cap(monkeypatch):
+    # the search stops at the cap and evaluates no power above it
+    powers = []
+    helper = exponents._critical_radius_and_crossings
+
+    def counted(params, i, rtol, atol):
+        powers.append(params.p)
+        return helper(params, i, rtol, atol)
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", counted)
     with pytest.raises(BracketError):
         find_exponent(1, 0.05, 5, p_lo=6.0, p_cap=20.0)
+    assert max(powers) <= 20.0
+    # 1 + exp(log(18.5 - 1)) rounds to 18.500000000000004, above the cap
+    powers.clear()
+    with pytest.raises(BracketError):
+        find_exponent(1, 0.05, 5, p_lo=6.0, p_cap=18.5)
+    assert max(powers) == 18.5
 
 
 def test_find_exponent_validation():
