@@ -26,14 +26,11 @@ from .ode import (
     PointKind,
     RadialState,
     RadialTrajectory,
-    energy,
     energy_rate_deviation,
     integrate_adaptive,
-    integrate_eta,
     integrate_eta_difference,
     rhs_eta,
     rhs_eta_difference,
-    transform_eta_to_u,
     transform_u_to_eta,
 )
 from .params import (
@@ -47,8 +44,6 @@ from .params import (
     compute_PN,
     critical_exponent,
     derive_constants,
-    f_envelope,
-    green_kernel,
     joseph_lundgren,
     lemma_constants,
     phi_nonlinearity,

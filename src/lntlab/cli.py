@@ -43,6 +43,7 @@ from .singular import (
     verify_origin_bounds,
 )
 from .spectral import (
+    TailClass,
     assemble_operator,
     hardy_test_function,
     morse_scan,
@@ -73,10 +74,6 @@ DEFAULTS = {
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _grid_spec(text: str) -> list[float]:
@@ -155,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--deltas", type=_float_list, default=[1e-2, 1e-3, 1e-4])
-    p.add_argument("--grids", type=_int_list, default=None,
-                   help="grid sizes to try per cutoff (default: doubling)")
 
     p = sub.add_parser("hardy", help="negativity certificates from Hardy test functions")
     add_common(p)
@@ -218,6 +213,8 @@ def _resolve_common(args) -> dict:
             "tolerances must satisfy 0 < tol_rel < 1 and 0 <= tol_abs < inf, got "
             f"tol_rel={common['tol_rel']}, tol_abs={common['tol_abs']}"
         )
+    if common["jobs"] < 1:
+        raise ParameterError(f"jobs must be at least 1, got {common['jobs']}")
     return common
 
 
@@ -313,6 +310,11 @@ def cmd_shoot(args, common, bundle, outdir: Path):
 
 
 def cmd_branch(args, common, bundle, outdir: Path):
+    if not args.gamma_list or len(args.p_bracket) != 2:
+        raise ParameterError(
+            "branch needs at least one gamma and a bracket of two powers lo,hi; got "
+            f"--gamma-list {args.gamma_list}, --p-bracket {args.p_bracket}"
+        )
     rows = []
     for gamma in args.gamma_list:
         name = f"branch-sample-gamma-{gamma:g}"
@@ -386,7 +388,7 @@ def cmd_morse(args, common, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
     sol = solve_singular(params, r_end=1.05 * args.R, rtol=common["tol_rel"],
                          atol=common["tol_abs"])
-    scan = morse_scan(params, sol, args.deltas, args.grids)
+    scan = morse_scan(params, sol, args.deltas)
     path = outdir / "morse.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({
@@ -398,13 +400,12 @@ def cmd_morse(args, common, bundle, outdir: Path):
         }, fh, indent=1)
         fh.write("\n")
     bundle.add_artifact(path)
-    c = sol.constants
-    expected_unbounded = params.p < c.pJL
-    observed_unbounded = scan.classification.name == "UNBOUNDED"
-    consistent = expected_unbounded == observed_unbounded
+    # the side of pJL predicts the classification; INCONCLUSIVE passes neither
+    expected_unbounded = params.p < sol.constants.pJL
+    expected = TailClass.UNBOUNDED if expected_unbounded else TailClass.SUPERCRITICAL_STABLE_TAIL
     bundle.add(CheckRecord(
         name="morse-dichotomy",
-        status=PASS if consistent else FAIL,
+        status=PASS if scan.classification is expected else FAIL,
         claim="index-tail-class-matches-joseph-lundgren-side",
         margins={"counts": list(scan.counts)},
         message=f"classification {scan.classification.name}, "
@@ -413,6 +414,8 @@ def cmd_morse(args, common, bundle, outdir: Path):
 
 
 def cmd_hardy(args, common, bundle, outdir: Path):
+    if args.j_max < 1:
+        raise ParameterError(f"j_max must be at least 1, got {args.j_max}")
     params = ProblemParams(args.N, args.p)
     c = derive_constants(params)
     lem = lemma_constants(params)
@@ -488,6 +491,8 @@ def _read_point(path: Path) -> dict | None:
 
 
 def cmd_sweep(args, common, bundle, outdir: Path):
+    if not args.p_list:
+        raise ParameterError("sweep needs at least one power in --p-list")
     points_dir = outdir / "points"
     points_dir.mkdir(exist_ok=True)
     payloads = [(args.N, args.i, p, common["tol_rel"], common["tol_abs"])
@@ -503,8 +508,11 @@ def cmd_sweep(args, common, bundle, outdir: Path):
         else:
             pending.append((k, payload))
     if pending:
-        if common["jobs"] > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=common["jobs"]) as pool:
+        # the pool forks all its workers at the first submit, so never more
+        # than there are points to compute
+        workers = min(common["jobs"], len(pending))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(_sweep_point, [pl for _, pl in pending]))
         else:
             computed = [_sweep_point(pl) for _, pl in pending]
@@ -529,15 +537,16 @@ def cmd_sweep(args, common, bundle, outdir: Path):
             claim="singular-solve-at-sweep-point",
             message=res.get("error", ""),
         ))
-    complete = not failed
     radii = [res["R_i"] for res in ok]
     decreasing = all(a > b for a, b in zip(radii, radii[1:]))
+    # a trend needs two points, and a failed point leaves a gap in the grid
+    judged = not failed and len(radii) >= 2
     bundle.add(CheckRecord(
         name="critical-radius-decay-trend",
-        status=(PASS if decreasing else FAIL) if complete else INFO,
+        status=(PASS if decreasing else FAIL) if judged else INFO,
         claim="critical-radii-decrease-along-increasing-power",
         margins={"R_i": radii},
-        message="" if complete else "incomplete grid: trend reported as INFO",
+        message="" if judged else "incomplete grid: trend reported as INFO",
     ))
     scaled = [res["r_p"] * math.sqrt(res["p"]) for res in ok if res["r_p"] is not None]
     bundle.add(CheckRecord(

@@ -108,6 +108,8 @@ def find_exponent(
         raise ParameterError(f"oscillation index must be >= 1, got {i}")
     if not (p_lo > critical_exponent(N)):
         raise ParameterError(f"p_lo={p_lo} is not supercritical for N={N}")
+    if not math.isfinite(p_cap):
+        raise ParameterError(f"p_cap must be finite, got p_cap={p_cap}")
 
     # brentq re-evaluates the bracket ends and the residual check the root,
     # so each (power, tolerance) is solved once per call

@@ -1,9 +1,9 @@
 """Radial ODE formulations, the energy functional, and adaptive integration.
 
 Two equivalent formulations are exposed: the original equation in the
-radius r, and the perturbation equation in logarithmic radius zeta (used for
-the near-origin analysis and, jointly with the difference of two of its
-solutions, for distances between them). All integrations run the in-house
+radius r, and the perturbation equation in logarithmic radius zeta, which is
+integrated jointly with the difference of two of its solutions to measure
+distances between them. All integrations run the in-house
 Dormand-Prince 5(4) stepper of :mod:`lntlab._dp45` on tuples of floats,
 which follows the step rules of scipy's RK45 and so takes the same steps;
 its dense output is one piecewise quartic. Unit crossings (u = 1) and
@@ -39,14 +39,11 @@ __all__ = [
     "RadialTrajectory",
     "rhs_eta",
     "rhs_eta_difference",
-    "energy",
     "energy_values",
     "energy_rate",
     "energy_rate_deviation",
-    "transform_eta_to_u",
     "transform_u_to_eta",
     "integrate_adaptive",
-    "integrate_eta",
     "integrate_eta_difference",
 ]
 
@@ -127,15 +124,9 @@ def rhs_eta_difference(
     return ddelta, ddd
 
 
-def energy(state: RadialState, p: float) -> float:
-    """Lyapunov energy u'**2/2 - u**2/2 + u**(p+1)/(p+1), non-increasing in r."""
-    if state.u <= 0.0:
-        raise PositivityError("energy is defined on positive states")
-    return float(energy_values(state.u, state.du, p))
-
-
 def energy_values(u, du, p: float):
-    """Vectorized energy along sampled (u, u') arrays."""
+    """Lyapunov energy u'**2/2 - u**2/2 + u**(p+1)/(p+1) along sampled
+    (u, u') arrays; non-increasing in r along solutions."""
     u = np.asarray(u, dtype=float)
     du = np.asarray(du, dtype=float)
     return 0.5 * du * du - 0.5 * u * u + u ** (p + 1.0) / (p + 1.0)
@@ -177,16 +168,9 @@ def energy_rate_deviation(
     return float(np.max(np.abs(slope[mask] - rate[mask]) / np.abs(rate[mask])))
 
 
-def transform_eta_to_u(state: EtaState, c: DerivedConstants) -> RadialState:
-    """Map (zeta, eta, eta') to (r, u, u') via u = A r**(-theta) (1 + eta)."""
-    r = math.exp(-c.m * state.zeta)
-    u = c.A * r**-c.theta * (1.0 + state.eta)
-    du = c.A * r ** (-c.theta - 1.0) * (-c.theta * (1.0 + state.eta) - state.deta / c.m)
-    return RadialState(r=r, u=u, du=du)
-
-
 def transform_u_to_eta(state: RadialState, c: DerivedConstants) -> EtaState:
-    """Inverse of :func:`transform_eta_to_u`."""
+    """Map (r, u, u') to (zeta, eta, eta') via r = exp(-m zeta) and
+    u = A r**(-theta) (1 + eta)."""
     zeta = -math.log(state.r) / c.m
     rt = state.r**c.theta
     eta = rt * state.u / c.A - 1.0
@@ -344,16 +328,14 @@ def integrate_adaptive(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     *,
-    events: bool = True,
     stop_at_critical: int | None = None,
 ) -> RadialTrajectory:
     """Integrate the radial equation outward with event detection.
 
     Uses the Dormand-Prince 5(4) pair with adaptive error control and dense
-    output. When ``events`` is set, unit crossings and critical points are
-    root-polished on each step's interpolant and recorded in increasing
-    order, and ``stop_at_critical = i`` ends the run at the i-th critical
-    point; reaching u = 0 truncates the run and marks the trajectory
+    output. Unit crossings and critical points are root-polished on each
+    step's interpolant and recorded in increasing order, and
+    ``stop_at_critical = i`` ends the run at the i-th critical point; reaching u = 0 truncates the run and marks the trajectory
     nonpositive.
 
     Raises
@@ -367,10 +349,8 @@ def integrate_adaptive(
         raise ParameterError(f"r_end must be finite, got r_end={r_end}")
     if not (r_end > start.r):
         raise ParameterError(f"r_end={r_end} must exceed the start radius {start.r}")
-    if stop_at_critical is not None and not (events and stop_at_critical >= 1):
-        raise ParameterError(
-            f"stop_at_critical={stop_at_critical} needs events and an index >= 1"
-        )
+    if stop_at_critical is not None and not stop_at_critical >= 1:
+        raise ParameterError(f"stop_at_critical={stop_at_critical} needs an index >= 1")
 
     if start.u == 1.0 and start.du == 0.0:
         # constant equilibrium: nothing to integrate
@@ -390,13 +370,11 @@ def integrate_adaptive(
             dense=_dp45.Dense(r, [r_end - start.r], [[1.0, 0.0]], np.zeros((1, 2, 4))),
         )
 
-    event_list = []
-    if events:
-        event_list = [
-            _dp45.Event(lambda r, y: y[0] - 1.0),
-            _dp45.Event(lambda r, y: y[1], terminal=stop_at_critical or 0),
-        ]
-    event_list.append(_dp45.Event(lambda r, y: y[0], direction=-1.0, terminal=1))
+    event_list = (
+        _dp45.Event(lambda r, y: y[0] - 1.0),
+        _dp45.Event(lambda r, y: y[1], terminal=stop_at_critical or 0),
+        _dp45.Event(lambda r, y: y[0], direction=-1.0, terminal=1),
+    )
 
     run = _dp45.solve(_vector_field(params), start.r, (start.u, start.du), r_end,
                       rtol, atol, event_list)
@@ -405,25 +383,21 @@ def integrate_adaptive(
         partial = None
         if run.t.size >= 2:
             partial = _build_trajectory(
-                params, run, events, rtol, atol, status="failed", message=run.message
+                params, run, rtol, atol, status="failed", message=run.message
             )
         raise IntegrationError(f"integration failed: {run.message}", partial=partial)
     status, message = "ok", ""
     if run.t_events[-1].size:
         status, message = "nonpositive", "solution reached u = 0; run truncated"
 
-    return _build_trajectory(params, run, events, rtol, atol, status=status, message=message)
+    return _build_trajectory(params, run, rtol, atol, status=status, message=message)
 
 
-def _build_trajectory(params, run, events, rtol, atol, status, message):
-    unit = np.array([])
-    crit = np.array([])
-    kinds: tuple[PointKind, ...] = ()
-    if events:
-        unit = run.t_events[0][_distinct(run.t_events[0])]
-        keep = _distinct(run.t_events[1])
-        crit = run.t_events[1][keep]
-        kinds = tuple(PointKind.MIN if up else PointKind.MAX for up in run.rises[1][keep])
+def _build_trajectory(params, run, rtol, atol, status, message):
+    unit = run.t_events[0][_distinct(run.t_events[0])]
+    keep = _distinct(run.t_events[1])
+    crit = run.t_events[1][keep]
+    kinds = tuple(PointKind.MIN if up else PointKind.MAX for up in run.rises[1][keep])
     tr, u, du = run.t, run.y[0], run.y[1]
     # the terminal floor event can leave a final sample with u <= 0; clip it
     if u.size and u[-1] <= 0.0:
@@ -447,40 +421,6 @@ def _build_trajectory(params, run, events, rtol, atol, status, message):
         n_accepted=run.n_accepted,
         n_rejected=run.n_rejected,
     )
-
-
-@dataclass
-class EtaPath:
-    """Sampled solution of the logarithmic-radius perturbation equation."""
-
-    zeta: np.ndarray
-    eta: np.ndarray
-    deta: np.ndarray
-    dense: object | None = field(default=None, repr=False)
-
-
-def integrate_eta(
-    c: DerivedConstants,
-    p: float,
-    start: EtaState,
-    zeta_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> EtaPath:
-    """Integrate the perturbation equation between two log-radii.
-
-    Decreasing zeta corresponds to increasing radius; spans may run in either
-    direction.
-    """
-
-    def f(z, y):
-        st = EtaState(zeta=z, eta=y[0], deta=y[1])
-        return rhs_eta(st, c, p)
-
-    run = _dp45.solve(f, start.zeta, (start.eta, start.deta), zeta_end, rtol, atol)
-    if run.status != "finished":
-        raise IntegrationError(f"eta integration failed: {run.message}")
-    return EtaPath(zeta=run.t, eta=run.y[0], deta=run.y[1], dense=run.dense)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Everything in this module is scalar arithmetic derived from the dimension N
 and the power p: exponent thresholds, the constants of the near-origin
-power-law profile ``A * r**(-theta)``, the kernel of the constant-coefficient
+power-law profile ``A * r**(-theta)``, the regime of the constant-coefficient
 comparison operator in logarithmic radius, and the smallness constant that
 bounds the validated seeding window ``r <= ctilde / sqrt(p)``.
 """
@@ -27,14 +27,10 @@ __all__ = [
     "joseph_lundgren",
     "derive_constants",
     "asymptotic_limits",
-    "green_kernel",
     "phi_nonlinearity",
-    "f_envelope",
     "compute_PN",
     "choose_ctilde",
-    "ctilde_record",
     "lemma_constants",
-    "beta_dimension10",
 ]
 
 
@@ -207,34 +203,6 @@ def asymptotic_limits(N: int) -> AsymptoticLimits:
     )
 
 
-def beta_dimension10(p: float) -> float:
-    """Algebraically simplified beta at N = 10; equals the generic formula."""
-    return math.sqrt((3.0 * (p - 1.0) - 1.0) / (4.0 * (p - 1.0) - 1.0))
-
-
-def green_kernel(x, c: DerivedConstants):
-    """Kernel of d^2/dx^2 - alpha d/dx + (p-1) on the half line, zero for x < 0.
-
-    Oscillatory regime: exp(-alpha*x/2) * sin(beta*x) / beta.
-    Non-oscillatory regime: exp(-alpha*x/2) * sinh(beta*x) / beta, evaluated
-    in exponential-difference form so large arguments do not overflow.
-    Degenerate regime: x * exp(-alpha*x/2).
-    """
-    if c.regime is not Regime.DEGENERATE and not (c.beta > 0):
-        raise ParameterError("beta must be positive outside the degenerate regime")
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * c.alpha
-    if c.regime is Regime.OSCILLATORY:
-        pos = np.exp(-half * x) * np.sin(c.beta * x) / c.beta
-    elif c.regime is Regime.NON_OSCILLATORY:
-        # beta < alpha/2 here, so both exponents are negative for x > 0
-        pos = 0.5 * (np.exp((c.beta - half) * x) - np.exp(-(c.beta + half) * x)) / c.beta
-    else:
-        pos = x * np.exp(-half * x)
-    out = np.where(x >= 0.0, pos, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def phi_nonlinearity(eta, p: float):
     """Quadratic remainder -( (1+eta)**p - 1 - p*eta ), nonpositive, 0 only at 0.
 
@@ -245,13 +213,6 @@ def phi_nonlinearity(eta, p: float):
     if np.any(1.0 + eta <= 0.0):
         raise ParameterError("phi_nonlinearity requires 1 + eta > 0")
     out = -(np.expm1(p * np.log1p(eta)) - p * eta)
-    return float(out) if out.ndim == 0 else out
-
-
-def f_envelope(zeta, c: DerivedConstants):
-    """Decaying envelope Dp * exp(-2*m*zeta); strictly decreasing in zeta."""
-    zeta = np.asarray(zeta, dtype=float)
-    out = c.Dp * np.exp(-2.0 * c.m * zeta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -288,7 +249,7 @@ def compute_PN(c: DerivedConstants, ctilde: float, p: float) -> tuple[float, flo
 
 
 # ctilde search is deterministic, so the cache is write-once per key.
-_CTILDE_CACHE: dict[tuple[int, float, float], dict] = {}
+_CTILDE_CACHE: dict[tuple[int, float, float], float] = {}
 
 _CTILDE_GRID = [2.0**-k for k in range(1, 21)]
 _P_SAMPLES = 32
@@ -300,16 +261,7 @@ def choose_ctilde(N: int, p_range: tuple[float, float]) -> float:
     Searches ctilde over {2**-1, ..., 2**-20} and requires, at 32 log-spaced
     powers in ``p_range``, that ``compute_PN`` stays below its threshold and
     ``Dp * ctilde**2 <= 1``. Only existence is guaranteed upstream, so the
-    search favors determinism and recorded margins over optimality.
-    """
-    return ctilde_record(N, p_range)["ctilde"]
-
-
-def ctilde_record(N: int, p_range: tuple[float, float]) -> dict:
-    """Like :func:`choose_ctilde` but returns the cached search record.
-
-    The record holds the chosen constant and the worst margin
-    ``threshold - PN`` over the sampled powers.
+    search favors determinism over optimality; the result is cached.
     """
     _check_dimension(N)
     lo, hi = float(p_range[0]), float(p_range[1])
@@ -329,29 +281,21 @@ def ctilde_record(N: int, p_range: tuple[float, float]) -> dict:
         p_samples[[0, -1]] = lo, hi
     constants = [derive_constants(ProblemParams(N, float(p))) for p in p_samples]
     for ctilde in _CTILDE_GRID:
-        margin = math.inf
-        feasible = True
-        for c, p in zip(constants, p_samples):
-            if c.Dp * ctilde * ctilde > 1.0:
-                feasible = False
-                break
-            try:
-                pn, threshold = compute_PN(c, ctilde, float(p))
-            except (ParameterError, FeasibilityError):
-                feasible = False
-                break
-            if not (pn < threshold):
-                feasible = False
-                break
-            margin = min(margin, threshold - pn)
-        if feasible:
-            record = {"ctilde": ctilde, "margin": margin, "N": N, "p_range": (lo, hi)}
-            _CTILDE_CACHE[key] = record
-            return record
+        if all(_admissible(c, ctilde, float(p)) for c, p in zip(constants, p_samples)):
+            _CTILDE_CACHE[key] = ctilde
+            return ctilde
     raise FeasibilityError(
         f"no admissible ctilde on the search grid for N={N}, p_range={p_range}; "
         "the range likely contains powers that are too small"
     )
+
+
+def _admissible(c: DerivedConstants, ctilde: float, p: float) -> bool:
+    try:
+        pn, threshold = compute_PN(c, ctilde, p)
+    except (ParameterError, FeasibilityError):
+        return False
+    return pn < threshold
 
 
 @dataclass(frozen=True)
@@ -372,21 +316,15 @@ class LemmaConstants:
     PN_threshold: float
 
 
-def lemma_constants(
-    params: ProblemParams,
-    p_lo: float | None = None,
-    p_hi: float | None = None,
-) -> LemmaConstants:
+def lemma_constants(params: ProblemParams) -> LemmaConstants:
     """Seed-window constants for ``params``, sharing ctilde across a power range.
 
-    By default the admissibility search covers ``(min(p, 10), max(p, 1e4))``
-    so that sweeps over common desk-scale powers reuse one ctilde.
+    The admissibility search covers ``(min(p, 10), max(p, 1e4))`` so that
+    sweeps over common desk-scale powers reuse one ctilde.
     """
     c = derive_constants(params)
-    lo = p_lo if p_lo is not None else min(params.p, 10.0)
-    hi = p_hi if p_hi is not None else max(params.p, 1.0e4)
-    lo = max(lo, critical_exponent(params.N))
-    ctilde = choose_ctilde(params.N, (min(lo, params.p), max(hi, params.p)))
+    lo = max(min(params.p, 10.0), critical_exponent(params.N))
+    ctilde = choose_ctilde(params.N, (lo, max(params.p, 1.0e4)))
     rtilde = ctilde / math.sqrt(params.p)
     zetatilde = -math.log(rtilde) / c.m
     pn, threshold = compute_PN(c, ctilde, params.p)

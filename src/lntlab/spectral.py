@@ -28,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
-from .ode import RadialTrajectory
 from .params import DerivedConstants, ProblemParams
 from .singular import SingularSolution
 
@@ -117,8 +116,9 @@ class MorseScanResult:
 def _scaled_profile(u, p: float):
     """Normalize the solution argument to a vectorized callable for the
     scaled profile r -> u(r) r**theta, theta = 2/(p-1), and the radii it
-    covers (None: all). ``DerivedConstants`` stand for their two-term origin
-    expansion.
+    covers (None: all). The solution is a ``SingularSolution``, the
+    ``DerivedConstants`` standing for their two-term origin expansion, or a
+    positive constant.
 
     The scaled profile tends to A at the origin, where u itself overflows
     once theta is large.
@@ -139,15 +139,11 @@ def _scaled_profile(u, p: float):
             return np.where(r < r0, inner(r), traj.sample(np.maximum(r, r0))[0] * r**theta)
 
         return scaled, (0.0, traj.r_end)
-    if isinstance(u, RadialTrajectory):
-        return lambda r: u.sample(r)[0] * r**theta, (u.r_start, u.r_end)
     if isinstance(u, (int, float)):
         val = float(u)
         if val <= 0:
             raise PositivityError("constant solution must be positive")
         return lambda r: val * np.asarray(r, dtype=float) ** theta, None
-    if callable(u):
-        return lambda r: np.asarray(u(r), dtype=float) * np.asarray(r, dtype=float) ** theta, None
     raise ParameterError(f"unsupported solution object {type(u)!r}")
 
 
@@ -274,67 +270,54 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     return tuple(float(v) for v in vals)
 
 
-def _doubling(start: int, cap: int):
-    size = start
-    while size <= cap:
-        yield size
-        size *= 2
-
-
-def morse_scan(
-    params: ProblemParams,
-    sol,
-    deltas,
-    grid_sizes=None,
-    eig_k: int = 3,
-) -> MorseScanResult:
+def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
     """Grid-converged negative-eigenvalue counts along a decreasing cutoff list.
 
-    At each cutoff the grid is refined (doubling from GRID_START up to
-    GRID_CAP intervals by default, or the supplied ``grid_sizes``) until two
-    successive grids agree on the count; only then is the count accepted.
-    Counts that keep increasing as the cutoff shrinks classify the tail as
-    UNBOUNDED, a plateau as SUPERCRITICAL_STABLE_TAIL.
+    At each cutoff the grid is refined, doubling from GRID_START up to
+    GRID_CAP intervals, until two successive grids agree on the count; only
+    then is the count accepted. The tail is classified from at least two
+    counts: counts that keep increasing as the cutoff shrinks are UNBOUNDED,
+    a plateau at the last two cutoffs is SUPERCRITICAL_STABLE_TAIL, and
+    anything else, a single cutoff included, is INCONCLUSIVE.
     """
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ParameterError("at least one cutoff is required")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ParameterError("cutoffs must be strictly decreasing")
-    if deltas and not deltas[-1] >= MIN_CUTOFF:
+    if not deltas[-1] >= MIN_CUTOFF:
         raise ParameterError(
             f"cutoff {deltas[-1]} below {MIN_CUTOFF}: eigenvalues of order "
             "delta**-2 leave double range"
         )
     reports = []
     for delta in deltas:
-        sizes = _doubling(GRID_START, GRID_CAP) if grid_sizes is None else grid_sizes
-        prev_count, accepted = None, None
-        for size in sizes:
+        size, prev_count = GRID_START, None
+        while True:
+            if size > GRID_CAP:
+                raise ConvergenceFailure(
+                    f"negative count did not stabilize under grid refinement at delta={delta}"
+                )
             op = assemble_operator(sol, params, delta, size)
             count = negative_count(op)
-            if prev_count is not None and count == prev_count:
-                accepted = (size, count, op)
+            if count == prev_count:
                 break
-            prev_count = count
-        if accepted is None:
-            raise ConvergenceFailure(
-                f"negative count did not stabilize under grid refinement at delta={delta}"
-            )
-        size, count, op = accepted
+            size, prev_count = 2 * size, count
         reports.append(
             SpectrumReport(
                 negative_count=count,
-                smallest_eigenvalues=smallest_eigenvalues(op, eig_k),
+                smallest_eigenvalues=smallest_eigenvalues(op, 3),
                 cutoff=delta,
                 grid_size=size,
             )
         )
     counts = [rep.negative_count for rep in reports]
-    if all(b > a for a, b in zip(counts, counts[1:])):
-        classification = TailClass.UNBOUNDED
-    elif len(counts) >= 2 and counts[-1] == counts[-2]:
-        classification = TailClass.SUPERCRITICAL_STABLE_TAIL
-    else:
-        classification = TailClass.INCONCLUSIVE
+    classification = TailClass.INCONCLUSIVE
+    if len(counts) >= 2:
+        if all(b > a for a, b in zip(counts, counts[1:])):
+            classification = TailClass.UNBOUNDED
+        elif counts[-1] == counts[-2]:
+            classification = TailClass.SUPERCRITICAL_STABLE_TAIL
     return MorseScanResult(reports=tuple(reports), classification=classification)
 
 
@@ -363,19 +346,6 @@ class SampledRadialFunction:
     @property
     def radii(self) -> np.ndarray:
         return np.exp(self.log_r)
-
-    @classmethod
-    def from_plain(cls, r, phi, dphi, N: int) -> "SampledRadialFunction":
-        """Build the scaled representation from plain (r, phi, phi') samples."""
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        dphi = np.asarray(dphi, dtype=float)
-        s = np.log(r)
-        nu = 0.5 * (N - 2.0)
-        scale = np.exp(nu * s)
-        y = phi * scale
-        dy = dphi * r * scale + nu * y
-        return cls(N=N, log_r=s, scaled=y, scaled_d=dy)
 
 
 def _q_r2(t: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import lntlab
-from lntlab.cli import main
+import lntlab.cli as cli
+from lntlab.cli import build_parser, main
 from lntlab.params import joseph_lundgren
 
 
@@ -101,6 +103,49 @@ def test_sweep_fresh_resume_and_failure_demotion(tmp_path):
     assert trend["status"] == "INFO"
     assert rep["worst_status"] == "FAIL"
 
+    # one point shows no trend either
+    assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10",
+                    "--jobs", 1, "--out-dir", tmp_path / "one"]) == 0
+    rep = read_report(tmp_path / "one")
+    trend = next(c for c in rep["checks"] if c["name"] == "critical-radius-decay-trend")
+    assert trend["status"] == "INFO"
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_workers_capped_by_pending_points(tmp_path, monkeypatch):
+    # the pool forks all its workers at once: never more than points to compute
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(sizes, max_workers))
+    assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
+                    "--jobs", 100000, "--out-dir", tmp_path]) == 0
+    assert sizes == [2]
+
+
+def test_sweep_rejects_jobs_below_one(tmp_path):
+    # from a flag or from the config file alike
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 0\n")
+    base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20", "--out-dir", tmp_path / "runs"]
+    for flags in (["--jobs", 0], ["--jobs", -3], ["--config", cfg]):
+        assert run_cli(base + flags) == 2
+    assert not list((tmp_path / "runs").glob("run-*"))
+
 
 def test_find_exponent_command(tmp_path):
     args = ["find-exponent", "--i", 1, "--R", 1, "--N", 5, "--p-lo", 6]
@@ -136,6 +181,16 @@ def test_morse_command(tmp_path):
     blob = json.loads(next(tmp_path.glob("run-*/morse.json")).read_text())
     assert blob["classification"] == "SUPERCRITICAL_STABLE_TAIL"
     assert [r["negative_count"] for r in blob["reports"]] == [1, 1]
+
+
+@pytest.mark.parametrize("N, p", [(12, 3), (5, 10), (12, 5)])
+def test_morse_single_cutoff_fails_dichotomy(tmp_path, N, p):
+    # one count classifies nothing, on either side of pJL
+    assert run_cli(["morse", "--N", N, "--p", p, "--deltas", "1e-2",
+                    "--out-dir", tmp_path]) == 1
+    check = next(c for c in read_report(tmp_path)["checks"] if c["name"] == "morse-dichotomy")
+    assert check["status"] == "FAIL"
+    assert check["message"].startswith("classification INCONCLUSIVE")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -219,6 +274,17 @@ def test_non_finite_input_exits_2(tmp_path, flags):
     ["singular", "--N", "5", "--p", "20", "--R", "inf", "--r-end", "1"],
     ["hardy", "--N", "5", "--p", "10", "--eps0", "0"],
     ["hardy", "--N", "5", "--p", "10", "--eps0", "1e-3"],
+    ["hardy", "--N", "5", "--p", "10", "--j-max", "0"],
+    # a cap that is not finite leaves the power search unbounded
+    *[["find-exponent", "--i", "1", "--R", "1", "--N", "5", "--p-lo", "6", "--p-cap", cap]
+      for cap in ("nan", "inf", "1e400")],
+    # lists with no entry, or a bracket that is not two powers
+    ["morse", "--N", "5", "--p", "10", "--deltas", ","],
+    ["branch", "--i", "2", "--R", "1", "--N", "12", "--gamma-list", ",",
+     "--p-bracket", "150,250"],
+    *[["branch", "--i", "2", "--R", "1", "--N", "12", "--gamma-list", "5",
+       "--p-bracket", bracket] for bracket in ("150", "150,200,250")],
+    ["sweep", "--N", "5", "--p-list", ","],
 ])
 def test_config_error_leaves_no_run_directory(tmp_path, flags):
     out = run_child([*flags, "--out-dir", tmp_path])
@@ -263,6 +329,18 @@ def test_singular_exit_codes(tmp_path, flags, codes):
         assert not runs
     else:
         assert runs and all((r / "report.json").is_file() for r in runs)
+
+
+def test_readme_cli_examples_parse():
+    # every example in the README's CLI block names only existing flags
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("lntlab ")]
+    assert len(examples) >= 9
+    parser = build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_runtime_error_writes_failure_report(tmp_path):

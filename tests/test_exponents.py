@@ -147,6 +147,10 @@ def test_find_exponent_validation():
         find_exponent(0, 1.0, 5, p_lo=6.0)
     with pytest.raises(ParameterError):
         find_exponent(1, 1.0, 5, p_lo=1.0)
+    # a cap that is not finite would leave the search unbounded
+    for p_cap in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="p_cap must be finite"):
+            find_exponent(1, 1.0, 5, p_lo=6.0, p_cap=p_cap)
 
 
 def test_continuity_scan_small_grid():

@@ -11,17 +11,15 @@ from lntlab import (
     PositivityError,
     ProblemParams,
     RadialState,
-    energy,
     energy_rate_deviation,
     integrate_adaptive,
-    integrate_eta,
+    integrate_eta_difference,
     rhs_eta,
     rhs_eta_difference,
-    transform_eta_to_u,
     transform_u_to_eta,
 )
 from lntlab.ode import _vector_field, energy_values
-from lntlab.params import derive_constants, f_envelope, lemma_constants
+from lntlab.params import derive_constants, lemma_constants
 
 
 def test_vector_field_equilibrium_and_hand_value():
@@ -52,7 +50,7 @@ def test_rhs_eta_envelope_solves_linearization():
             c.m**2, rel=1e-14
         )
         zeta = 1.7
-        f = f_envelope(zeta, c)
+        f = c.Dp * math.exp(-2.0 * c.m * zeta)
         _, ddeta = rhs_eta(EtaState(zeta, f, -2.0 * c.m * f), c, p)
         from lntlab.params import phi_nonlinearity
 
@@ -82,21 +80,30 @@ def test_eta_state_rejects_nonpositive_base():
 
 
 def test_energy_equilibrium_values():
-    assert energy(RadialState(1.0, 1.0, 0.0), 3.0) == pytest.approx(-0.25, rel=1e-15)
+    assert energy_values(1.0, 0.0, 3.0) == pytest.approx(-0.25, rel=1e-15)
     for p in (2.5, 7.0, 30.0):
         want = -0.5 + 1.0 / (p + 1.0)
-        assert energy(RadialState(2.0, 1.0, 0.0), p) == pytest.approx(want, rel=1e-14)
+        assert energy_values(1.0, 0.0, p) == pytest.approx(want, rel=1e-14)
+
+
+def _eta_to_u(st: EtaState, c) -> RadialState:
+    """The closed form u = A r**(-theta) (1 + eta), r = exp(-m zeta), and its
+    derivative in r."""
+    r = math.exp(-c.m * st.zeta)
+    u = c.A * r**-c.theta * (1.0 + st.eta)
+    du = c.A * r ** (-c.theta - 1.0) * (-c.theta * (1.0 + st.eta) - st.deta / c.m)
+    return RadialState(r, u, du)
 
 
 def test_transform_power_law_and_hand_value():
     c = _alpha_zero_constants()
-    st = transform_eta_to_u(EtaState(0.0, 0.1, 0.0), c)
-    assert (st.r, st.u, st.du) == pytest.approx((1.0, 1.1, -1.1), rel=1e-14)
-    # eta = 0 is the pure power law
-    st0 = transform_eta_to_u(EtaState(1.3, 0.0, 0.0), c)
+    st = transform_u_to_eta(RadialState(1.0, 1.1, -1.1), c)
+    assert (st.zeta, st.eta, st.deta) == pytest.approx((0.0, 0.1, 0.0), abs=1e-14)
+    # the pure power law is eta = 0
     r = math.exp(-1.3)
-    assert st0.u == pytest.approx(c.A * r**-c.theta, rel=1e-13)
-    assert st0.du == pytest.approx(-c.theta * c.A * r ** (-c.theta - 1.0), rel=1e-13)
+    st0 = transform_u_to_eta(RadialState(r, c.A * r**-c.theta, -c.theta * c.A * r ** (-c.theta - 1.0)), c)
+    assert st0.zeta == pytest.approx(1.3, rel=1e-14)
+    assert (st0.eta, st0.deta) == pytest.approx((0.0, 0.0), abs=1e-13)
 
 
 def test_transform_round_trip():
@@ -104,7 +111,7 @@ def test_transform_round_trip():
     c = derive_constants(ProblemParams(7, 9.0))
     for _ in range(50):
         st = EtaState(rng.uniform(-1, 4), rng.uniform(-0.5, 2.0), rng.uniform(-3, 3))
-        back = transform_u_to_eta(transform_eta_to_u(st, c), c)
+        back = transform_u_to_eta(_eta_to_u(st, c), c)
         assert back.zeta == pytest.approx(st.zeta, rel=1e-12, abs=1e-12)
         assert back.eta == pytest.approx(st.eta, rel=1e-10, abs=1e-12)
         assert back.deta == pytest.approx(st.deta, rel=1e-10, abs=1e-10)
@@ -124,11 +131,11 @@ def test_integrate_tolerance_convergence():
     # global error tracks the requested tolerance against a tight reference
     params = ProblemParams(5, 20.0)
     start = RadialState(0.5, 1.3, 0.0)
-    ref = integrate_adaptive(params, start, 3.0, rtol=1e-13, atol=1e-15, events=False)
+    ref = integrate_adaptive(params, start, 3.0, rtol=1e-13, atol=1e-15)
     u_ref = ref.sample(3.0)[0][0]
     errs = {}
     for rt in (1e-6, 1e-8, 1e-10):
-        tr = integrate_adaptive(params, start, 3.0, rtol=rt, atol=rt * 1e-2, events=False)
+        tr = integrate_adaptive(params, start, 3.0, rtol=rt, atol=rt * 1e-2)
         errs[rt] = abs(tr.sample(3.0)[0][0] - u_ref)
     assert errs[1e-8] < errs[1e-6]
     assert errs[1e-10] < errs[1e-8]
@@ -184,9 +191,9 @@ def test_positivity_truncation():
 
 def test_stop_at_critical_validation():
     start = RadialState(0.5, 1.5, -1.0)
-    for kwargs in ({"stop_at_critical": 0}, {"stop_at_critical": 1, "events": False}):
+    for index in (0, -1):
         with pytest.raises(ParameterError):
-            integrate_adaptive(ProblemParams(5, 20.0), start, 3.0, **kwargs)
+            integrate_adaptive(ProblemParams(5, 20.0), start, 3.0, stop_at_critical=index)
 
 
 def test_trajectory_serialization(tmp_path, sing_5_20):
@@ -234,8 +241,9 @@ def test_integrate_rejects_non_finite_end(r_end):
 
 
 def test_eta_integration_matches_radial():
-    # integrating the log-radius form and mapping back agrees with the
-    # direct radial integration on the overlap
+    # the reference track of the log-radius difference integration, mapped
+    # back through u = A r**(-theta) (1 + eta), agrees with the direct radial
+    # integration on the overlap
     params = ProblemParams(5, 20.0)
     c = derive_constants(params)
     lem = lemma_constants(params)
@@ -243,17 +251,19 @@ def test_eta_integration_matches_radial():
     r1 = 4.0 * lem.rtilde_p
     z0 = -math.log(r0) / c.m
     z1 = -math.log(r1) / c.m
-    start = EtaState(z0, f_envelope(z0, c), -2.0 * c.m * f_envelope(z0, c))
-    path = integrate_eta(c, params.p, start, z1)
-    direct = integrate_adaptive(params, transform_eta_to_u(start, c), r1, events=False)
+    f0 = c.Dp * math.exp(-2.0 * c.m * z0)
+    start = EtaState(z0, f0, -2.0 * c.m * f0)
+    # the difference's error is controlled relative to itself, so neither of
+    # its components may start at zero; a small envelope-shaped one serves
+    path = integrate_eta_difference(c, params.p, start, (1e-3 * f0, -2e-3 * c.m * f0), z1)
+    assert path.status == "ok"
+    direct = integrate_adaptive(params, _eta_to_u(start, c), r1)
     zz = np.linspace(z0, z1, 200)
-    vals = path.dense(zz)
-    worst = 0.0
-    for z, e, de in zip(zz, vals[0], vals[1]):
-        st = transform_eta_to_u(EtaState(z, e, de), c)
-        u_direct = direct.sample(st.r)[0][0]
-        worst = max(worst, abs(st.u - u_direct) / abs(u_direct))
-    assert worst < 1e-8
+    eta, _ = path.sample(zz)
+    r = np.exp(-c.m * zz)
+    u_eta = c.A * r**-c.theta * (1.0 + eta)
+    u_direct = direct.sample(r)[0]
+    assert np.max(np.abs(u_eta - u_direct) / np.abs(u_direct)) < 1e-8
 
 
 def test_half_density_form_residual(sing_5_20):

@@ -113,7 +113,7 @@ def _probe_at_rtilde(params, r0, rtol, atol):
     """(u, u') at rtilde_p of the run seeded at r0."""
     lem = lemma_constants(params)
     seed = seed_at_origin(params, derive_constants(params), r0)
-    run = integrate_adaptive(params, seed, lem.rtilde_p, rtol, atol, events=False)
+    run = integrate_adaptive(params, seed, lem.rtilde_p, rtol, atol)
     u, du = run.sample(lem.rtilde_p)
     return float(u[0]), float(du[0])
 
@@ -235,7 +235,7 @@ def test_kinds_from_crossing_direction(rises, kinds):
                     rises=[np.array([], bool), np.array(rises), np.array([], bool)],
                     status="finished", message="", dense=None,
                     nfev=0, n_accepted=1, n_rejected=0)
-    traj = ode._build_trajectory(ProblemParams(5, 20.0), run, True, 1e-10, 1e-12,
+    traj = ode._build_trajectory(ProblemParams(5, 20.0), run, 1e-10, 1e-12,
                                  status="ok", message="")
     assert traj.critical_kinds == kinds
     if kinds[0] is kinds[1]:

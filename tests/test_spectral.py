@@ -128,6 +128,8 @@ def test_courant_monotonicity_in_cutoff():
     counts = []
     for delta in (1e-2, 1e-3, 1e-4):
         scan = morse_scan(params, sol, [delta])
+        # one count says nothing about the tail
+        assert scan.classification is TailClass.INCONCLUSIVE
         counts.append(scan.reports[0].negative_count)
     assert counts == sorted(counts)
 
@@ -144,6 +146,8 @@ def test_morse_scan_validation(sing_5_20):
     params = ProblemParams(5, 20.0, R=1.0)
     with pytest.raises(ParameterError):
         morse_scan(params, sing_5_20, [1e-3, 1e-2])
+    with pytest.raises(ParameterError, match="at least one cutoff"):
+        morse_scan(params, sing_5_20, [])
     with pytest.raises(ParameterError, match="double range"):
         morse_scan(params, sing_5_20, [1e-2, 1e-76])
 
@@ -223,13 +227,14 @@ def test_rayleigh_constant_function_on_constant_solution():
     N, p = 4, 3.5
     params = ProblemParams(N, p, R=1.0)
     delta, R = 0.2, 1.0
-    r = np.geomspace(delta, R, 4000)
-    phi = SampledRadialFunction.from_plain(r, np.full(r.size, 2.0), np.zeros(r.size), N)
+    # phi = 2 is y = 2 r**nu in the scaled variables, with dy/ds = nu y
+    s = np.linspace(math.log(delta), math.log(R), 4000)
+    nu = 0.5 * (N - 2.0)
+    y = 2.0 * np.exp(nu * s)
+    phi = SampledRadialFunction(N=N, log_r=s, scaled=y, scaled_d=nu * y)
     got = rayleigh_quotient(phi, 1.0, params)
     want = -(p - 1.0) * 4.0 * (R**N - delta**N) / N
     assert got == pytest.approx(want, rel=1e-6)
-    # any vectorized callable stands for a solution
-    assert rayleigh_quotient(phi, lambda r: np.ones_like(r), params) == pytest.approx(got, rel=1e-14)
 
 
 def test_rayleigh_negative_on_hardy_functions():
@@ -243,11 +248,16 @@ def test_rayleigh_negative_on_hardy_functions():
 
 
 def test_rayleigh_coverage_error(sing_5_20):
-    # the bare trajectory starts at the seed radius; the singular solution
-    # itself covers (0, r_end] through its origin expansion
-    fj = hardy_test_function(1, 0.35, 5)
+    # the singular solution covers (0, r_end] through its origin expansion,
+    # and nothing beyond r_end = 5
     params = ProblemParams(5, 20.0)
+    s = np.linspace(math.log(4.0), math.log(6.0), 300)
+    beyond = SampledRadialFunction(N=5, log_r=s, scaled=np.sin(s), scaled_d=np.cos(s))
     with pytest.raises(CoverageError):
+        rayleigh_quotient(beyond, sing_5_20, params)
+    # a bare trajectory is not a solution the spectral code takes
+    fj = hardy_test_function(1, 0.35, 5)
+    with pytest.raises(ParameterError):
         rayleigh_quotient(fj, sing_5_20.trajectory, params)
     # below the seed radius the solution is its two-term origin expansion
     assert fj.radii[-1] < sing_5_20.seed_radius
