@@ -95,7 +95,9 @@ class Dense:
 
 
 def _rms(x, scale) -> float:
-    return math.sqrt(sum((a / s) ** 2 for a, s in zip(x, scale))) / math.sqrt(len(x))
+    # a zero scale (zero value, zero atol) weighs nothing until a step moves it
+    terms = [(a / s) ** 2 for a, s in zip(x, scale) if s]
+    return math.sqrt(sum(terms)) / math.sqrt(len(terms))
 
 
 def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:

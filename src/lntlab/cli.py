@@ -45,6 +45,7 @@ from .singular import (
 from .spectral import (
     TailClass,
     assemble_operator,
+    check_cutoffs,
     hardy_test_function,
     morse_scan,
     potential_threshold_check,
@@ -215,19 +216,25 @@ def _resolve_common(args) -> dict:
         )
     if common["jobs"] < 1:
         raise ParameterError(f"jobs must be at least 1, got {common['jobs']}")
+    formats = {tok.strip() for tok in common["emit"].split(",") if tok.strip()}
+    if not formats or not formats <= {"csv", "json"}:
+        raise ParameterError(f"emit takes csv, json or csv,json; got {common['emit']!r}")
+    common["emit"] = formats
     return common
 
 
-def _emit_trajectory(traj, outdir: Path, stem: str, emit: str, full: bool, bundle):
-    formats = {tok.strip() for tok in emit.split(",")}
-    if "csv" in formats:
-        path = outdir / f"{stem}.csv"
-        traj.to_csv(path, full=full)
-        bundle.add_artifact(path)
-    if "json" in formats:
-        path = outdir / f"{stem}.json"
-        traj.to_json(path, full=full)
-        bundle.add_artifact(path)
+def _reject_repeats(values, flag: str) -> None:
+    # every value names its own check, at .17g: distinct doubles, distinct names
+    if len({f"{v:.17g}" for v in values}) != len(values):
+        raise ParameterError(f"{flag} repeats a value: {values}")
+
+
+def _emit_trajectory(traj, outdir: Path, common: dict, bundle):
+    for fmt, write in (("csv", traj.to_csv), ("json", traj.to_json)):
+        if fmt in common["emit"]:
+            path = outdir / f"trajectory.{fmt}"
+            write(path, full=common["full"])
+            bundle.add_artifact(path)
 
 
 def _energy_checks(bundle, traj, rtol, atol):
@@ -280,7 +287,7 @@ def _verification_checks(bundle, sol, rtol, atol):
 def cmd_singular(args, common, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
     sol = solve_singular(params, args.r_end, common["tol_rel"], common["tol_abs"])
-    _emit_trajectory(sol.trajectory, outdir, "trajectory", common["emit"], common["full"], bundle)
+    _emit_trajectory(sol.trajectory, outdir, common, bundle)
     bundle.add(CheckRecord(
         name="singular-solve",
         status=PASS,
@@ -296,7 +303,7 @@ def cmd_singular(args, common, bundle, outdir: Path):
 def cmd_shoot(args, common, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p)
     result = shoot(args.gamma, params, args.r_end, common["tol_rel"], common["tol_abs"])
-    _emit_trajectory(result.trajectory, outdir, "trajectory", common["emit"], common["full"], bundle)
+    _emit_trajectory(result.trajectory, outdir, common, bundle)
     status = PASS if not result.nonpositive else INFO
     bundle.add(CheckRecord(
         name="shoot",
@@ -315,9 +322,10 @@ def cmd_branch(args, common, bundle, outdir: Path):
             "branch needs at least one gamma and a bracket of two powers lo,hi; got "
             f"--gamma-list {args.gamma_list}, --p-bracket {args.p_bracket}"
         )
+    _reject_repeats(args.gamma_list, "--gamma-list")
     rows = []
     for gamma in args.gamma_list:
-        name = f"branch-sample-gamma-{gamma:g}"
+        name = f"branch-sample-gamma-{gamma:.17g}"
         try:
             p_found = branch_sample(
                 args.i, args.R, args.N, gamma, tuple(args.p_bracket),
@@ -335,23 +343,15 @@ def cmd_branch(args, common, bundle, outdir: Path):
                 claim="critical-radius-matches-target-at-found-power",
                 message=str(exc),
             ))
-    path = outdir / "branch.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gamma,p\n")
-        for gamma, p_found in rows:
-            fh.write(f"{gamma:.17g},{p_found:.17g}\n")
-    bundle.add_artifact(path)
+    bundle.add_artifact(outdir / "branch.csv", (("gamma", "p"), rows))
 
 
 def cmd_find_exponent(args, common, bundle, outdir: Path):
     sol = find_exponent(args.i, args.R, args.N, args.p_lo, args.p_cap,
                         common["tol_rel"], common["tol_abs"])
-    path = outdir / "exponent.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"i": sol.i, "R": sol.R, "p_i": sol.p_i,
-                   "residual": sol.residual, "crossings": sol.crossings}, fh, indent=1)
-        fh.write("\n")
-    bundle.add_artifact(path)
+    bundle.add_artifact(outdir / "exponent.json",
+                        {"i": sol.i, "R": sol.R, "p_i": sol.p_i,
+                         "residual": sol.residual, "crossings": sol.crossings})
     bundle.add(CheckRecord(
         name="find-exponent",
         status=PASS,
@@ -364,15 +364,12 @@ def cmd_find_exponent(args, common, bundle, outdir: Path):
 def cmd_continuity(args, common, bundle, outdir: Path):
     rep = continuity_scan(args.i, args.N, args.p_grid,
                           common["tol_rel"], common["tol_abs"])
-    path = outdir / "continuity.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"grid": rep.refined_grid.tolist(),
-                   "values": rep.refined_values.tolist(),
-                   "modulus_coarse": rep.modulus_coarse,
-                   "modulus_fine": rep.modulus_fine,
-                   "ratio": rep.ratio}, fh, indent=1)
-        fh.write("\n")
-    bundle.add_artifact(path)
+    bundle.add_artifact(outdir / "continuity.json",
+                        {"grid": rep.refined_grid.tolist(),
+                         "values": rep.refined_values.tolist(),
+                         "modulus_coarse": rep.modulus_coarse,
+                         "modulus_fine": rep.modulus_fine,
+                         "ratio": rep.ratio})
     bundle.add(CheckRecord(
         name="continuity-refinement",
         status=PASS if rep.passed else FAIL,
@@ -385,21 +382,18 @@ def cmd_continuity(args, common, bundle, outdir: Path):
 
 
 def cmd_morse(args, common, bundle, outdir: Path):
+    check_cutoffs(args.deltas)
     params = ProblemParams(args.N, args.p, R=args.R)
     sol = solve_singular(params, r_end=1.05 * args.R, rtol=common["tol_rel"],
                          atol=common["tol_abs"])
     scan = morse_scan(params, sol, args.deltas)
-    path = outdir / "morse.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "classification": scan.classification.name,
-            "reports": [{"cutoff": rep.cutoff, "grid_size": rep.grid_size,
-                         "negative_count": rep.negative_count,
-                         "smallest_eigenvalues": list(rep.smallest_eigenvalues)}
-                        for rep in scan.reports],
-        }, fh, indent=1)
-        fh.write("\n")
-    bundle.add_artifact(path)
+    bundle.add_artifact(outdir / "morse.json", {
+        "classification": scan.classification.name,
+        "reports": [{"cutoff": rep.cutoff, "grid_size": rep.grid_size,
+                     "negative_count": rep.negative_count,
+                     "smallest_eigenvalues": list(rep.smallest_eigenvalues)}
+                    for rep in scan.reports],
+    })
     # the side of pJL predicts the classification; INCONCLUSIVE passes neither
     expected_unbounded = params.p < sol.constants.pJL
     expected = TailClass.UNBOUNDED if expected_unbounded else TailClass.SUPERCRITICAL_STABLE_TAIL
@@ -453,19 +447,14 @@ def cmd_hardy(args, common, bundle, outdir: Path):
             claim="projected-test-function-keeps-negative-discrete-form",
             margins={"quadratic_form": quad},
         ))
-    path = outdir / "hardy.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("j,J\n")
-        for j, value in rows:
-            fh.write(f"{j},{value:.17g}\n")
-    bundle.add_artifact(path)
+    bundle.add_artifact(outdir / "hardy.csv", (("j", "J"), rows))
 
 
 def cmd_verify_all(args, common, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
     r_end = args.r_end if args.r_end is not None else max(2.5, 2.0 * args.R)
     sol = solve_singular(params, r_end, common["tol_rel"], common["tol_abs"])
-    _emit_trajectory(sol.trajectory, outdir, "trajectory", common["emit"], common["full"], bundle)
+    _emit_trajectory(sol.trajectory, outdir, common, bundle)
     _verification_checks(bundle, sol, common["tol_rel"], common["tol_abs"])
 
 
@@ -493,6 +482,7 @@ def _read_point(path: Path) -> dict | None:
 def cmd_sweep(args, common, bundle, outdir: Path):
     if not args.p_list:
         raise ParameterError("sweep needs at least one power in --p-list")
+    _reject_repeats(args.p_list, "--p-list")
     points_dir = outdir / "points"
     points_dir.mkdir(exist_ok=True)
     payloads = [(args.N, args.i, p, common["tol_rel"], common["tol_abs"])
@@ -518,21 +508,13 @@ def cmd_sweep(args, common, bundle, outdir: Path):
             computed = [_sweep_point(pl) for _, pl in pending]
         for (k, _), res in zip(pending, computed):
             results[k] = res
-            cache = points_dir / f"point-{k:03d}.json"
-            # write-then-rename, so an interrupted sweep never leaves a
-            # truncated point behind
-            tmp = cache.with_name(cache.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(res, fh, indent=1)
-                fh.write("\n")
-            os.replace(tmp, cache)
-            bundle.add_artifact(cache)
+            bundle.add_artifact(points_dir / f"point-{k:03d}.json", res)
 
     ok = [res for res in results if res["status"] == "ok"]
     failed = [res for res in results if res["status"] != "ok"]
     for res in failed:
         bundle.add(CheckRecord(
-            name=f"sweep-point-p{res['p']:g}",
+            name=f"sweep-point-p{res['p']:.17g}",
             status=FAIL,
             claim="singular-solve-at-sweep-point",
             message=res.get("error", ""),
@@ -561,16 +543,9 @@ def cmd_sweep(args, common, bundle, outdir: Path):
         claim="sweep-point-cache",
         margins={"cached": n_cached, "computed": len(pending)},
     ))
-    path = outdir / "sweep.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("p,r_p,R_i,status\n")
-        for res in results:
-            if res["status"] == "ok":
-                rp = "" if res["r_p"] is None else f"{res['r_p']:.17g}"
-                fh.write(f"{res['p']:.17g},{rp},{res['R_i']:.17g},ok\n")
-            else:
-                fh.write(f"{res['p']:.17g},,,error\n")
-    bundle.add_artifact(path)
+    rows = [(res["p"], "" if res["r_p"] is None else res["r_p"], res["R_i"], "ok")
+            if res["status"] == "ok" else (res["p"], "", "", "error") for res in results]
+    bundle.add_artifact(outdir / "sweep.csv", (("p", "r_p", "R_i", "status"), rows))
 
 
 _HANDLERS = {
@@ -588,12 +563,8 @@ _HANDLERS = {
 
 def _public_config(args) -> dict:
     skip = {"command", "config", "out_dir", "jobs", "full"}
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        cfg[key] = value
-    return cfg
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in skip and value is not None}
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,6 @@ where u' rises through zero, and a run can stop at the i-th critical point.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -266,13 +265,11 @@ class RadialTrajectory:
         return idx
 
     def to_csv(self, path, max_rows: int = 10_000, full: bool = False) -> None:
+        # imported here, not with the module, so `import lntlab` stays light
+        from .reports import write_artifact
         idx = np.arange(self.r.size) if full else self.thinned_indices(max_rows)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,u,du,E\n")
-            for k in idx:
-                fh.write(
-                    f"{self.r[k]:.17g},{self.u[k]:.17g},{self.du[k]:.17g},{self.energy[k]:.17g}\n"
-                )
+        columns = (self.r[idx], self.u[idx], self.du[idx], self.energy[idx])
+        write_artifact(path, (("r", "u", "du", "E"), zip(*(c.tolist() for c in columns))))
 
     def to_json_dict(self, max_rows: int = 10_000, full: bool = False) -> dict:
         idx = np.arange(self.r.size) if full else self.thinned_indices(max_rows)
@@ -291,9 +288,8 @@ class RadialTrajectory:
         }
 
     def to_json(self, path, max_rows: int = 10_000, full: bool = False) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(max_rows=max_rows, full=full), fh, indent=1)
-            fh.write("\n")
+        from .reports import write_artifact
+        write_artifact(path, self.to_json_dict(max_rows=max_rows, full=full))
 
 
 def _vector_field(params: ProblemParams):

@@ -1,9 +1,10 @@
-"""Check records and report bundles produced by the command-line harness.
+"""Check records, report bundles and the one artifact writer.
 
 A bundle collects the per-check verdicts of one run together with the
 configuration that produced them. Every PASS/FAIL check carries a
 machine-readable ``claim`` slug naming the mathematical property it tests,
-so suites can be audited without parsing human-readable messages.
+so suites can be audited without parsing human-readable messages. Every file
+a run leaves, ``report.json`` included, is written by ``write_artifact``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["CheckRecord", "ReportBundle", "config_hash"]
+__all__ = ["CheckRecord", "ReportBundle", "config_hash", "write_artifact"]
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -45,6 +47,30 @@ def config_hash(config: dict) -> str:
     """Stable short hash of a configuration mapping."""
     canon = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
+def write_artifact(path, content) -> None:
+    """Write ``content`` to a sibling ``.tmp`` file and rename it to ``path``,
+    so an interrupted write leaves the previous file, or none, never a
+    truncated one. A dict is written as JSON (indent 1, trailing newline), a
+    ``(header, rows)`` pair as CSV: strings as they are, other cells at ``.17g``.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if isinstance(content, dict):
+                json.dump(content, fh, indent=1)
+                fh.write("\n")
+            else:
+                header, rows = content
+                fh.write(",".join(header) + "\n")
+                fh.writelines(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row])
+                              + "\n" for row in rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -90,15 +116,14 @@ class ReportBundle:
         self.checks.append(record)
         return record
 
-    def add_artifact(self, path) -> None:
+    def add_artifact(self, path, content=None) -> None:
+        """Register ``path``, writing ``content`` to it first when given."""
+        if content is not None:
+            write_artifact(path, content)
         self.artifacts.append(str(path))
 
     def worst_status(self) -> str:
-        worst = PASS
-        for c in self.checks:
-            if _STATUS_ORDER[c.status] > _STATUS_ORDER[worst]:
-                worst = c.status
-        return worst
+        return max((c.status for c in self.checks), key=_STATUS_ORDER.__getitem__, default=PASS)
 
     def exit_code(self) -> int:
         return 1 if self.worst_status() == FAIL else 0
@@ -117,9 +142,7 @@ class ReportBundle:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=1)
-            fh.write("\n")
+        write_artifact(path, self.as_dict())
 
     def summary_lines(self):
         for c in self.checks:

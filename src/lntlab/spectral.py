@@ -270,16 +270,8 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     return tuple(float(v) for v in vals)
 
 
-def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
-    """Grid-converged negative-eigenvalue counts along a decreasing cutoff list.
-
-    At each cutoff the grid is refined, doubling from GRID_START up to
-    GRID_CAP intervals, until two successive grids agree on the count; only
-    then is the count accepted. The tail is classified from at least two
-    counts: counts that keep increasing as the cutoff shrinks are UNBOUNDED,
-    a plateau at the last two cutoffs is SUPERCRITICAL_STABLE_TAIL, and
-    anything else, a single cutoff included, is INCONCLUSIVE.
-    """
+def check_cutoffs(deltas) -> list[float]:
+    """The cutoffs as floats: a non-empty, strictly decreasing list down to MIN_CUTOFF."""
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ParameterError("at least one cutoff is required")
@@ -290,6 +282,20 @@ def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
             f"cutoff {deltas[-1]} below {MIN_CUTOFF}: eigenvalues of order "
             "delta**-2 leave double range"
         )
+    return deltas
+
+
+def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
+    """Grid-converged negative-eigenvalue counts along a decreasing cutoff list.
+
+    At each cutoff the grid is refined, doubling from GRID_START up to
+    GRID_CAP intervals, until two successive grids agree on the count; only
+    then is the count accepted. The tail is classified from at least two
+    counts: counts that keep increasing as the cutoff shrinks are UNBOUNDED,
+    a plateau at the last two cutoffs is SUPERCRITICAL_STABLE_TAIL, and
+    anything else, a single cutoff included, is INCONCLUSIVE.
+    """
+    deltas = check_cutoffs(deltas)
     reports = []
     for delta in deltas:
         size, prev_count = GRID_START, None

@@ -209,6 +209,17 @@ def test_morse_command_near_threshold_inputs(tmp_path, flags):
     assert blob["classification"] == ("UNBOUNDED" if unbounded else "SUPERCRITICAL_STABLE_TAIL")
 
 
+@pytest.mark.parametrize("deltas", [",", "1e-2,1e-2"])
+def test_morse_rejects_cutoffs_before_solving(tmp_path, monkeypatch, deltas):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_singular called")
+
+    monkeypatch.setattr(cli, "solve_singular", no_solve)
+    assert run_cli(["morse", "--N", 5, "--p", 10, "--deltas", deltas,
+                    "--out-dir", tmp_path]) == 2
+    assert not list(tmp_path.glob("run-*"))
+
+
 def test_hardy_command(tmp_path):
     assert run_cli(["hardy", "--N", 5, "--p", 10, "--eps0", 1.0, "--j-max", 2,
                     "--out-dir", tmp_path]) == 0
@@ -285,6 +296,13 @@ def test_non_finite_input_exits_2(tmp_path, flags):
     *[["branch", "--i", "2", "--R", "1", "--N", "12", "--gamma-list", "5",
        "--p-bracket", bracket] for bracket in ("150", "150,200,250")],
     ["sweep", "--N", "5", "--p-list", ","],
+    # a repeated value would name two checks alike
+    ["branch", "--i", "1", "--R", "1", "--N", "5", "--gamma-list", "5,5",
+     "--p-bracket", "10,40"],
+    ["sweep", "--N", "5", "--p-list", "2,2"],
+    # a format with no writer, or none at all
+    *[["singular", "--N", "5", "--p", "20", "--r-end", "1", "--emit", emit]
+      for emit in ("xml", "csv,xml", ",")],
 ])
 def test_config_error_leaves_no_run_directory(tmp_path, flags):
     out = run_child([*flags, "--out-dir", tmp_path])
@@ -331,11 +349,15 @@ def test_singular_exit_codes(tmp_path, flags, codes):
         assert runs and all((r / "report.json").is_file() for r in runs)
 
 
+def _readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("lntlab ")]
+
+
 def test_readme_cli_examples_parse():
     # every example in the README's CLI block names only existing flags
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    examples = [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
-                if line.startswith("lntlab ")]
+    examples = _readme_examples()
     assert len(examples) >= 9
     parser = build_parser()
     for argv in examples:
@@ -367,7 +389,7 @@ def test_large_power_singular_exits_0(tmp_path):
     assert solve["margins"]["n_critical"] > 300
 
 
-def test_sweep_recomputes_truncated_point(tmp_path):
+def test_sweep_recomputes_truncated_point(tmp_path, monkeypatch):
     base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
             "--jobs", 1, "--out-dir", tmp_path]
     assert run_cli(base) == 0
@@ -381,3 +403,30 @@ def test_sweep_recomputes_truncated_point(tmp_path):
     resume = next(c for c in rep["checks"] if c["name"] == "sweep-resume")
     assert resume["margins"] == {"cached": 1, "computed": 1}
     assert points[0].read_bytes() == good
+
+    # a rerun interrupted before its first rename (of sweep.csv) leaves every
+    # previous file whole and no .tmp behind
+    run_dir = points[0].parents[1]
+    before = {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()}
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(base)
+    assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
+
+
+# branch alone takes about a second
+@pytest.mark.parametrize("argv", [a for a in _readme_examples() if a[0] != "branch"],
+                         ids=lambda argv: argv[0])
+def test_readme_example_writes_only_its_artifacts(tmp_path, monkeypatch, argv):
+    # every file of a run is report.json or a listed artifact, none a leftover .tmp
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool([], max_workers))
+    assert run_cli([*argv, "--out-dir", tmp_path]) == 0
+    (run_dir,) = tmp_path.glob("run-*")
+    written = {f for f in run_dir.rglob("*") if f.is_file()}
+    listed = {Path(a) for a in read_report(tmp_path)["artifacts"]}
+    assert written == {run_dir / "report.json"} | listed

@@ -266,6 +266,26 @@ def test_eta_integration_matches_radial():
     assert np.max(np.abs(u_eta - u_direct) / np.abs(u_direct)) < 1e-8
 
 
+@pytest.mark.parametrize("delta", [(1e-3, 0.0), (0.0, 1e-3)])
+def test_eta_difference_from_zero_component(delta):
+    # a difference with a zero component (zero value, zero atol) starts and
+    # matches the difference of two radial integrations mapped to eta
+    params = ProblemParams(5, 20.0)
+    c = derive_constants(params)
+    lem = lemma_constants(params)
+    z0 = -math.log(lem.rtilde_p / 16.0) / c.m
+    r1 = 4.0 * lem.rtilde_p
+    z1 = -math.log(r1) / c.m
+    f0 = c.Dp * math.exp(-2.0 * c.m * z0)
+    start = EtaState(z0, f0, -2.0 * c.m * f0)
+    path = integrate_eta_difference(c, params.p, start, delta, z1)
+    assert path.status == "ok"
+    moved = EtaState(z0, start.eta + delta[0], start.deta + delta[1])
+    eta_end = [integrate_adaptive(params, _eta_to_u(st, c), r1).u[-1] * r1**c.theta / c.A - 1.0
+               for st in (start, moved)]
+    assert path.sample([z1])[1][0] == pytest.approx(eta_end[1] - eta_end[0], rel=1e-6)
+
+
 def test_half_density_form_residual(sing_5_20):
     # w = r**((N-1)/2) (u - 1) satisfies the half-density equation; the
     # discrete second difference shows the O(h**2) truncation error
