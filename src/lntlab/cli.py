@@ -64,14 +64,6 @@ _RUNTIME_ERRORS = (
     PositivityError,
 )
 
-DEFAULTS = {
-    "tol_rel": 1e-10,
-    "tol_abs": 1e-12,
-    "out_dir": "runs",
-    "emit": "csv",
-    "jobs": os.cpu_count() or 1,
-}
-
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -85,7 +77,16 @@ def _grid_spec(text: str) -> list[float]:
     return _float_list(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(file_values: dict | None = None) -> argparse.ArgumentParser:
+    """The parser; every command declares only the settings it reads.
+
+    ``file_values`` holds a config file's ``key = value`` strings. Each one
+    replaces the declared default of its setting, and argparse converts it
+    with that setting's type, so a flag still wins. A key this command does
+    not declare is ignored; a key no command declares is a ParameterError.
+    """
+    file_values = file_values or {}
+    known = set()
     parser = argparse.ArgumentParser(
         prog="lntlab",
         description=(
@@ -96,20 +97,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file supplying defaults; flags win")
-        p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-        p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-        p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-        p.add_argument("--emit", "--format", dest="emit", type=str, default=None,
-                       help="artifact format: csv, json, or csv,json")
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--full", action="store_true",
-                       help="do not thin trajectories on serialization")
+    def setting(p, flag, default, **kwargs):
+        dest = flag[2:].replace("-", "_")
+        known.add(dest)
+        p.add_argument(flag, dest=dest, default=file_values.get(dest, default), **kwargs)
 
-    p = sub.add_parser("singular", help="construct the singular solution")
-    add_common(p)
+    def command(name, help, tol=True, emit=False, jobs=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key = value file of settings; flags win")
+        setting(p, "--out-dir", "runs")
+        if tol:
+            setting(p, "--tol-rel", 1e-10, type=float)
+            setting(p, "--tol-abs", 1e-12, type=float)
+        if emit:
+            setting(p, "--emit", "csv", help="trajectory formats: csv, json or csv,json")
+            p.add_argument("--full", action="store_true",
+                           help="do not thin trajectories on serialization")
+        if jobs:
+            setting(p, "--jobs", os.cpu_count() or 1, type=int)
+        return p
+
+    p = command("singular", "construct the singular solution", emit=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--R", type=float, default=None)
@@ -117,63 +125,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-bounds", dest="check_bounds", action="store_true",
                    help="run the origin-envelope and derivative reports")
 
-    p = sub.add_parser("shoot", help="integrate a regular initial-value solution")
-    add_common(p)
+    p = command("shoot", "integrate a regular initial-value solution", emit=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--r-end", dest="r_end", type=float, required=True)
 
-    p = sub.add_parser("branch", help="sample the upper-branch diagram at fixed gamma values")
-    add_common(p)
+    p = command("branch", "sample the upper-branch diagram at fixed gamma values")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--gamma-list", dest="gamma_list", type=_float_list, required=True)
     p.add_argument("--p-bracket", dest="p_bracket", type=_float_list, required=True)
 
-    p = sub.add_parser("find-exponent", help="power with prescribed i-th critical radius")
-    add_common(p)
+    p = command("find-exponent", "power with prescribed i-th critical radius")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p-lo", dest="p_lo", type=float, required=True)
     p.add_argument("--p-cap", dest="p_cap", type=float, default=1e4)
 
-    p = sub.add_parser("continuity", help="refinement study of p -> R_p^i")
-    add_common(p)
+    p = command("continuity", "refinement study of p -> R_p^i")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p-grid", dest="p_grid", type=_grid_spec, required=True,
                    help="'lo:hi:n' or comma list")
 
-    p = sub.add_parser("morse", help="negative-eigenvalue counts along shrinking cutoffs")
-    add_common(p)
+    p = command("morse", "negative-eigenvalue counts along shrinking cutoffs")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--deltas", type=_float_list, default=[1e-2, 1e-3, 1e-4])
 
-    p = sub.add_parser("hardy", help="negativity certificates from Hardy test functions")
-    add_common(p)
+    p = command("hardy", "negativity certificates from Hardy test functions", tol=False)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps0", type=float, default=0.35)
     p.add_argument("--j-max", dest="j_max", type=int, default=5)
 
-    p = sub.add_parser("verify-all", help="run the verification checks on one instance")
-    add_common(p)
+    p = command("verify-all", "run the verification checks on one instance", emit=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--r-end", dest="r_end", type=float, default=None)
 
-    p = sub.add_parser("sweep", help="power sweep of the singular critical radii")
-    add_common(p)
+    p = command("sweep", "power sweep of the singular critical radii", jobs=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--p-list", dest="p_list", type=_float_list, required=True)
 
+    unknown = sorted(file_values.keys() - known)
+    if unknown:
+        raise ParameterError(f"config keys {unknown} name no setting; known: {sorted(known)}")
     return parser
 
 
@@ -190,37 +193,27 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve_common(args) -> dict:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-
-    def pick(name, cast):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            return cast(file_cfg[name])
-        return DEFAULTS[name]
-
-    common = {
-        "tol_rel": pick("tol_rel", float),
-        "tol_abs": pick("tol_abs", float),
-        "out_dir": pick("out_dir", str),
-        "emit": pick("emit", str),
-        "jobs": int(pick("jobs", int)),
-        "full": bool(getattr(args, "full", False)),
-    }
-    if not (0.0 < common["tol_rel"] < 1.0 and 0.0 <= common["tol_abs"] < math.inf):
+def _check_settings(args) -> None:
+    """Reject settings outside their ranges; ``emit`` becomes its sorted formats."""
+    if "tol_rel" in vars(args) and not (0.0 < args.tol_rel < 1.0
+                                        and 0.0 <= args.tol_abs < math.inf):
         raise ParameterError(
             "tolerances must satisfy 0 < tol_rel < 1 and 0 <= tol_abs < inf, got "
-            f"tol_rel={common['tol_rel']}, tol_abs={common['tol_abs']}"
+            f"tol_rel={args.tol_rel}, tol_abs={args.tol_abs}"
         )
-    if common["jobs"] < 1:
-        raise ParameterError(f"jobs must be at least 1, got {common['jobs']}")
-    formats = {tok.strip() for tok in common["emit"].split(",") if tok.strip()}
-    if not formats or not formats <= {"csv", "json"}:
-        raise ParameterError(f"emit takes csv, json or csv,json; got {common['emit']!r}")
-    common["emit"] = formats
-    return common
+    if getattr(args, "jobs", 1) < 1:
+        raise ParameterError(f"jobs must be at least 1, got {args.jobs}")
+    if "emit" in vars(args):
+        formats = {tok.strip() for tok in args.emit.split(",") if tok.strip()}
+        if not formats or not formats <= {"csv", "json"}:
+            raise ParameterError(f"emit takes csv, json or csv,json; got {args.emit!r}")
+        args.emit = sorted(formats)
+
+
+def _check_powers(N: int, powers) -> None:
+    # every power of a list is a valid instance before the first solve
+    for p in powers:
+        ProblemParams(N, p)
 
 
 def _reject_repeats(values, flag: str) -> None:
@@ -229,11 +222,11 @@ def _reject_repeats(values, flag: str) -> None:
         raise ParameterError(f"{flag} repeats a value: {values}")
 
 
-def _emit_trajectory(traj, outdir: Path, common: dict, bundle):
+def _emit_trajectory(traj, outdir: Path, args, bundle):
     for fmt, write in (("csv", traj.to_csv), ("json", traj.to_json)):
-        if fmt in common["emit"]:
+        if fmt in args.emit:
             path = outdir / f"trajectory.{fmt}"
-            write(path, full=common["full"])
+            write(path, full=args.full)
             bundle.add_artifact(path)
 
 
@@ -284,10 +277,10 @@ def _verification_checks(bundle, sol, rtol, atol):
     _energy_checks(bundle, sol.trajectory, rtol, atol)
 
 
-def cmd_singular(args, common, bundle, outdir: Path):
+def cmd_singular(args, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
-    sol = solve_singular(params, args.r_end, common["tol_rel"], common["tol_abs"])
-    _emit_trajectory(sol.trajectory, outdir, common, bundle)
+    sol = solve_singular(params, args.r_end, args.tol_rel, args.tol_abs)
+    _emit_trajectory(sol.trajectory, outdir, args, bundle)
     bundle.add(CheckRecord(
         name="singular-solve",
         status=PASS,
@@ -297,13 +290,13 @@ def cmd_singular(args, common, bundle, outdir: Path):
                  "seed_truncation": sol.seed_truncation},
     ))
     if args.check_bounds:
-        _verification_checks(bundle, sol, common["tol_rel"], common["tol_abs"])
+        _verification_checks(bundle, sol, args.tol_rel, args.tol_abs)
 
 
-def cmd_shoot(args, common, bundle, outdir: Path):
+def cmd_shoot(args, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p)
-    result = shoot(args.gamma, params, args.r_end, common["tol_rel"], common["tol_abs"])
-    _emit_trajectory(result.trajectory, outdir, common, bundle)
+    result = shoot(args.gamma, params, args.r_end, args.tol_rel, args.tol_abs)
+    _emit_trajectory(result.trajectory, outdir, args, bundle)
     status = PASS if not result.nonpositive else INFO
     bundle.add(CheckRecord(
         name="shoot",
@@ -313,10 +306,10 @@ def cmd_shoot(args, common, bundle, outdir: Path):
         message=result.trajectory.message,
     ))
     if not result.nonpositive:
-        _energy_checks(bundle, result.trajectory, common["tol_rel"], common["tol_abs"])
+        _energy_checks(bundle, result.trajectory, args.tol_rel, args.tol_abs)
 
 
-def cmd_branch(args, common, bundle, outdir: Path):
+def cmd_branch(args, bundle, outdir: Path):
     if not args.gamma_list or len(args.p_bracket) != 2:
         raise ParameterError(
             "branch needs at least one gamma and a bracket of two powers lo,hi; got "
@@ -329,7 +322,7 @@ def cmd_branch(args, common, bundle, outdir: Path):
         try:
             p_found = branch_sample(
                 args.i, args.R, args.N, gamma, tuple(args.p_bracket),
-                common["tol_rel"], common["tol_abs"],
+                args.tol_rel, args.tol_abs,
             )
             rows.append((gamma, p_found))
             bundle.add(CheckRecord(
@@ -346,9 +339,9 @@ def cmd_branch(args, common, bundle, outdir: Path):
     bundle.add_artifact(outdir / "branch.csv", (("gamma", "p"), rows))
 
 
-def cmd_find_exponent(args, common, bundle, outdir: Path):
+def cmd_find_exponent(args, bundle, outdir: Path):
     sol = find_exponent(args.i, args.R, args.N, args.p_lo, args.p_cap,
-                        common["tol_rel"], common["tol_abs"])
+                        args.tol_rel, args.tol_abs)
     bundle.add_artifact(outdir / "exponent.json",
                         {"i": sol.i, "R": sol.R, "p_i": sol.p_i,
                          "residual": sol.residual, "crossings": sol.crossings})
@@ -361,9 +354,10 @@ def cmd_find_exponent(args, common, bundle, outdir: Path):
     ))
 
 
-def cmd_continuity(args, common, bundle, outdir: Path):
+def cmd_continuity(args, bundle, outdir: Path):
+    _check_powers(args.N, args.p_grid)
     rep = continuity_scan(args.i, args.N, args.p_grid,
-                          common["tol_rel"], common["tol_abs"])
+                          args.tol_rel, args.tol_abs)
     bundle.add_artifact(outdir / "continuity.json",
                         {"grid": rep.refined_grid.tolist(),
                          "values": rep.refined_values.tolist(),
@@ -381,11 +375,11 @@ def cmd_continuity(args, common, bundle, outdir: Path):
     ))
 
 
-def cmd_morse(args, common, bundle, outdir: Path):
-    check_cutoffs(args.deltas)
+def cmd_morse(args, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
-    sol = solve_singular(params, r_end=1.05 * args.R, rtol=common["tol_rel"],
-                         atol=common["tol_abs"])
+    check_cutoffs(args.deltas, params.R)
+    sol = solve_singular(params, r_end=1.05 * args.R, rtol=args.tol_rel,
+                         atol=args.tol_abs)
     scan = morse_scan(params, sol, args.deltas)
     bundle.add_artifact(outdir / "morse.json", {
         "classification": scan.classification.name,
@@ -407,7 +401,7 @@ def cmd_morse(args, common, bundle, outdir: Path):
     ))
 
 
-def cmd_hardy(args, common, bundle, outdir: Path):
+def cmd_hardy(args, bundle, outdir: Path):
     if args.j_max < 1:
         raise ParameterError(f"j_max must be at least 1, got {args.j_max}")
     params = ProblemParams(args.N, args.p)
@@ -450,12 +444,12 @@ def cmd_hardy(args, common, bundle, outdir: Path):
     bundle.add_artifact(outdir / "hardy.csv", (("j", "J"), rows))
 
 
-def cmd_verify_all(args, common, bundle, outdir: Path):
+def cmd_verify_all(args, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
     r_end = args.r_end if args.r_end is not None else max(2.5, 2.0 * args.R)
-    sol = solve_singular(params, r_end, common["tol_rel"], common["tol_abs"])
-    _emit_trajectory(sol.trajectory, outdir, common, bundle)
-    _verification_checks(bundle, sol, common["tol_rel"], common["tol_abs"])
+    sol = solve_singular(params, r_end, args.tol_rel, args.tol_abs)
+    _emit_trajectory(sol.trajectory, outdir, args, bundle)
+    _verification_checks(bundle, sol, args.tol_rel, args.tol_abs)
 
 
 def _sweep_point(payload):
@@ -466,7 +460,7 @@ def _sweep_point(payload):
         return {"p": p, "status": "ok",
                 "r_p": sol.r_p,
                 "R_i": sol.critical_radii[i - 1]}
-    except (ParameterError, *_RUNTIME_ERRORS) as exc:
+    except _RUNTIME_ERRORS as exc:
         return {"p": p, "status": "error", "error": str(exc)}
 
 
@@ -479,13 +473,14 @@ def _read_point(path: Path) -> dict | None:
     return point if isinstance(point, dict) and "status" in point else None
 
 
-def cmd_sweep(args, common, bundle, outdir: Path):
+def cmd_sweep(args, bundle, outdir: Path):
     if not args.p_list:
         raise ParameterError("sweep needs at least one power in --p-list")
     _reject_repeats(args.p_list, "--p-list")
+    _check_powers(args.N, args.p_list)
     points_dir = outdir / "points"
     points_dir.mkdir(exist_ok=True)
-    payloads = [(args.N, args.i, p, common["tol_rel"], common["tol_abs"])
+    payloads = [(args.N, args.i, p, args.tol_rel, args.tol_abs)
                 for p in args.p_list]
     results = [None] * len(payloads)
     pending = []
@@ -500,7 +495,7 @@ def cmd_sweep(args, common, bundle, outdir: Path):
     if pending:
         # the pool forks all its workers at the first submit, so never more
         # than there are points to compute
-        workers = min(common["jobs"], len(pending))
+        workers = min(args.jobs, len(pending))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(_sweep_point, [pl for _, pl in pending]))
@@ -561,30 +556,25 @@ _HANDLERS = {
 }
 
 
-def _public_config(args) -> dict:
-    skip = {"command", "config", "out_dir", "jobs", "full"}
-    return {key: value for key, value in sorted(vars(args).items())
-            if key not in skip and value is not None}
+# where and how a run works, not what it computes; the bundle adds the command
+_UNHASHED = {"command", "config", "out_dir", "jobs"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     created = False
     try:
-        common = _resolve_common(args)
-        config = _public_config(args)
-        config.setdefault("tol_rel", common["tol_rel"])
-        config.setdefault("tol_abs", common["tol_abs"])
-        bundle = ReportBundle(
-            command=args.command,
-            config=config,
-            tolerances={"rel": common["tol_rel"], "abs": common["tol_abs"]},
-        )
-        outdir = Path(common["out_dir"]) / f"run-{bundle.hash}"
+        if args.config:
+            # the file's values become the declared defaults, so flags still win
+            args = build_parser(_read_config_file(args.config)).parse_args(argv)
+        _check_settings(args)
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in _UNHASHED}
+        tolerances = {"rel": args.tol_rel, "abs": args.tol_abs} if "tol_rel" in config else {}
+        bundle = ReportBundle(command=args.command, config=config, tolerances=tolerances)
+        outdir = Path(args.out_dir) / f"run-{bundle.hash}"
         created = not outdir.exists()
         outdir.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[args.command](args, common, bundle, outdir)
+        _HANDLERS[args.command](args, bundle, outdir)
     except (ParameterError, FileNotFoundError) as exc:
         # a configuration error leaves no run directory behind
         if created:

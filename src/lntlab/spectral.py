@@ -270,13 +270,18 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     return tuple(float(v) for v in vals)
 
 
-def check_cutoffs(deltas) -> list[float]:
-    """The cutoffs as floats: a non-empty, strictly decreasing list down to MIN_CUTOFF."""
+def check_cutoffs(deltas, R) -> list[float]:
+    """The cutoffs as floats: a non-empty, strictly decreasing list of finite
+    values below the ball radius R and down to MIN_CUTOFF."""
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ParameterError("at least one cutoff is required")
+    if not all(math.isfinite(d) for d in deltas):
+        raise ParameterError(f"cutoffs must be finite, got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ParameterError("cutoffs must be strictly decreasing")
+    if R is None or not deltas[0] < R:
+        raise ParameterError(f"cutoffs must lie below the ball radius R={R}, got {deltas[0]}")
     if not deltas[-1] >= MIN_CUTOFF:
         raise ParameterError(
             f"cutoff {deltas[-1]} below {MIN_CUTOFF}: eigenvalues of order "
@@ -295,7 +300,7 @@ def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
     a plateau at the last two cutoffs is SUPERCRITICAL_STABLE_TAIL, and
     anything else, a single cutoff included, is INCONCLUSIVE.
     """
-    deltas = check_cutoffs(deltas)
+    deltas = check_cutoffs(deltas, params.R)
     reports = []
     for delta in deltas:
         size, prev_count = GRID_START, None

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -78,6 +79,33 @@ def test_malformed_config_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["tolrel = 1e-3", "N = 7", "bogus = 1"])
+def test_config_key_naming_no_setting_rejected(tmp_path, line):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(["shoot", "--gamma", 2, "--N", 5, "--p", 20, "--r-end", 1,
+                    "--config", cfg, "--out-dir", tmp_path / "runs"]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_file_settings_resolve_like_flags(tmp_path):
+    # one lab file serves every command: a setting this command does not
+    # take is ignored, and a file value hashes as the same flag would
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("jobs = 2\nemit = json\n")
+    assert run_cli(["morse", "--N", 12, "--p", 5, "--deltas", "1e-2,1e-3",
+                    "--config", cfg, "--out-dir", tmp_path / "morse"]) == 0
+    names = {}
+    for key, flags in {"file": ["--config", cfg], "flag": ["--emit", "json"],
+                       "full": ["--emit", "json", "--full"], "default": []}.items():
+        assert run_cli(["singular", "--N", 5, "--p", 20, "--r-end", 1, *flags,
+                        "--out-dir", tmp_path / key]) == 0
+        (run,) = (tmp_path / key).glob("run-*")
+        names[key] = run.name
+    assert names["file"] == names["flag"]
+    assert len({names["flag"], names["full"], names["default"]}) == 3
+
+
 def test_sweep_fresh_resume_and_failure_demotion(tmp_path):
     base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
             "--jobs", 1, "--out-dir", tmp_path]
@@ -94,13 +122,17 @@ def test_sweep_fresh_resume_and_failure_demotion(tmp_path):
     resume = next(c for c in rep["checks"] if c["name"] == "sweep-resume")
     assert resume["margins"] == {"cached": 2, "computed": 0}
 
-    # a subcritical point fails, which demotes the trend check to INFO
-    code = run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "2,10,20",
+    # a point that fails at runtime (p = p_S at N = 23 has no admissible
+    # smallness constant) demotes the trend check to INFO
+    code = run_cli(["sweep", "--N", 23, "--i", 1, "--p-list", "1.1904761904761905,2,3",
                     "--jobs", 1, "--out-dir", tmp_path / "mixed"])
     assert code == 1
     rep = read_report(tmp_path / "mixed")
-    trend = next(c for c in rep["checks"] if c["name"] == "critical-radius-decay-trend")
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["sweep-point-p1.1904761904761905"]["message"].startswith("no admissible")
+    trend = checks["critical-radius-decay-trend"]
     assert trend["status"] == "INFO"
+    assert len(trend["margins"]["R_i"]) == 2
     assert rep["worst_status"] == "FAIL"
 
     # one point shows no trend either
@@ -209,7 +241,8 @@ def test_morse_command_near_threshold_inputs(tmp_path, flags):
     assert blob["classification"] == ("UNBOUNDED" if unbounded else "SUPERCRITICAL_STABLE_TAIL")
 
 
-@pytest.mark.parametrize("deltas", [",", "1e-2,1e-2"])
+# empty, not decreasing, not finite, not below R = 1
+@pytest.mark.parametrize("deltas", [",", "1e-2,1e-2", "1e-2,nan,1e-4", "2,1e-2"])
 def test_morse_rejects_cutoffs_before_solving(tmp_path, monkeypatch, deltas):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_singular called")
@@ -303,6 +336,10 @@ def test_non_finite_input_exits_2(tmp_path, flags):
     # a format with no writer, or none at all
     *[["singular", "--N", "5", "--p", "20", "--r-end", "1", "--emit", emit]
       for emit in ("xml", "csv,xml", ",")],
+    # every power of a list is checked before the first solve
+    ["sweep", "--N", "5", "--p-list", "nan"],
+    ["sweep", "--N", "5", "--p-list", "2,10"],
+    ["continuity", "--i", "1", "--N", "5", "--p-grid", "10,nan,20,30"],
 ])
 def test_config_error_leaves_no_run_directory(tmp_path, flags):
     out = run_child([*flags, "--out-dir", tmp_path])
@@ -363,6 +400,45 @@ def test_readme_cli_examples_parse():
     for argv in examples:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+# every command declares only the settings it reads
+SETTINGS = {"config", "out_dir", "tol_rel", "tol_abs"}
+TRAJECTORY = SETTINGS | {"emit", "full"}
+DECLARED = {
+    "singular": TRAJECTORY | {"N", "p", "R", "r_end", "check_bounds"},
+    "shoot": TRAJECTORY | {"gamma", "N", "p", "r_end"},
+    "branch": SETTINGS | {"i", "R", "N", "gamma_list", "p_bracket"},
+    "find-exponent": SETTINGS | {"i", "R", "N", "p_lo", "p_cap"},
+    "continuity": SETTINGS | {"i", "N", "p_grid"},
+    "morse": SETTINGS | {"N", "p", "R", "deltas"},
+    "hardy": {"config", "out_dir", "N", "p", "eps0", "j_max"},
+    "verify-all": TRAJECTORY | {"N", "p", "R", "r_end"},
+    "sweep": SETTINGS | {"jobs", "N", "i", "p_list"},
+}
+
+
+def test_each_command_declares_only_the_settings_it_reads():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {name: {a.dest for a in p._actions if a.dest != "help"}
+                for name, p in sub.choices.items()}
+    assert declared == DECLARED
+    assert sum(map(len, declared.values())) == 78
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--N", "5", "--p", "20", "--r-end", "1", "--format", "csv"],
+    ["morse", "--N", "5", "--p", "10", "--jobs", "2"],
+    ["hardy", "--N", "5", "--p", "10", "--tol-rel", "1e-3"],
+    ["find-exponent", "--i", "1", "--R", "1", "--N", "5", "--p-lo", "6", "--emit", "json"],
+    ["continuity", "--i", "1", "--N", "5", "--p-grid", "15:30:6", "--full"],
+], ids=["singular-format", "morse-jobs", "hardy-tol-rel", "find-exponent-emit",
+        "continuity-full"])
+def test_undeclared_flag_exits_2(tmp_path, argv):
+    out = run_child([*argv, "--out-dir", tmp_path])
+    assert out.returncode == 2, out.stderr
+    assert "unrecognized arguments" in out.stderr
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_runtime_error_writes_failure_report(tmp_path):
