@@ -22,16 +22,13 @@ from .errors import (
 )
 from .exponents import ExponentSolution, continuity_scan, find_exponent, find_istar
 from .ode import (
-    EtaState,
+    DifferencePath,
     PointKind,
     RadialState,
     RadialTrajectory,
     energy_rate_deviation,
     integrate_adaptive,
-    integrate_eta_difference,
-    rhs_eta,
-    rhs_eta_difference,
-    transform_u_to_eta,
+    integrate_difference,
 )
 from .params import (
     AsymptoticLimits,

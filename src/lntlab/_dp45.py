@@ -3,7 +3,7 @@ output.
 
 :func:`solve` follows the step rules of scipy's RK45, so it takes the same
 steps for the same problem, without the per-step cost of small numpy arrays.
-The radial and log-radius integrations in :mod:`lntlab.ode` all run on it.
+The radial integrations of :mod:`lntlab.ode` all run on it, outward.
 Each trial step is one call of a kernel generated from the tableau and
 compiled once per state size (:func:`_trial_step`), which writes out every
 component's stage sums on local variables. A step of the radial equation
@@ -69,16 +69,12 @@ class Dense:
 
     Step k starts at ``ts[k]`` from state ``y0[k]`` (shape (m, n)), has
     length ``h[k]`` and coefficients ``Q[k]`` (shape (m, n, 4)). A query on
-    a breakpoint takes the step that ends there; ``ts`` may run in either
-    direction, and its last entry may cut the last step short (a terminal
-    event).
+    a breakpoint takes the step that ends there; ``ts`` increases, and its
+    last entry may cut the last step short (a terminal event).
     """
 
     def __init__(self, ts, h, y0, Q):
-        ts = np.asarray(ts, dtype=float)
-        self._ts = ts
-        self._sign = 1.0 if ts[-1] >= ts[0] else -1.0
-        self._key = self._sign * ts  # increasing, for searchsorted
+        self._ts = np.asarray(ts, dtype=float)
         self._h = np.asarray(h, dtype=float)
         # per component, so a query copies one (m,) array at a time
         self._y0 = np.asarray(y0, dtype=float).T
@@ -86,7 +82,7 @@ class Dense:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        k = np.searchsorted(self._key, self._sign * t, side="left") - 1
+        k = np.searchsorted(self._ts, t, side="left") - 1
         k = np.clip(k, 0, self._h.size - 1)
         h = self._h[k]
         x = (t - self._ts[k]) / h
@@ -100,16 +96,16 @@ def _rms(x, scale) -> float:
     return math.sqrt(sum(terms)) / math.sqrt(len(terms))
 
 
-def _initial_step(fun, t0, y0, f0, t_end, direction, rtol, atol) -> float:
+def _initial_step(fun, t0, y0, f0, t_end, rtol, atol) -> float:
     """Hairer's starting step for a fifth-order pair with a fourth-order
     error estimate (scipy's ``select_initial_step``)."""
-    interval = abs(t_end - t0)
+    interval = t_end - t0
     scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction, tuple(v + h0 * direction * g for v, g in zip(y0, f0)))
+    f1 = fun(t0 + h0, tuple(v + h0 * g for v, g in zip(y0, f0)))
     d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -215,8 +211,8 @@ class Run:
 
 
 def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
-    """Integrate y' = fun(t, y) from t0 to t_end with the Dormand-Prince 5(4)
-    pair on tuples of floats.
+    """Integrate y' = fun(t, y) from t0 forward to t_end > t0 with the
+    Dormand-Prince 5(4) pair on tuples of floats.
 
     The step rules are those of scipy's RK45, so the same steps are taken:
     FSAL stages, Hairer's starting step, the RMS error norm with scale
@@ -232,16 +228,15 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
     the sign change that g shows at the accepted states, the search takes
     those values at the step's ends.
     """
-    if t_end == t0:
-        raise ParameterError(f"empty integration span at t={t0}")
+    if not t_end > t0:
+        raise ParameterError(f"integration runs forward: t_end={t_end} must exceed t0={t0}")
     n = len(y0)
     y = tuple(float(v) for v in y0)
     rtol = max(rtol, 100 * _EPS)
     atol = tuple(atol) if isinstance(atol, tuple) else (atol,) * n
-    direction = 1.0 if t_end > t0 else -1.0
     t = t0
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end, direction, rtol, atol)
+    h_abs = _initial_step(fun, t, y, f, t_end, rtol, atol)
     nfev, n_accepted, n_rejected = 2, 0, 0
     # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
@@ -258,7 +253,7 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
             status = "failed"
             message = f"Step budget of {MAX_STEPS} accepted steps exhausted."
             break
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -266,11 +261,8 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
                 status = "failed"
                 message = "Required step size is less than spacing between numbers."
                 break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
             nfev += 6
             try:
                 y_new, f_new, err, K = step(fun, t, y, f, h, rtol, atol)
@@ -294,7 +286,7 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
         t, y, f = t_new, y_new, f_new
         hs.append(h)
         stages.extend(K)
-        if direction * (t - t_end) >= 0:
+        if t >= t_end:
             status = "finished"
         # one pass over the events: g is updated in place, and the old value
         # of each event that changed sign is kept for its crossing
@@ -328,7 +320,7 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
             done = {j for j in active if 0 < events[j].terminal <= counts[j]}
             if done:
                 # keep the zeros up to the first one that ends the run
-                active.sort(key=lambda j: direction * roots[j])
+                active.sort(key=roots.get)
                 active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
                 status = "event"
                 t = roots[active[-1]]

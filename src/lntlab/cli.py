@@ -230,8 +230,8 @@ def _emit_trajectory(traj, outdir: Path, args, bundle):
             bundle.add_artifact(path)
 
 
-def _energy_checks(bundle, traj, rtol, atol):
-    rise = traj.max_energy_rise(rtol, atol)
+def _energy_checks(bundle, traj):
+    rise = traj.max_energy_rise()
     bundle.add(CheckRecord(
         name="energy-monotonicity",
         status=PASS if rise <= 1.0 else FAIL,
@@ -247,7 +247,7 @@ def _energy_checks(bundle, traj, rtol, atol):
     ))
 
 
-def _verification_checks(bundle, sol, rtol, atol):
+def _verification_checks(bundle, sol):
     ob = verify_origin_bounds(sol)
     bundle.add(CheckRecord(
         name="origin-sandwich",
@@ -274,7 +274,7 @@ def _verification_checks(bundle, sol, rtol, atol):
                  "margin": tr.margin, "limit_computed": tr.limit_computed},
         message=f"limit sits {tr.side} the Hardy constant",
     ))
-    _energy_checks(bundle, sol.trajectory, rtol, atol)
+    _energy_checks(bundle, sol.trajectory)
 
 
 def cmd_singular(args, bundle, outdir: Path):
@@ -290,7 +290,7 @@ def cmd_singular(args, bundle, outdir: Path):
                  "seed_truncation": sol.seed_truncation},
     ))
     if args.check_bounds:
-        _verification_checks(bundle, sol, args.tol_rel, args.tol_abs)
+        _verification_checks(bundle, sol)
 
 
 def cmd_shoot(args, bundle, outdir: Path):
@@ -306,7 +306,7 @@ def cmd_shoot(args, bundle, outdir: Path):
         message=result.trajectory.message,
     ))
     if not result.nonpositive:
-        _energy_checks(bundle, result.trajectory, args.tol_rel, args.tol_abs)
+        _energy_checks(bundle, result.trajectory)
 
 
 def cmd_branch(args, bundle, outdir: Path):
@@ -316,6 +316,10 @@ def cmd_branch(args, bundle, outdir: Path):
             f"--gamma-list {args.gamma_list}, --p-bracket {args.p_bracket}"
         )
     _reject_repeats(args.gamma_list, "--gamma-list")
+    # every gamma is a valid initial value before the first shot
+    for gamma in args.gamma_list:
+        if not (0.0 < gamma < math.inf):
+            raise ParameterError(f"gamma must be finite and positive, got {gamma}")
     rows = []
     for gamma in args.gamma_list:
         name = f"branch-sample-gamma-{gamma:.17g}"
@@ -404,17 +408,19 @@ def cmd_morse(args, bundle, outdir: Path):
 def cmd_hardy(args, bundle, outdir: Path):
     if args.j_max < 1:
         raise ParameterError(f"j_max must be at least 1, got {args.j_max}")
+    if not (0.0 < args.eps0 < math.inf):
+        raise ParameterError(f"eps0 must be positive and finite, got {args.eps0}")
     params = ProblemParams(args.N, args.p)
     c = derive_constants(params)
     lem = lemma_constants(params)
-    # built first: they validate eps0 and the supports before any work
-    fjs = [hardy_test_function(j, args.eps0, args.N) for j in range(1, args.j_max + 1)]
     r1 = math.exp(-2.0 * math.pi / args.eps0)
     if r1 > lem.rtilde_p:
         raise ParameterError(
             f"outermost support radius {r1} exceeds the validated window "
             f"{lem.rtilde_p}; decrease eps0"
         )
+    # built before any work: they check that every support is representable
+    fjs = [hardy_test_function(j, args.eps0, args.N) for j in range(1, args.j_max + 1)]
     rows = []
     for j, fj in enumerate(fjs, start=1):
         # the solution is the two-term origin expansion of c, which the
@@ -449,7 +455,7 @@ def cmd_verify_all(args, bundle, outdir: Path):
     r_end = args.r_end if args.r_end is not None else max(2.5, 2.0 * args.R)
     sol = solve_singular(params, r_end, args.tol_rel, args.tol_abs)
     _emit_trajectory(sol.trajectory, outdir, args, bundle)
-    _verification_checks(bundle, sol, args.tol_rel, args.tol_abs)
+    _verification_checks(bundle, sol)
 
 
 def _sweep_point(payload):

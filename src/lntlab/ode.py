@@ -1,16 +1,16 @@
-"""Radial ODE formulations, the energy functional, and adaptive integration.
+"""The radial equation, the energy functional, and adaptive integration.
 
-Two equivalent formulations are exposed: the original equation in the
-radius r, and the perturbation equation in logarithmic radius zeta, which is
-integrated jointly with the difference of two of its solutions to measure
-distances between them. All integrations run the in-house
-Dormand-Prince 5(4) stepper of :mod:`lntlab._dp45` on tuples of floats,
-which follows the step rules of scipy's RK45 and so takes the same steps;
-its dense output is one piecewise quartic. Unit crossings (u = 1) and
-critical points (u' = 0) are located by Brent's method on the interpolant
-of the step where they change sign and recorded on the trajectory together
-with the energy trace and the solver counters; a critical point is a minimum
-where u' rises through zero, and a run can stop at the i-th critical point.
+The equation is integrated in the radius r, alone or jointly with the
+difference d = u - u* of a second solution to a reference one, which
+measures distances between solutions far below the round-off of either. All
+integrations run the in-house Dormand-Prince 5(4) stepper of
+:mod:`lntlab._dp45` on tuples of floats, which follows the step rules of
+scipy's RK45 and so takes the same steps; its dense output is one piecewise
+quartic. Unit crossings (u = 1) and critical points (u' = 0) are located by
+Brent's method on the interpolant of the step where they change sign and
+recorded on the trajectory together with the energy trace and the solver
+counters; a critical point is a minimum where u' rises through zero, and a
+run can stop at the i-th critical point.
 """
 
 from __future__ import annotations
@@ -23,27 +23,19 @@ from enum import Enum
 import numpy as np
 
 from . import _dp45
-from .errors import (
-    CoverageError,
-    IntegrationError,
-    ParameterError,
-    PositivityError,
-)
-from .params import DerivedConstants, ProblemParams, phi_nonlinearity
+from .errors import CoverageError, IntegrationError, ParameterError
+from .params import ProblemParams
 
 __all__ = [
     "PointKind",
     "RadialState",
-    "EtaState",
     "RadialTrajectory",
-    "rhs_eta",
-    "rhs_eta_difference",
+    "DifferencePath",
     "energy_values",
     "energy_rate",
     "energy_rate_deviation",
-    "transform_u_to_eta",
     "integrate_adaptive",
-    "integrate_eta_difference",
+    "integrate_difference",
 ]
 
 
@@ -67,62 +59,6 @@ class RadialState:
             raise ParameterError("state values must be finite")
 
 
-@dataclass(frozen=True)
-class EtaState:
-    """Point state (zeta, eta, eta') of the logarithmic-radius perturbation."""
-
-    zeta: float
-    eta: float
-    deta: float
-
-    def __post_init__(self):
-        if not (1.0 + self.eta > 0.0):
-            raise PositivityError(f"1 + eta must be positive, got eta={self.eta}")
-
-
-def rhs_eta(state: EtaState, c: DerivedConstants, p: float) -> tuple[float, float]:
-    """Right-hand side of the perturbation equation in logarithmic radius.
-
-    eta'' = alpha*eta' - (p-1)*eta + phi(eta) + m**2 exp(-2 m zeta)(1 + eta),
-    with phi the quadratic remainder of the nonlinearity.
-    """
-    ddeta = (
-        c.alpha * state.deta
-        - (p - 1.0) * state.eta
-        + phi_nonlinearity(state.eta, p)
-        + c.m**2 * math.exp(-2.0 * c.m * state.zeta) * (1.0 + state.eta)
-    )
-    return state.deta, ddeta
-
-
-def rhs_eta_difference(
-    ref: EtaState, delta: float, ddelta: float, c: DerivedConstants, p: float
-) -> tuple[float, float]:
-    """Right-hand side for delta = eta - eta_ref, the difference of two
-    solutions of the perturbation equation.
-
-    delta'' = alpha*delta' + delta - (1+eta_ref)**p expm1(p log1p(q))
-              + m**2 exp(-2 m zeta) delta,   q = delta/(1+eta_ref),
-
-    so the nonlinearity difference carries the relative precision of delta
-    however small delta is. Past 1 + eta = 0 (trial steps beyond a terminal
-    event) the power is extended oddly so the field stays defined.
-    """
-    base = 1.0 + ref.eta
-    q = delta / base
-    if q > -1.0:
-        jump = base**p * math.expm1(p * math.log1p(q))
-    else:
-        jump = -((-(base + delta)) ** p) - base**p
-    ddd = (
-        c.alpha * ddelta
-        + delta
-        - jump
-        + c.m**2 * math.exp(-2.0 * c.m * ref.zeta) * delta
-    )
-    return ddelta, ddd
-
-
 def energy_values(u, du, p: float):
     """Lyapunov energy u'**2/2 - u**2/2 + u**(p+1)/(p+1) along sampled
     (u, u') arrays; non-increasing in r along solutions."""
@@ -138,43 +74,28 @@ def energy_rate(r, u, du, N: int):
     return -(N - 1.0) * du * du / r
 
 
-def energy_rate_deviation(
-    traj: "RadialTrajectory",
-    n_grid: int = 20001,
-    clip: tuple[float, float] = (0.02, 0.98),
-    floor_frac: float = 1e-2,
-) -> float:
+def energy_rate_deviation(traj: "RadialTrajectory") -> float:
     """Worst relative mismatch between the discrete energy slope and the
     exact rate -(N-1) u'**2 / r.
 
-    The trajectory is resampled densely and uniformly on the clipped interior
-    of its range, centered differences of the sampled energy are compared to
-    the exact rate, and points where the rate is below ``floor_frac`` of its
-    maximum are excluded (the relative error is meaningless at critical
-    points where the rate vanishes).
+    The trajectory is resampled at 20,001 uniform radii on the middle 96% of
+    its range, centered differences of the sampled energy are compared to
+    the exact rate, and points where the rate is below 1% of its maximum are
+    excluded (the relative error is meaningless at critical points where the
+    rate vanishes).
     """
-    a = traj.r_start + clip[0] * (traj.r_end - traj.r_start)
-    b = traj.r_start + clip[1] * (traj.r_end - traj.r_start)
-    grid = np.linspace(a, b, n_grid)
+    a = traj.r_start + 0.02 * (traj.r_end - traj.r_start)
+    b = traj.r_start + 0.98 * (traj.r_end - traj.r_start)
+    grid = np.linspace(a, b, 20001)
     h = grid[1] - grid[0]
     u, du = traj.sample(grid)
     e = energy_values(u, du, traj.params.p)
     slope = (e[2:] - e[:-2]) / (2.0 * h)
     rate = energy_rate(grid[1:-1], u[1:-1], du[1:-1], traj.params.N)
-    mask = np.abs(rate) >= floor_frac * np.max(np.abs(rate))
+    mask = np.abs(rate) >= 1e-2 * np.max(np.abs(rate))
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(slope[mask] - rate[mask]) / np.abs(rate[mask])))
-
-
-def transform_u_to_eta(state: RadialState, c: DerivedConstants) -> EtaState:
-    """Map (r, u, u') to (zeta, eta, eta') via r = exp(-m zeta) and
-    u = A r**(-theta) (1 + eta)."""
-    zeta = -math.log(state.r) / c.m
-    rt = state.r**c.theta
-    eta = rt * state.u / c.A - 1.0
-    deta = -c.m * rt / c.A * (c.theta * state.u + state.r * state.du)
-    return EtaState(zeta=zeta, eta=eta, deta=deta)
 
 
 @dataclass
@@ -239,20 +160,18 @@ class RadialTrajectory:
         vals = self.dense(np.clip(radii, self.r_start, self.r_end))
         return vals[0], vals[1]
 
-    def crossings_upto(self, R: float, slack: float = 1e-9) -> int:
-        """Number of unit crossings on (0, R], with relative slack at R."""
-        return int(np.count_nonzero(self.unit_crossings <= R * (1.0 + slack)))
+    def crossings_upto(self, R: float) -> int:
+        """Number of unit crossings on (0, R], with relative slack 1e-9 at R."""
+        return int(np.count_nonzero(self.unit_crossings <= R * (1.0 + 1e-9)))
 
-    def max_energy_rise(self, rtol: float | None = None, atol: float | None = None) -> float:
+    def max_energy_rise(self) -> float:
         """Worst normalized energy increase between consecutive samples.
 
-        Values are scaled by the integrator tolerance so that a return value
-        below 1 means monotone within tolerance.
+        Values are scaled by the trajectory's own tolerances so that a
+        return value below 1 means monotone within tolerance.
         """
-        rtol = self.rtol if rtol is None else rtol
-        atol = self.atol if atol is None else atol
         de = np.diff(self.energy)
-        scale = atol + rtol * np.maximum(
+        scale = self.atol + self.rtol * np.maximum(
             1.0, np.maximum(np.abs(self.energy[:-1]), np.abs(self.energy[1:]))
         )
         return float(np.max(de / scale)) if de.size else 0.0
@@ -419,61 +338,83 @@ def _build_trajectory(params, run, rtol, atol, status, message):
     )
 
 
-@dataclass
-class EtaDifferencePath:
-    """Joint path of a reference solution eta_ref and a difference delta.
 
-    ``status`` is ``"ok"`` when the run reached ``zeta_end``,
-    ``"nonpositive"`` when the second solution reached 1 + eta = 0, and
-    ``"underflow"`` when delta fell below the smallest size at which its
-    relative error control still works in normal doubles; the last two
-    truncate the run.
+
+def _difference_field(params: ProblemParams):
+    """Field of (u*, u*', d, d') for a solution u* and the difference
+    d = u - u* of a second solution u:
+
+    d'' = -(N-1)/r d' + d - u***p expm1(p log1p(d/u*)),
+
+    so the nonlinearity difference carries the relative precision of d however
+    small d is. Past u* + d = 0 (trial steps beyond a terminal event) the
+    power is extended oddly so the field stays defined.
+    """
+    N, p = params.N, params.p
+    track = _vector_field(params)
+
+    def f(r, y):
+        u, du, d, dd = y
+        q = d / u
+        if q > -1.0:
+            jump = u**p * math.expm1(p * math.log1p(q))
+        else:
+            jump = -((-(u + d)) ** p) - u**p
+        return (*track(r, (u, du)), dd, -(N - 1.0) / r * dd + d - jump)
+
+    return f
+
+
+@dataclass
+class DifferencePath:
+    """Joint path of a solution u* and the difference d = u - u* of a second
+    one.
+
+    ``status`` is ``"ok"`` when the run reached its end radius,
+    ``"nonpositive"`` when the second solution reached u = 0, and
+    ``"underflow"`` when d fell below the smallest size at which its relative
+    error control still works in normal doubles; the last two truncate the
+    run.
     """
 
-    zeta: np.ndarray
+    r: np.ndarray
     status: str
     dense: object | None = field(default=None, repr=False)
 
-    def sample(self, zeta) -> tuple[np.ndarray, np.ndarray]:
-        """Dense-output values (eta_ref, delta) at the requested log-radii."""
-        lo, hi = sorted((self.zeta[0], self.zeta[-1]))
-        vals = self.dense(np.clip(np.asarray(zeta, dtype=float), lo, hi))
+    def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Dense-output values (u*, d) at the requested radii."""
+        vals = self.dense(np.clip(np.asarray(radii, dtype=float), self.r[0], self.r[-1]))
         return vals[0], vals[2]
 
 
-def integrate_eta_difference(
-    c: DerivedConstants,
-    p: float,
-    ref: EtaState,
+def integrate_difference(
+    params: ProblemParams,
+    ref: RadialState,
     delta: tuple[float, float],
-    zeta_end: float,
+    r_end: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-) -> EtaDifferencePath:
-    """Integrate eta_ref and delta = eta - eta_ref together from ``ref.zeta``.
+) -> DifferencePath:
+    """Integrate u* from ``ref`` and d = u - u* from ``delta`` = (d, d')
+    together, outward to ``r_end``.
 
-    The error of delta is controlled relative to delta alone, with no
-    absolute floor, so delta keeps its relative precision as it decays; this
-    resolves distances between two solutions far below the round-off of
-    either one. The run stops with status ``"underflow"`` once
-    hypot(delta, delta') drops below ``float_info.min / rtol``, where the
-    error scale ``rtol * |delta|`` would leave the normal double range.
+    The error of d is controlled relative to d alone, with no absolute floor,
+    so d keeps its relative precision as it decays; this resolves distances
+    between two solutions far below the round-off of either one. The run
+    stops with status ``"underflow"`` once hypot(d, d') drops below
+    ``float_info.min / rtol``, where the error scale ``rtol * |d|`` would
+    leave the normal double range.
     """
     floor = sys.float_info.min / rtol
-
-    def f(z, y):
-        st = EtaState(zeta=z, eta=y[0], deta=y[1])
-        return (*rhs_eta(st, c, p), *rhs_eta_difference(st, y[2], y[3], c, p))
-
     events = (
-        _dp45.Event(lambda z, y: math.hypot(y[2], y[3]) - floor, direction=-1.0, terminal=1),
-        _dp45.Event(lambda z, y: 1.0 + y[0] + y[2], direction=-1.0, terminal=1),
+        _dp45.Event(lambda r, y: math.hypot(y[2], y[3]) - floor, direction=-1.0, terminal=1),
+        _dp45.Event(lambda r, y: y[0] + y[2], direction=-1.0, terminal=1),
     )
-    run = _dp45.solve(f, ref.zeta, (ref.eta, ref.deta, delta[0], delta[1]), zeta_end,
-                rtol, (atol, atol, 0.0, 0.0), events)
+    run = _dp45.solve(_difference_field(params), ref.r, (ref.u, ref.du, *delta), r_end,
+                      rtol, (atol, atol, 0.0, 0.0), events)
     if run.status == "failed":
-        raise IntegrationError(f"eta difference integration failed: {run.message}")
+        raise IntegrationError(f"difference integration failed: {run.message}")
     status = "ok"
     if run.status == "event":
         status = "underflow" if run.t_events[0].size else "nonpositive"
-    return EtaDifferencePath(zeta=run.t, status=status, dense=run.dense)
+    return DifferencePath(r=run.t, status=status, dense=run.dense)

@@ -300,18 +300,17 @@ def _admissible(c: DerivedConstants, ctilde: float, p: float) -> bool:
 
 @dataclass(frozen=True)
 class LemmaConstants:
-    """Seed-window constants of one instance: ctilde, its radius and log-radius.
+    """Seed-window constants of one instance: ctilde and its radius.
 
-    ``rtilde_p = ctilde / sqrt(p) = exp(-m * zetatilde_p)`` bounds the window
-    on which the two-sided power-law envelope is validated, and ``PN`` with
-    ``PN_threshold`` records the admissibility margin at this p.
+    ``rtilde_p = ctilde / sqrt(p)`` bounds the window on which the two-sided
+    power-law envelope is validated, and ``PN`` with ``PN_threshold`` records
+    the admissibility margin at this p.
     """
 
     N: int
     p: float
     ctilde: float
     rtilde_p: float
-    zetatilde_p: float
     PN: float
     PN_threshold: float
 
@@ -326,14 +325,12 @@ def lemma_constants(params: ProblemParams) -> LemmaConstants:
     lo = max(min(params.p, 10.0), critical_exponent(params.N))
     ctilde = choose_ctilde(params.N, (lo, max(params.p, 1.0e4)))
     rtilde = ctilde / math.sqrt(params.p)
-    zetatilde = -math.log(rtilde) / c.m
     pn, threshold = compute_PN(c, ctilde, params.p)
     return LemmaConstants(
         N=params.N,
         p=params.p,
         ctilde=ctilde,
         rtilde_p=rtilde,
-        zetatilde_p=zetatilde,
         PN=pn,
         PN_threshold=threshold,
     )

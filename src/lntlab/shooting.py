@@ -5,8 +5,9 @@ starts from a Taylor expansion at a small radius chosen so the neglected
 fourth-order term sits below tolerance. Large gamma shots develop an initial
 collapse layer of width about gamma**(-(p-1)/2); the adaptive integrator
 walks through it without special handling. Distances from shots to the
-singular solution are integrated as a difference in the log-radius form,
-since they fall far below the round-off of either trajectory.
+singular solution are integrated as a difference in r, with the singular
+track alongside, since they fall far below the round-off of either
+trajectory.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ import numpy as np
 
 from ._brent import brentq
 from .errors import BracketError, EventError, IntegrationError, ParameterError
-from .ode import (
-    RadialState,
-    RadialTrajectory,
-    integrate_adaptive,
-    integrate_eta_difference,
-    transform_u_to_eta,
-)
+from .ode import RadialState, RadialTrajectory, integrate_adaptive, integrate_difference
 from .params import ProblemParams, derive_constants, lemma_constants
 from .singular import (
     R_END_EXTENSION_CAP,
@@ -148,23 +143,21 @@ def convergence_to_singular(
     gammas,
     interval: tuple[float, float],
     singular: SingularSolution | None = None,
-    n_grid: int = 2048,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> ConvergenceReport:
     """Sup-norm distance of u_gamma to the singular solution on an interval.
 
     The distance is integrated, not obtained by subtracting two separately
-    integrated trajectories, whose transport errors would swamp it. In the
-    log-radius form u = A r**(-theta) (1 + eta), each shot's difference
-    delta = eta_gamma - eta* is integrated together with the singular track
-    from the shot's Taylor start radius, where the singular track is seeded
-    from its origin expansion; delta is error-controlled relative to itself,
-    and u_gamma - u* = A r**(-theta) delta is taken as a maximum over a
-    shared uniform grid of ``n_grid`` radii.
+    integrated trajectories, whose transport errors would swamp it. Each
+    shot's difference d = u_gamma - u* is integrated in r together with the
+    singular track from the shot's Taylor start radius, where the singular
+    track is seeded from its origin expansion; d is error-controlled
+    relative to itself, and |d| is taken as a maximum over a shared uniform
+    grid of 2048 radii.
 
     The jointly integrated singular track is checked on the grid against
-    ``singular`` (by default an r-form :func:`solve_singular` run); it must
+    ``singular`` (by default a :func:`solve_singular` run); it must
     agree within 10 (atol + rtol |u|) at the looser of the two runs'
     tolerances, else :class:`IntegrationError` is raised.
 
@@ -185,30 +178,25 @@ def convergence_to_singular(
         singular = solve_singular(params, r_end=1.05 * b, rtol=rtol, atol=atol)
     if not singular.trajectory.covers(a, b):
         raise ParameterError("singular solution does not cover the interval")
-    grid = np.linspace(a, b, n_grid)
+    grid = np.linspace(a, b, 2048)
     u_ref, _ = singular.sample(grid)
     budget = 10.0 * (max(atol, singular.trajectory.atol)
                      + max(rtol, singular.trajectory.rtol) * np.abs(u_ref))
     c = derive_constants(params)
-    power = c.A * grid**-c.theta
-    zeta_grid = -np.log(grid) / c.m
     seed_cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, rtol)
 
     distances, statuses = [], []
     for g in gammas:
         start = _taylor_start(g, params, 1.05 * b, rtol, atol, h_max=seed_cap)
-        ref = transform_u_to_eta(seed_at_origin(params, c, start.r), c)
-        shot = transform_u_to_eta(start, c)
-        path = integrate_eta_difference(
-            c, params.p, ref, (shot.eta - ref.eta, shot.deta - ref.deta),
-            zeta_grid[-1], rtol, atol,
-        )
+        ref = seed_at_origin(params, c, start.r)
+        path = integrate_difference(params, ref, (start.u - ref.u, start.du - ref.du),
+                                    b, rtol, atol)
         if path.status != "ok":
             distances.append(math.nan)
             statuses.append(path.status)
             continue
-        eta_ref, delta = path.sample(zeta_grid)
-        mismatch = np.abs(power * (1.0 + eta_ref) - u_ref)
+        u_track, d = path.sample(grid)
+        mismatch = np.abs(u_track - u_ref)
         if np.any(mismatch > budget):
             k = int(np.argmax(mismatch / budget))
             raise IntegrationError(
@@ -216,7 +204,7 @@ def convergence_to_singular(
                 f"from the given singular solution at r={grid[k]}: "
                 f"|difference| = {mismatch[k]}, allowed {budget[k]}"
             )
-        distances.append(float(np.max(power * np.abs(delta))))
+        distances.append(float(np.max(np.abs(d))))
         statuses.append("ok")
     usable = [d for d in distances if not math.isnan(d)]
     passed = len(usable) >= 2 and all(x > y for x, y in zip(usable, usable[1:]))

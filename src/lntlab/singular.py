@@ -242,18 +242,16 @@ class OriginBoundsReport:
     passed: bool
 
 
-def verify_origin_bounds(
-    sol: SingularSolution, n_samples: int = 64, tol: float | None = None
-) -> OriginBoundsReport:
+def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> OriginBoundsReport:
     """Check A r**(-theta) <= u <= A r**(-theta)(1 + Dp r**2) on the seed window.
 
-    Margins are relative and evaluated at ``n_samples`` log-spaced radii in
+    Margins are relative and evaluated at 64 log-spaced radii in
     (r0, rtilde_p]. The default tolerance is 10x the integrator tolerance.
     """
     c = sol.constants
     if tol is None:
         tol = 10.0 * max(sol.trajectory.rtol, sol.trajectory.atol)
-    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, n_samples)
+    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, 64)
     u, _ = sol.sample(radii)
     lower = c.A * radii**-c.theta
     upper = lower * (1.0 + c.Dp * radii * radii)
@@ -281,10 +279,11 @@ class DerivativeBoundReport:
     sup_remainder_ratio: float  # sup of |u' + theta A r**(-1-theta)| / r**(1-theta)
 
 
-def derivative_bound_check(sol: SingularSolution, n_samples: int = 64) -> DerivativeBoundReport:
-    """Evaluate the derivative-decay quantities on the validated seed window."""
+def derivative_bound_check(sol: SingularSolution) -> DerivativeBoundReport:
+    """Evaluate the derivative-decay quantities at 64 log-spaced radii of the
+    validated seed window."""
     c = sol.constants
-    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, n_samples)
+    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, 64)
     u, du = sol.sample(radii)
     remainder = np.abs(du + c.theta * c.A * radii ** (-1.0 - c.theta))
     ratio = remainder / radii ** (1.0 - c.theta)

@@ -445,11 +445,11 @@ class ThresholdReport:
 def potential_threshold_check(
     sol: SingularSolution,
     eps0: float = DEFAULT_EPS0,
-    n_samples: int = 64,
 ) -> ThresholdReport:
     """Locate the near-origin potential relative to the Hardy constant.
 
-    Samples r**2 (p u**(p-1) - 1) on the validated seed window. The limit at
+    Samples r**2 (p u**(p-1) - 1) at 64 log-spaced radii of the validated
+    seed window. The limit at
     the origin is p theta (N-2-theta); the potential admits infinitely many
     negative directions when the limit exceeds (N-2)**2/4 (power below the
     Joseph-Lundgren exponent) and only finitely many when it falls below.
@@ -459,7 +459,7 @@ def potential_threshold_check(
     """
     params = sol.params
     c = sol.constants
-    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, n_samples)
+    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, 64)
     scaled = _q_r2(sol.trajectory.sample(radii)[0] * radii**c.theta, radii, params.p)
     limit_computed = float(scaled[0])
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)

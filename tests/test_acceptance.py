@@ -119,7 +119,7 @@ def test_c03_origin_sandwich():
             params = ProblemParams(N, p)
             lem = lemma_constants(params)
             sol = solve_singular(params, r_end=2.0 * lem.rtilde_p)
-            rep = verify_origin_bounds(sol, n_samples=64, tol=1e-6)
+            rep = verify_origin_bounds(sol, tol=1e-6)
             margins.append((N, p, rep.lower_margin, rep.upper_margin))
             ok = ok and rep.passed
     elapsed = time.time() - t0

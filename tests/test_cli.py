@@ -253,6 +253,30 @@ def test_morse_rejects_cutoffs_before_solving(tmp_path, monkeypatch, deltas):
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("eps0", ["0", "inf", "nan", "1e6"])
+def test_hardy_checks_eps0_before_building(tmp_path, monkeypatch, eps0):
+    # 0, inf and nan are no width; at 1e6 the outermost support exceeds the
+    # validated window. Either way no test function is built.
+    def no_build(*args, **kwargs):
+        raise AssertionError("hardy_test_function called")
+
+    monkeypatch.setattr(cli, "hardy_test_function", no_build)
+    assert run_cli(["hardy", "--N", 5, "--p", 10, "--eps0", eps0, "--j-max", 3,
+                    "--out-dir", tmp_path]) == 2
+    assert not list(tmp_path.glob("run-*"))
+
+
+@pytest.mark.parametrize("gammas", ["2,nan", "2,inf", "2,0", "2,-1"])
+def test_branch_checks_every_gamma_before_shooting(tmp_path, monkeypatch, gammas):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("branch_sample called")
+
+    monkeypatch.setattr(cli, "branch_sample", no_shot)
+    assert run_cli(["branch", "--i", 1, "--R", 1, "--N", 5, "--gamma-list", gammas,
+                    "--p-bracket", "5,40", "--out-dir", tmp_path]) == 2
+    assert not list(tmp_path.glob("run-*"))
+
+
 def test_hardy_command(tmp_path):
     assert run_cli(["hardy", "--N", 5, "--p", 10, "--eps0", 1.0, "--j-max", 2,
                     "--out-dir", tmp_path]) == 0

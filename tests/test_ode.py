@@ -5,21 +5,17 @@ import pytest
 
 from lntlab import (
     CoverageError,
-    EtaState,
     ParameterError,
     PointKind,
-    PositivityError,
     ProblemParams,
     RadialState,
     energy_rate_deviation,
     integrate_adaptive,
-    integrate_eta_difference,
-    rhs_eta,
-    rhs_eta_difference,
-    transform_u_to_eta,
+    integrate_difference,
 )
-from lntlab.ode import _vector_field, energy_values
+from lntlab.ode import _difference_field, _vector_field, energy_values
 from lntlab.params import derive_constants, lemma_constants
+from lntlab.singular import seed_at_origin
 
 
 def test_vector_field_equilibrium_and_hand_value():
@@ -30,53 +26,23 @@ def test_vector_field_equilibrium_and_hand_value():
     assert ddu == pytest.approx(-28.0, rel=1e-14)
 
 
-def _alpha_zero_constants():
-    return derive_constants(ProblemParams(4, 3.0))
-
-
-def test_rhs_eta_hand_value():
-    c = _alpha_zero_constants()
-    deta, ddeta = rhs_eta(EtaState(0.0, 0.1, 0.0), c, 3.0)
-    assert deta == 0.0
-    assert ddeta == pytest.approx(0.869, abs=1e-12)
-
-
-def test_rhs_eta_envelope_solves_linearization():
-    # eta = f(zeta), eta' = -2 m f solves the linearized equation by the
-    # construction of the envelope amplitude
-    for N, p in [(5, 20.0), (12, 7.0)]:
-        c = derive_constants(ProblemParams(N, p))
-        assert c.Dp * (4 * c.m**2 + 2 * c.alpha * c.m + (p - 1)) == pytest.approx(
-            c.m**2, rel=1e-14
-        )
-        zeta = 1.7
-        f = c.Dp * math.exp(-2.0 * c.m * zeta)
-        _, ddeta = rhs_eta(EtaState(zeta, f, -2.0 * c.m * f), c, p)
-        from lntlab.params import phi_nonlinearity
-
-        extra = phi_nonlinearity(f, p) + c.m**2 * math.exp(-2 * c.m * zeta) * f
-        assert ddeta - extra == pytest.approx(4.0 * c.m**2 * f, rel=1e-11)
-
-
-def test_rhs_eta_difference_matches_subtraction():
-    # for an O(1) difference the field is the difference of two rhs_eta calls;
-    # for a tiny one it is the linearization, which subtraction cannot resolve
-    c = derive_constants(ProblemParams(5, 20.0))
-    ref = EtaState(2.0, 0.3, -0.2)
+def test_difference_field_matches_subtraction():
+    # for an O(1) difference the field is the difference of two radial
+    # fields; for a tiny one it is the linearization, which subtraction
+    # cannot resolve
+    params = ProblemParams(5, 20.0)
+    radial, pair = _vector_field(params), _difference_field(params)
+    r, u, du = 0.7, 1.3, -0.2
     for d, dd in [(0.4, 0.1), (-0.5, 0.7)]:
-        _, want = rhs_eta(EtaState(2.0, 0.3 + d, -0.2 + dd), c, 20.0)
-        _, base = rhs_eta(ref, c, 20.0)
-        _, got = rhs_eta_difference(ref, d, dd, c, 20.0)
-        assert got == pytest.approx(want - base, rel=1e-12)
+        _, want = radial(r, (u + d, du + dd))
+        _, base = radial(r, (u, du))
+        got = pair(r, (u, du, d, dd))
+        assert got[:2] == radial(r, (u, du))
+        assert got[2] == dd
+        assert got[3] == pytest.approx(want - base, rel=1e-12)
     d = 1e-200
-    _, got = rhs_eta_difference(ref, d, 0.0, c, 20.0)
-    lin = d - 20.0 * 1.3**19 * d + c.m**2 * math.exp(-4.0 * c.m) * d
-    assert got == pytest.approx(lin, rel=1e-12)
-
-
-def test_eta_state_rejects_nonpositive_base():
-    with pytest.raises(PositivityError):
-        EtaState(0.0, -1.0, 0.0)
+    got = pair(r, (u, du, d, 0.0))[3]
+    assert got == pytest.approx(d - 20.0 * u**19 * d, rel=1e-12)
 
 
 def test_energy_equilibrium_values():
@@ -84,37 +50,6 @@ def test_energy_equilibrium_values():
     for p in (2.5, 7.0, 30.0):
         want = -0.5 + 1.0 / (p + 1.0)
         assert energy_values(1.0, 0.0, p) == pytest.approx(want, rel=1e-14)
-
-
-def _eta_to_u(st: EtaState, c) -> RadialState:
-    """The closed form u = A r**(-theta) (1 + eta), r = exp(-m zeta), and its
-    derivative in r."""
-    r = math.exp(-c.m * st.zeta)
-    u = c.A * r**-c.theta * (1.0 + st.eta)
-    du = c.A * r ** (-c.theta - 1.0) * (-c.theta * (1.0 + st.eta) - st.deta / c.m)
-    return RadialState(r, u, du)
-
-
-def test_transform_power_law_and_hand_value():
-    c = _alpha_zero_constants()
-    st = transform_u_to_eta(RadialState(1.0, 1.1, -1.1), c)
-    assert (st.zeta, st.eta, st.deta) == pytest.approx((0.0, 0.1, 0.0), abs=1e-14)
-    # the pure power law is eta = 0
-    r = math.exp(-1.3)
-    st0 = transform_u_to_eta(RadialState(r, c.A * r**-c.theta, -c.theta * c.A * r ** (-c.theta - 1.0)), c)
-    assert st0.zeta == pytest.approx(1.3, rel=1e-14)
-    assert (st0.eta, st0.deta) == pytest.approx((0.0, 0.0), abs=1e-13)
-
-
-def test_transform_round_trip():
-    rng = np.random.default_rng(3)
-    c = derive_constants(ProblemParams(7, 9.0))
-    for _ in range(50):
-        st = EtaState(rng.uniform(-1, 4), rng.uniform(-0.5, 2.0), rng.uniform(-3, 3))
-        back = transform_u_to_eta(_eta_to_u(st, c), c)
-        assert back.zeta == pytest.approx(st.zeta, rel=1e-12, abs=1e-12)
-        assert back.eta == pytest.approx(st.eta, rel=1e-10, abs=1e-12)
-        assert back.deta == pytest.approx(st.deta, rel=1e-10, abs=1e-10)
 
 
 def test_integrate_equilibrium_stays_constant():
@@ -240,50 +175,40 @@ def test_integrate_rejects_non_finite_end(r_end):
         integrate_adaptive(ProblemParams(5, 20.0), RadialState(1.0, 2.0, 0.0), r_end)
 
 
-def test_eta_integration_matches_radial():
-    # the reference track of the log-radius difference integration, mapped
-    # back through u = A r**(-theta) (1 + eta), agrees with the direct radial
-    # integration on the overlap
-    params = ProblemParams(5, 20.0)
-    c = derive_constants(params)
+def _seed_window(params):
+    """The seed state of the singular solution at rtilde_p / 16 and an end
+    radius of 4 rtilde_p."""
     lem = lemma_constants(params)
-    r0 = lem.rtilde_p / 16.0
-    r1 = 4.0 * lem.rtilde_p
-    z0 = -math.log(r0) / c.m
-    z1 = -math.log(r1) / c.m
-    f0 = c.Dp * math.exp(-2.0 * c.m * z0)
-    start = EtaState(z0, f0, -2.0 * c.m * f0)
-    # the difference's error is controlled relative to itself, so neither of
-    # its components may start at zero; a small envelope-shaped one serves
-    path = integrate_eta_difference(c, params.p, start, (1e-3 * f0, -2e-3 * c.m * f0), z1)
+    return seed_at_origin(params, derive_constants(params), lem.rtilde_p / 16.0), 4.0 * lem.rtilde_p
+
+
+def test_difference_track_matches_radial():
+    # the reference track of the joint difference integration agrees with
+    # the direct radial integration on the overlap
+    params = ProblemParams(5, 20.0)
+    start, r1 = _seed_window(params)
+    # a small difference shaped like the state itself
+    path = integrate_difference(params, start, (1e-3 * start.u, 1e-3 * start.du), r1)
     assert path.status == "ok"
-    direct = integrate_adaptive(params, _eta_to_u(start, c), r1)
-    zz = np.linspace(z0, z1, 200)
-    eta, _ = path.sample(zz)
-    r = np.exp(-c.m * zz)
-    u_eta = c.A * r**-c.theta * (1.0 + eta)
+    direct = integrate_adaptive(params, start, r1)
+    r = np.linspace(start.r, r1, 200)
+    u_track, _ = path.sample(r)
     u_direct = direct.sample(r)[0]
-    assert np.max(np.abs(u_eta - u_direct) / np.abs(u_direct)) < 1e-8
+    assert np.max(np.abs(u_track - u_direct) / np.abs(u_direct)) < 1e-8
 
 
 @pytest.mark.parametrize("delta", [(1e-3, 0.0), (0.0, 1e-3)])
-def test_eta_difference_from_zero_component(delta):
+def test_difference_from_zero_component(delta):
     # a difference with a zero component (zero value, zero atol) starts and
-    # matches the difference of two radial integrations mapped to eta
+    # matches the difference of two tight radial integrations
     params = ProblemParams(5, 20.0)
-    c = derive_constants(params)
-    lem = lemma_constants(params)
-    z0 = -math.log(lem.rtilde_p / 16.0) / c.m
-    r1 = 4.0 * lem.rtilde_p
-    z1 = -math.log(r1) / c.m
-    f0 = c.Dp * math.exp(-2.0 * c.m * z0)
-    start = EtaState(z0, f0, -2.0 * c.m * f0)
-    path = integrate_eta_difference(c, params.p, start, delta, z1)
+    start, r1 = _seed_window(params)
+    path = integrate_difference(params, start, delta, r1)
     assert path.status == "ok"
-    moved = EtaState(z0, start.eta + delta[0], start.deta + delta[1])
-    eta_end = [integrate_adaptive(params, _eta_to_u(st, c), r1).u[-1] * r1**c.theta / c.A - 1.0
-               for st in (start, moved)]
-    assert path.sample([z1])[1][0] == pytest.approx(eta_end[1] - eta_end[0], rel=1e-6)
+    moved = RadialState(start.r, start.u + delta[0], start.du + delta[1])
+    u_end = [integrate_adaptive(params, st, r1, rtol=1e-13, atol=1e-15).u[-1]
+             for st in (start, moved)]
+    assert path.sample([r1])[1][0] == pytest.approx(u_end[1] - u_end[0], rel=1e-6)
 
 
 def test_half_density_form_residual(sing_5_20):

@@ -162,14 +162,24 @@ def test_phi_rejects_nonpositive_base():
         phi_nonlinearity(-1.0, 3.0)
 
 
+def test_envelope_amplitude_identity():
+    # Dp is the amplitude at which the envelope Dp exp(-2 m zeta) solves the
+    # linearization at the power law: Dp (4 m**2 + 2 alpha m + p - 1) = m**2
+    for N, p in [(5, 20.0), (12, 7.0)]:
+        c = derive_constants(ProblemParams(N, p))
+        assert c.Dp * (4 * c.m**2 + 2 * c.alpha * c.m + (p - 1)) == pytest.approx(
+            c.m**2, rel=1e-14
+        )
+
+
 def test_f_envelope_at_window_edge():
-    # the envelope Dp exp(-2 m zeta) at the window edge is the value
-    # compute_PN takes there
+    # the envelope Dp r**2 at the window edge is the value compute_PN takes
+    # there
     params = ProblemParams(5, 50.0)
     c = derive_constants(params)
     lem = lemma_constants(params)
     want = c.Dp * lem.ctilde**2 / params.p
-    assert c.Dp * math.exp(-2.0 * c.m * lem.zetatilde_p) == pytest.approx(want, rel=1e-12)
+    assert c.Dp * lem.rtilde_p**2 == pytest.approx(want, rel=1e-12)
 
 
 def test_lemma_constants_at_critical_exponent():
@@ -234,11 +244,8 @@ def test_choose_ctilde_rejects_subcritical_range():
 
 
 def test_lemma_constants_relations():
-    params = ProblemParams(5, 50.0)
-    c = derive_constants(params)
-    lem = lemma_constants(params)
+    lem = lemma_constants(ProblemParams(5, 50.0))
     assert lem.rtilde_p == pytest.approx(lem.ctilde / math.sqrt(50.0), rel=1e-15)
-    assert lem.rtilde_p == pytest.approx(math.exp(-c.m * lem.zetatilde_p), rel=1e-12)
     assert lem.PN < lem.PN_threshold
 
 

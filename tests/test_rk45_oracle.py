@@ -22,15 +22,15 @@ from scipy.integrate import solve_ivp
 import lntlab
 from lntlab import (
     IntegrationError,
+    ParameterError,
     ProblemParams,
     RadialState,
     integrate_adaptive,
-    integrate_eta_difference,
+    integrate_difference,
     solve_singular,
-    transform_u_to_eta,
 )
 from lntlab import _dp45, ode
-from lntlab.ode import EtaState, _vector_field, rhs_eta, rhs_eta_difference
+from lntlab.ode import _difference_field, _vector_field
 from lntlab.params import derive_constants, lemma_constants
 from lntlab.shooting import _taylor_start
 from lntlab.singular import _default_seed_radius, seed_at_origin
@@ -54,16 +54,6 @@ def _radial_events(stop_at_critical):
     floor.terminal = True
     floor.direction = -1.0
     return [unit, critical, floor]
-
-
-def _eta_pair_field(params):
-    c = derive_constants(params)
-
-    def f(z, y):
-        st = EtaState(zeta=z, eta=y[0], deta=y[1])
-        return (*rhs_eta(st, c, params.p), *rhs_eta_difference(st, y[2], y[3], c, params.p))
-
-    return f
 
 
 def _scaled_gap(a, b):
@@ -93,35 +83,36 @@ def test_singular_solve_matches_rk45():
     np.testing.assert_allclose(traj.unit_crossings, ref.t_events[0], rtol=EVENT_RTOL, atol=0)
 
 
-def test_eta_difference_toward_decreasing_zeta_matches_rk45():
+def test_difference_run_matches_rk45():
     params = ProblemParams(5, 20.0)
     c = derive_constants(params)
     rtol, atol = 1e-10, 1e-12
     seed_cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, rtol)
     start = _taylor_start(10.0, params, 2.1, rtol, atol, h_max=seed_cap)
-    ref_state = transform_u_to_eta(seed_at_origin(params, c, start.r), c)
-    shot = transform_u_to_eta(start, c)
-    delta = (shot.eta - ref_state.eta, shot.deta - ref_state.deta)
-    zeta_end = -math.log(2.0) / c.m
-    assert zeta_end < ref_state.zeta
-    path = integrate_eta_difference(c, params.p, ref_state, delta, zeta_end, rtol, atol)
+    ref_state = seed_at_origin(params, c, start.r)
+    delta = (start.u - ref_state.u, start.du - ref_state.du)
+    path = integrate_difference(params, ref_state, delta, 2.0, rtol, atol)
 
-    ref = solve_ivp(_eta_pair_field(params), (ref_state.zeta, zeta_end),
-                    (ref_state.eta, ref_state.deta, *delta), method="RK45",
+    ref = solve_ivp(_difference_field(params), (ref_state.r, 2.0),
+                    (ref_state.u, ref_state.du, *delta), method="RK45",
                     rtol=rtol, atol=(atol, atol, 0.0, 0.0), dense_output=True)
     assert ref.status == 0 and path.status == "ok"
-    assert path.zeta.size == ref.t.size
-    # zeta passes through 0, so positions are compared on the span's scale
-    span = abs(zeta_end - ref_state.zeta)
-    np.testing.assert_allclose(path.zeta, ref.t, rtol=0.0, atol=STEP_RTOL * span)
-    # delta decays by orders of magnitude and oscillates, so it is compared
-    # relative to its local size hypot(delta, delta')
-    mid = 0.5 * (path.zeta[1:] + path.zeta[:-1])
+    assert path.r.size == ref.t.size
+    np.testing.assert_allclose(path.r, ref.t, rtol=STEP_RTOL, atol=0.0)
+    # the difference decays by orders of magnitude and oscillates, so it is
+    # compared relative to its local size hypot(d, r d'); r d' has the size
+    # of d however close to the origin, where d' alone runs like d / r
+    mid = 0.5 * (path.r[1:] + path.r[:-1])
     got, want = path.dense(mid), ref.sol(mid)
     assert np.all(_scaled_gap(got[:2], want[:2]) < STATE_RTOL)
-    size = np.hypot(want[2], want[3])
-    assert np.max(np.abs(got[2:] - want[2:]) / size) < STATE_RTOL
-    assert np.all(np.diff(path.zeta) < 0)
+    gap = np.hypot(got[2] - want[2], mid * (got[3] - want[3]))
+    assert np.max(gap / np.hypot(want[2], mid * want[3])) < STATE_RTOL
+
+
+@pytest.mark.parametrize("t_end", [1.0, 0.5, math.nan])
+def test_solve_runs_forward_only(t_end):
+    with pytest.raises(ParameterError):
+        _dp45.solve(lambda t, y: (-y[0],), 1.0, (1.0,), t_end, 1e-8, 1e-12)
 
 
 def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
@@ -228,10 +219,11 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-# states drawn where each field is tame: u > 0 for the radial field, eta and
-# the difference within (-1/2, 1/2) for the log-radius pair
-@pytest.mark.parametrize("n, field, y_lo, y_hi", [(2, _vector_field, 0.2, 1.5),
-                                                  (4, _eta_pair_field, -0.5, 0.5)])
+# states drawn where each field is tame: u > 0 for the radial field, and
+# u* > 0 with |d| well below u* for the difference pair
+@pytest.mark.parametrize("n, field, y_lo, y_hi", [
+    (2, _vector_field, 0.2, 1.5),
+    (4, _difference_field, (0.2, 0.2, -0.1, -0.1), (1.5, 1.5, 0.1, 0.1))])
 def test_trial_step_kernel_matches_reference(n, field, y_lo, y_hi):
     fun = field(ProblemParams(5, 20.0))
     step = _dp45._trial_step(n)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import jv
 
@@ -17,7 +18,10 @@ from lntlab import (
     solve_singular,
 )
 from lntlab import shooting
-from lntlab.shooting import _critical_radius_of_shot
+from lntlab.ode import _difference_field
+from lntlab.params import derive_constants, lemma_constants
+from lntlab.shooting import _critical_radius_of_shot, _taylor_start
+from lntlab.singular import _default_seed_radius, seed_at_origin
 
 # regression fixture from a run at rtol=1e-12, atol=1e-14
 REF_SHOT_R1 = 1.06900443866011
@@ -109,6 +113,32 @@ def collapse_report():
     """Distances at the acceptance instance, default tolerances."""
     return convergence_to_singular(ProblemParams(5, 20.0), [10.0, 100.0, 1000.0],
                                    (0.5, 2.0))
+
+
+# C08's distances as the log-radius perturbation form u = A r**(-theta)
+# (1 + eta) measured them at default tolerances: a frozen oracle for the
+# difference integrated in r
+ETA_FORM_DISTANCES = (1.2283073574477278e-15, 3.270129562968246e-29, 4.676557480485855e-42)
+
+
+def test_convergence_distances_match_log_radius_form(collapse_report):
+    assert collapse_report.distances == pytest.approx(ETA_FORM_DISTANCES, rel=1e-6)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_convergence_distance_matches_dop853(collapse_report, k):
+    # scipy's eighth-order DOP853 at tight tolerance, on the same difference
+    # field from the same start, is an independent integration of d
+    params = ProblemParams(5, 20.0)
+    c = derive_constants(params)
+    cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, 1e-10)
+    start = _taylor_start(collapse_report.gammas[k], params, 2.1, 1e-10, 1e-12, h_max=cap)
+    ref = seed_at_origin(params, c, start.r)
+    sol = solve_ivp(_difference_field(params), (start.r, 2.0),
+                    (ref.u, ref.du, start.u - ref.u, start.du - ref.du), method="DOP853",
+                    rtol=1e-13, atol=(1e-15, 1e-15, 0.0, 0.0), dense_output=True)
+    d = np.max(np.abs(sol.sol(np.linspace(0.5, 2.0, 2048))[2]))
+    assert collapse_report.distances[k] == pytest.approx(d, rel=1e-6)
 
 
 def test_convergence_distances_stable_under_tolerance(collapse_report):

@@ -70,7 +70,7 @@ def test_first_crossing_absent():
 
 
 def test_origin_sandwich(sing_5_20):
-    rep = verify_origin_bounds(sing_5_20, n_samples=64)
+    rep = verify_origin_bounds(sing_5_20)
     assert rep.passed
     assert rep.lower_margin >= -rep.tol
     assert rep.upper_margin <= rep.tol
