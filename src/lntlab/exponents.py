@@ -8,7 +8,9 @@ line of slope -1/2. The search steps to where that line, and then the
 secant through its last two points, puts the root, until f changes sign;
 secant steps at least double, so a flat stretch cannot stall it. Brent's
 method on f in x then narrows the bracket; it keeps a sign change and falls
-back to bisection, so only continuity is needed across the numerics.
+back to bisection, so only continuity is needed across the numerics. The
+regular branch's samples in :mod:`lntlab.shooting` run the same search on
+the critical radii of a shot.
 """
 
 from __future__ import annotations
@@ -78,75 +80,38 @@ def _critical_radius_and_crossings(
     return radius, crossings
 
 
-def find_exponent(
-    i: int,
-    R: float,
-    N: int,
-    p_lo: float,
-    p_cap: float = P_CAP_DEFAULT,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ExponentSolution:
-    """Find p_i with i-th critical radius of the singular solution equal to R.
+def _power_root(radius, R, p_lo, p_cap, start_error):
+    """Power p in (p_lo, p_cap] with ``radius(p) = R``, and the Brent bracket.
 
-    Requires the i-th critical radius to exceed R at ``p_lo``; otherwise the
-    error names the smallest admissible index, :func:`find_istar` at
-    ``p_lo``. The search runs in x = log(p - 1) on f(x) = log(R_p_i / R),
-    which the radii's (p - 1)^(-1/2) law makes nearly linear with slope
-    -1/2. The first step goes to ``x_lo + 2 f(x_lo)``, each later one to the
-    root of the secant through the last two points (slope -1/2 where the
-    secant does not fall), until f < 0 or the step reaches ``p_cap``. From
-    the first secant step on, each step is at least twice the last, and no
-    step is shorter than the root's tolerance. Brent's method then narrows
-    the bracket to a width of 5e-12 in x, the same relative width in p - 1;
-    the residual must be below ``1e-6 * R``. The accepted solution must show
-    exactly ``i`` unit crossings on (0, R]; a mismatch is retried once at
-    tightened tolerance before failing. ``solves`` counts the singular
-    solves, and ``bracket`` holds the powers handed to Brent's method.
+    The search of the module docstring, from ``p_lo``: the first step goes
+    to ``x_lo + 2 f(x_lo)``, and no step is shorter than ``XTOL``, the width
+    Brent's method leaves in x. ``radius`` must exceed R at ``p_lo``, else
+    ``start_error(radius(p_lo))`` is raised. No power above ``p_cap`` is
+    evaluated, and a cap that is not finite or not above ``p_lo`` is a
+    ParameterError before any evaluation.
     """
-    if i < 1:
-        raise ParameterError(f"oscillation index must be >= 1, got {i}")
-    if not (p_lo > critical_exponent(N)):
-        raise ParameterError(f"p_lo={p_lo} is not supercritical for N={N}")
-    if not math.isfinite(p_cap):
-        raise ParameterError(f"p_cap must be finite, got p_cap={p_cap}")
-
-    # brentq re-evaluates the bracket ends and the residual check the root,
-    # so each (power, tolerance) is solved once per call
-    memo: dict[tuple[float, float, float], tuple[float, int]] = {}
-
-    def radius_and_crossings(p: float, rtol: float, atol: float) -> tuple[float, int]:
-        key = (p, rtol, atol)
-        if key not in memo:
-            memo[key] = _critical_radius_and_crossings(
-                ProblemParams(N, p, R=R), i, rtol, atol)
-        return memo[key]
-
-    # a cap at or below p_lo leaves no room to search: BracketError at once
-    x_lo, x_cap = math.log(p_lo - 1.0), math.log(max(p_cap, p_lo) - 1.0)
+    if not (p_lo < p_cap < math.inf):
+        raise ParameterError(
+            f"p_cap must be finite and above p_lo, got the power bracket ({p_lo}, {p_cap})"
+        )
+    r_lo = radius(p_lo)
+    if not (r_lo > R):
+        raise start_error(r_lo)
+    x_lo, x_cap = math.log(p_lo - 1.0), math.log(p_cap - 1.0)
 
     def power(x: float) -> float:
-        # 1 + exp(log(p_lo - 1)) can miss p_lo by an ulp, and the memo must
-        # see the power it solved; no power above the cap is evaluated
+        # 1 + exp(log(p_lo - 1)) can miss p_lo by an ulp, and the caller's
+        # memo must see the power it evaluated
         return p_lo if x == x_lo else min(1.0 + math.exp(x), p_cap)
 
     def f(x: float) -> float:
-        return math.log(radius_and_crossings(power(x), rtol, atol)[0] / R)
+        return math.log(radius(power(x)) / R)
 
-    r_lo = radius_and_crossings(p_lo, rtol, atol)[0]
-    if not (r_lo > R):
-        istar = find_istar(N, p_lo, R, rtol, atol)
-        raise ParameterError(
-            f"critical radius {i} at p_lo={p_lo} is {r_lo} <= R={R}; "
-            f"choose i >= {istar}"
-        )
     a, fa = x_lo, math.log(r_lo / R)
     slope, floor = -0.5, XTOL
     while True:
         if a >= x_cap:
-            raise BracketError(
-                f"critical radius {i} still >= R={R} at the power cap {p_cap}"
-            )
+            raise BracketError(f"critical radius still >= R={R} at the power cap {p_cap}")
         step = max(-fa / slope, floor)
         b = min(a + step, x_cap)
         fb = f(b)
@@ -160,8 +125,54 @@ def find_exponent(
         if not (slope < 0.0):
             slope = -0.5
         a, fa = b, fb
-    p_i = power(brentq(f, a, b, xtol=XTOL))
+    return power(brentq(f, a, b, xtol=XTOL)), (power(a), power(b))
 
+
+def find_exponent(
+    i: int,
+    R: float,
+    N: int,
+    p_lo: float,
+    p_cap: float = P_CAP_DEFAULT,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> ExponentSolution:
+    """Find p_i with i-th critical radius of the singular solution equal to R.
+
+    Requires the i-th critical radius to exceed R at ``p_lo``; otherwise the
+    error names the smallest admissible index, :func:`find_istar` at
+    ``p_lo``. The root is found by the bracket search of
+    :func:`_power_root` on ``(p_lo, p_cap]``; its residual must be below
+    ``1e-6 * R``. The accepted solution must show exactly ``i`` unit
+    crossings on (0, R]; a mismatch is retried once at tightened tolerance
+    before failing. ``solves`` counts the singular solves, and ``bracket``
+    holds the powers handed to Brent's method.
+    """
+    if i < 1:
+        raise ParameterError(f"oscillation index must be >= 1, got {i}")
+    if not (p_lo > critical_exponent(N)):
+        raise ParameterError(f"p_lo={p_lo} is not supercritical for N={N}")
+
+    # brentq re-evaluates the bracket ends and the residual check the root,
+    # so each (power, tolerance) is solved once per call
+    memo: dict[tuple[float, float, float], tuple[float, int]] = {}
+
+    def radius_and_crossings(p: float, rtol: float, atol: float) -> tuple[float, int]:
+        key = (p, rtol, atol)
+        if key not in memo:
+            memo[key] = _critical_radius_and_crossings(
+                ProblemParams(N, p, R=R), i, rtol, atol)
+        return memo[key]
+
+    def below_istar(r_lo: float) -> ParameterError:
+        istar = find_istar(N, p_lo, R, rtol, atol)
+        return ParameterError(
+            f"critical radius {i} at p_lo={p_lo} is {r_lo} <= R={R}; "
+            f"choose i >= {istar}"
+        )
+
+    p_i, bracket = _power_root(lambda p: radius_and_crossings(p, rtol, atol)[0],
+                               R, p_lo, p_cap, below_istar)
     for attempt in range(2):
         radius, crossings = radius_and_crossings(
             p_i, rtol / 10**attempt, atol / 10**attempt)
@@ -179,16 +190,13 @@ def find_exponent(
             f"{RESIDUAL_RTOL * R}"
         )
     return ExponentSolution(i=i, R=R, p_i=p_i, residual=residual, crossings=crossings,
-                            solves=len(memo), bracket=(power(a), power(b)))
+                            solves=len(memo), bracket=bracket)
 
 
 @dataclass(frozen=True)
 class ContinuityReport:
     """Refinement study of the modulus of continuity of p -> R_p_i."""
 
-    i: int
-    grid: np.ndarray
-    values: np.ndarray
     refined_grid: np.ndarray
     refined_values: np.ndarray
     modulus_coarse: float
@@ -244,9 +252,6 @@ def continuity_scan(
     else:
         passed = (1.0 / 3.0 <= ratio <= 2.0 / 3.0) and max_jump_factor <= 10.0
     return ContinuityReport(
-        i=i,
-        grid=grid,
-        values=values,
         refined_grid=refined,
         refined_values=refined_values,
         modulus_coarse=modulus_coarse,

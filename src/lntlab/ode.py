@@ -80,9 +80,10 @@ def energy_rate_deviation(traj: "RadialTrajectory") -> float:
 
     The trajectory is resampled at 20,001 uniform radii on the middle 96% of
     its range, centered differences of the sampled energy are compared to
-    the exact rate, and points where the rate is below 1% of its maximum are
-    excluded (the relative error is meaningless at critical points where the
-    rate vanishes).
+    the exact rate, and points where the rate is zero or below 1% of its
+    maximum are excluded (the relative error is meaningless at critical
+    points where the rate vanishes, and on an equilibrium it vanishes
+    everywhere).
     """
     a = traj.r_start + 0.02 * (traj.r_end - traj.r_start)
     b = traj.r_start + 0.98 * (traj.r_end - traj.r_start)
@@ -92,7 +93,7 @@ def energy_rate_deviation(traj: "RadialTrajectory") -> float:
     e = energy_values(u, du, traj.params.p)
     slope = (e[2:] - e[:-2]) / (2.0 * h)
     rate = energy_rate(grid[1:-1], u[1:-1], du[1:-1], traj.params.N)
-    mask = np.abs(rate) >= 1e-2 * np.max(np.abs(rate))
+    mask = (rate != 0.0) & (np.abs(rate) >= 1e-2 * np.max(np.abs(rate)))
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(slope[mask] - rate[mask]) / np.abs(rate[mask])))

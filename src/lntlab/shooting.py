@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import brentq
 from .errors import BracketError, EventError, IntegrationError, ParameterError
+from .exponents import _power_root
 from .ode import RadialState, RadialTrajectory, integrate_adaptive, integrate_difference
 from .params import ProblemParams, derive_constants, lemma_constants
 from .singular import (
@@ -253,38 +253,34 @@ def branch_sample(
 ) -> float:
     """Power p at which the i-th critical radius of u_gamma equals R.
 
-    Finds the root of the residual r_i(p) - R on ``p_bracket`` by Brent's
-    method to a relative width of 5e-13 in p; one sample of the upper-branch
-    diagram data at fixed gamma. The residual of the returned power is below
-    1e-8, else :class:`BracketError` is raised.
+    One sample of the upper-branch diagram data at fixed gamma. The i-th
+    critical radius must exceed R at the bracket's lower end; the root is
+    found by the bracket search of :func:`lntlab.exponents._power_root`,
+    which starts there and is capped at the upper end. The residual of the
+    returned power is below 1e-8, else :class:`BracketError` is raised.
     """
     if i < 1:
         raise ParameterError(f"critical index must be >= 1, got {i}")
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
-    if not (lo < hi):
-        raise ParameterError(f"invalid bracket {p_bracket}")
     r_end0 = max(2.0 * R, 1.0)
-    # brentq re-evaluates the bracket ends and the final check the root, so
-    # each power is shot once per call
+    # Brent's method re-evaluates the bracket ends and the residual check the
+    # root, so each power is shot once per call
     memo: dict[float, float] = {}
 
-    def residual(p: float) -> float:
+    def radius(p: float) -> float:
         if p not in memo:
             params = ProblemParams(N, p, R=R)
-            memo[p] = _critical_radius_of_shot(gamma, params, i, rtol, atol, r_end0) - R
+            memo[p] = _critical_radius_of_shot(gamma, params, i, rtol, atol, r_end0)
         return memo[p]
 
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"no sign change of r_{i} - R on p in [{lo}, {hi}]: "
-            f"residuals ({f_lo}, {f_hi})"
-        )
-    p = brentq(residual, lo, hi, xtol=5e-13 * hi)
-    f_p = residual(p)
-    if abs(f_p) < BRANCH_RESIDUAL_TOL:
+    def below_lo(r_lo: float) -> BracketError:
+        return BracketError(f"critical radius {i} at p={lo} is {r_lo} <= R={R}")
+
+    p, _ = _power_root(radius, R, lo, hi, below_lo)
+    residual = abs(radius(p) - R)
+    if residual < BRANCH_RESIDUAL_TOL:
         return p
     raise BracketError(
         f"root finder exhausted the bracket without meeting the residual "
-        f"tolerance: |r_{i} - R| = {abs(f_p)}"
+        f"tolerance: |r_{i} - R| = {residual}"
     )

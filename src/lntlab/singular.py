@@ -235,7 +235,6 @@ def solve_with_criticals(
 class OriginBoundsReport:
     """Signed worst-case margins of the two-sided origin envelope."""
 
-    radii: np.ndarray
     lower_margin: float  # min of (u - A r**-theta) / bound; >= -tol required
     upper_margin: float  # max of (u - upper) / upper; <= +tol required
     tol: float
@@ -259,7 +258,6 @@ def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> Ori
     upper_margin = float(np.max((u - upper) / upper))
     passed = lower_margin >= -tol and upper_margin <= tol
     return OriginBoundsReport(
-        radii=radii,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
         tol=tol,
@@ -271,8 +269,6 @@ def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> Ori
 class DerivativeBoundReport:
     """Derivative size at the window edge and the power-law remainder ratio."""
 
-    p: float
-    rtilde_p: float
     du_at_rtilde: float
     du_scaled: float  # |u'(rtilde_p)| * sqrt(p)
     u_at_rtilde: float
@@ -290,8 +286,6 @@ def derivative_bound_check(sol: SingularSolution) -> DerivativeBoundReport:
     u_rt, du_rt = sol.sample(sol.lemma.rtilde_p)
     du_rt = float(du_rt[0])
     return DerivativeBoundReport(
-        p=sol.params.p,
-        rtilde_p=sol.lemma.rtilde_p,
         du_at_rtilde=du_rt,
         du_scaled=abs(du_rt) * math.sqrt(sol.params.p),
         u_at_rtilde=float(u_rt[0]),

@@ -428,60 +428,38 @@ def hardy_test_function(
 class ThresholdReport:
     """Comparison of the linearized potential against the Hardy constant."""
 
-    radii: np.ndarray
-    scaled_potential: np.ndarray  # r**2 (p u**(p-1) - 1) samples
-    limit_computed: float  # value at the smallest covered radius
+    limit_computed: float  # r**2 (p u**(p-1) - 1) at the smallest covered radius
     limit_closed_form: float  # p theta (N - 2 - theta)
     hardy_constant: float  # (N-2)**2 / 4
     margin: float  # limit_closed_form - hardy_constant
     side: str  # "above" or "below"
-    eps0: float
-    eps0_inequality_holds: bool  # strict separation at the supplied eps0
-    consistent_with_pjl: bool
-    limit_match: bool
     passed: bool
 
 
-def potential_threshold_check(
-    sol: SingularSolution,
-    eps0: float = DEFAULT_EPS0,
-) -> ThresholdReport:
+def potential_threshold_check(sol: SingularSolution) -> ThresholdReport:
     """Locate the near-origin potential relative to the Hardy constant.
 
-    Samples r**2 (p u**(p-1) - 1) at 64 log-spaced radii of the validated
-    seed window. The limit at
-    the origin is p theta (N-2-theta); the potential admits infinitely many
-    negative directions when the limit exceeds (N-2)**2/4 (power below the
-    Joseph-Lundgren exponent) and only finitely many when it falls below.
-    The eps0 flag records whether the separation is strict at the supplied
-    margin: limit >= hardy + eps0**2 on the infinite-index side, or
-    limit <= (1 - eps0) * hardy on the finite-index side.
+    Evaluates r**2 (p u**(p-1) - 1) at the inner edge of the validated seed
+    window. The limit at the origin is p theta (N-2-theta); the potential
+    admits infinitely many negative directions when the limit exceeds
+    (N-2)**2/4 (power below the Joseph-Lundgren exponent) and only finitely
+    many when it falls below. PASS requires the side to match the power's
+    side of pJL and the computed value to match the limit within 1e-3.
     """
     params = sol.params
     c = sol.constants
-    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, 64)
-    scaled = _q_r2(sol.trajectory.sample(radii)[0] * radii**c.theta, radii, params.p)
-    limit_computed = float(scaled[0])
+    r = np.array([sol.seed_radius * (1.0 + 1e-12)])
+    limit_computed = float(_q_r2(sol.trajectory.sample(r)[0] * r**c.theta, r, params.p)[0])
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)
     hardy = 0.25 * (params.N - 2.0) ** 2
     margin = limit_closed - hardy
     consistent = (margin > 0.0) == (params.p < c.pJL)
-    if margin > 0.0:
-        eps0_holds = limit_closed >= hardy + eps0 * eps0
-    else:
-        eps0_holds = limit_closed <= (1.0 - eps0) * hardy
     limit_match = abs(limit_computed - limit_closed) <= 1e-3 * limit_closed
     return ThresholdReport(
-        radii=radii,
-        scaled_potential=scaled,
         limit_computed=limit_computed,
         limit_closed_form=limit_closed,
         hardy_constant=hardy,
         margin=margin,
         side="above" if margin > 0 else "below",
-        eps0=eps0,
-        eps0_inequality_holds=eps0_holds,
-        consistent_with_pjl=consistent,
-        limit_match=limit_match,
         passed=consistent and limit_match,
     )

@@ -309,6 +309,18 @@ def test_continuity_command(tmp_path):
     assert check["status"] == "PASS"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shoot_equilibrium_passes_energy_rate_check(tmp_path):
+    # on u = 1 the energy rate is 0 everywhere: no point is left to compare,
+    # and the deviation reads 0 rather than 0/0
+    assert run_cli(["shoot", "--gamma", 1, "--N", 5, "--p", 20, "--r-end", 5,
+                    "--out-dir", tmp_path]) == 0
+    rep = read_report(tmp_path)
+    check = next(c for c in rep["checks"] if c["name"] == "energy-rate-identity")
+    assert check["status"] == "PASS"
+    assert check["margins"]["max_relative_deviation"] == 0.0
+
+
 def test_verify_all_command(tmp_path):
     assert run_cli(["verify-all", "--N", 5, "--p", 20, "--R", 1,
                     "--out-dir", tmp_path]) == 0
@@ -364,6 +376,12 @@ def test_non_finite_input_exits_2(tmp_path, flags):
     ["sweep", "--N", "5", "--p-list", "nan"],
     ["sweep", "--N", "5", "--p-list", "2,10"],
     ["continuity", "--i", "1", "--N", "5", "--p-grid", "10,nan,20,30"],
+    # a cap at or below p_lo leaves the power search no room, and one that is
+    # not finite no bound: rejected before the first solve
+    *[["find-exponent", "--i", "1", "--R", "1", "--N", "5", "--p-lo", "6", "--p-cap", cap]
+      for cap in ("5", "6", "-3")],
+    ["branch", "--i", "2", "--R", "1", "--N", "12", "--gamma-list", "5",
+     "--p-bracket", "150,inf"],
 ])
 def test_config_error_leaves_no_run_directory(tmp_path, flags):
     out = run_child([*flags, "--out-dir", tmp_path])
@@ -518,9 +536,7 @@ def test_sweep_recomputes_truncated_point(tmp_path, monkeypatch):
     assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
 
 
-# branch alone takes about a second
-@pytest.mark.parametrize("argv", [a for a in _readme_examples() if a[0] != "branch"],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
 def test_readme_example_writes_only_its_artifacts(tmp_path, monkeypatch, argv):
     # every file of a run is report.json or a listed artifact, none a leftover .tmp
     monkeypatch.setattr(cli, "ProcessPoolExecutor",

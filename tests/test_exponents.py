@@ -142,13 +142,19 @@ def test_find_exponent_bracket_cap(monkeypatch):
     assert max(powers) == 18.5
 
 
-def test_find_exponent_validation():
+def test_find_exponent_validation(monkeypatch):
+    # every input is checked before the first solve
+    def no_solve(*args):
+        raise AssertionError("radius evaluated")
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", no_solve)
     with pytest.raises(ParameterError):
         find_exponent(0, 1.0, 5, p_lo=6.0)
     with pytest.raises(ParameterError):
         find_exponent(1, 1.0, 5, p_lo=1.0)
-    # a cap that is not finite would leave the search unbounded
-    for p_cap in (math.nan, math.inf):
+    # a cap that is not finite would leave the search unbounded, and one at
+    # or below p_lo leaves it no room
+    for p_cap in (math.nan, math.inf, 5.0, 6.0, -3.0):
         with pytest.raises(ParameterError, match="p_cap must be finite"):
             find_exponent(1, 1.0, 5, p_lo=6.0, p_cap=p_cap)
 

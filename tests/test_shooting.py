@@ -197,28 +197,42 @@ def test_convergence_validation():
 
 
 def test_branch_sample_contract():
-    # one diagram sample: the second critical radius of the gamma = 5 shot
-    # hits R = 1 at a power inside the bracket
-    p_found = branch_sample(2, 1.0, 12, 5.0, (150.0, 250.0))
-    assert 150.0 < p_found < 250.0
-    shot = shoot(5.0, ProblemParams(12, p_found, R=1.0), r_end=2.0)
-    assert abs(shot.critical_radii[1] - 1.0) < 1e-8
+    # one diagram sample per gamma of the README example: the second critical
+    # radius of the shot hits R = 1 at the power Brent's method in p on the
+    # whole bracket found, frozen here as an oracle; the bracket search in
+    # log(p - 1) agrees with it to the radii's own noise
+    for gamma, p_ref in ((5.0, 175.9893336468279), (10.0, 175.98933365752626)):
+        p_found = branch_sample(2, 1.0, 12, gamma, (150.0, 250.0))
+        assert p_found == pytest.approx(p_ref, rel=1e-11)
+        shot = shoot(gamma, ProblemParams(12, p_found, R=1.0), r_end=2.0)
+        assert abs(shot.critical_radii[1] - 1.0) < 1e-8
 
 
 def test_branch_sample_requires_sign_change():
-    with pytest.raises(BracketError):
-        branch_sample(2, 1.0, 12, 5.0, (150.0, 160.0))
+    # the second critical radius of the gamma = 5 shot is still above R at
+    # the cap 160, and already below it at the lower end 200
+    for bracket in ((150.0, 160.0), (200.0, 250.0)):
+        with pytest.raises(BracketError):
+            branch_sample(2, 1.0, 12, 5.0, bracket)
 
 
-def test_branch_sample_validation():
+def test_branch_sample_validation(monkeypatch):
+    # a reversed bracket or an upper end that is not finite is rejected
+    # before the first shot
+    def no_shot(*args):
+        raise AssertionError("shot")
+
+    monkeypatch.setattr(shooting, "_critical_radius_of_shot", no_shot)
     with pytest.raises(ParameterError):
         branch_sample(0, 1.0, 12, 5.0, (150.0, 250.0))
-    with pytest.raises(ParameterError):
-        branch_sample(2, 1.0, 12, 5.0, (250.0, 150.0))
+    for bracket in ((250.0, 150.0), (150.0, math.inf)):
+        with pytest.raises(ParameterError):
+            branch_sample(2, 1.0, 12, 5.0, bracket)
 
 
 def test_branch_sample_shoots_each_power_once(monkeypatch):
-    # the bracket ends and the root are reused, not re-shot
+    # the lower end and the root are reused, not re-shot; the search starts
+    # at the lower end and never shoots above the upper one
     powers = []
 
     def counted(gamma, params, *args):
@@ -229,4 +243,7 @@ def test_branch_sample_shoots_each_power_once(monkeypatch):
     p_found = branch_sample(1, 1.0, 5, 2.0, (5.0, 40.0))
     assert 5.0 < p_found < 40.0
     assert len(powers) == len(set(powers))
-    assert {5.0, 40.0, p_found} <= set(powers)
+    assert {5.0, p_found} <= set(powers)
+    assert max(powers) <= 40.0
+    # Brent's method on the whole bracket in p took 11 shots
+    assert len(powers) <= 7
