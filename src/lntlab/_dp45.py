@@ -1,13 +1,16 @@
-"""Dormand-Prince 5(4) stepper on tuples of floats, with events and dense
-output.
+"""Dormand-Prince 5(4) stepper on floats, with events and dense output.
 
 :func:`solve` follows the step rules of scipy's RK45, so it takes the same
 steps for the same problem, without the per-step cost of small numpy arrays.
 The radial integrations of :mod:`lntlab.ode` all run on it, outward.
-Each trial step is one call of a kernel generated from the tableau and
-compiled once per state size (:func:`_trial_step`), which writes out every
-component's stage sums on local variables. A step of the radial equation
-costs 13-16 us on a 2-vCPU VM, the right-hand side and events included.
+A vector field is a :class:`Field` declaration, and an event an expression
+in its names. One stepping loop is generated from the tableau per field and
+event set, and compiled on its first solve (:func:`_loop`): it writes the
+field's rates into every stage and the events after every step, so an
+accepted step makes no Python function call, and it returns to
+:func:`solve` only at an event's sign change, at the end, or on failure. A
+step of the radial equation costs about 6 us in the loop on a 2-vCPU VM,
+the right-hand side and events included.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import sys
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,11 +53,10 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _EPS = sys.float_info.epsilon
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 # Accepted steps allowed per run. The largest runs of the test suite and of
 # the README examples take 17k and 20k steps; a run that needs more fails
 # rather than growing without bound. A radial run that uses up the budget
-# takes about 9 s and 84 MiB on a 2-vCPU VM.
+# takes about 7 s and peaks at 120 MiB on a 2-vCPU VM.
 MAX_STEPS = 200_000
 
 
@@ -120,58 +122,147 @@ def _quartic(K) -> list[tuple[float, ...]]:
     return [tuple(float(q) for q in row) for row in np.asarray(K).reshape(7, -1).T @ _P]
 
 
-@functools.lru_cache(maxsize=None)
-def _trial_step(n: int) -> Callable:
-    """The Dormand-Prince trial step for states of ``n`` components.
-
-    ``step(fun, t, y, f, h, rtol, atol)`` takes one step of length ``h`` from
-    state ``y`` with slope ``f = fun(t, y)`` and per-component ``atol``, and
-    returns ``(y_new, f_new, err, K)``: the fifth-order state, its slope, the
-    RMS error norm (``inf`` where a scale is zero) and the seven stages as
-    one flat tuple, stage by stage. The body is generated from the tableau
-    and compiled once per ``n``: every component's sum is written out on
-    local variables, term by term in tableau order, so it rounds exactly as
-    the per-component sums ``v + (A21 a + ...) h`` and ``v + h (B1 a + ...)``
-    would, without a generator per stage.
+@dataclass(frozen=True)
+class Field:
+    """A vector field y' = f(t, y), declared in the names of its variables:
+    ``t`` the independent one, ``state`` the components of y, ``consts`` the
+    per-run constants; one-line statements ``body`` run before the
+    ``rates``, one expression per component. The code sees :mod:`math`'s
+    names; names that start with an underscore are the generated code's.
     """
-    idx = range(n)
 
-    def names(prefix):
-        return "".join(f"{prefix}{i}, " for i in idx)
+    t: str
+    state: tuple[str, ...]
+    consts: tuple[str, ...]
+    body: tuple[str, ...]
+    rates: tuple[str, ...]
+
+    def function(self, consts) -> Callable:
+        """The plain ``f(t, y)`` of this field, returning a tuple, with its
+        constants taken by name from the mapping ``consts``."""
+        return _function_factory(self)(*(consts[name] for name in self.consts))
+
+
+def _compile(lines, label):
+    namespace = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+    namespace.update(_inf=math.inf, _nextafter=math.nextafter, _sqrt=math.sqrt)
+    exec(compile("\n".join(lines), f"<dp45 {label}>", "exec"), namespace)
+    return namespace
+
+
+def _tuple(names) -> str:
+    return "(" + "".join(f"{v}, " for v in names) + ")"
+
+
+def _assign(targets, values) -> list[str]:
+    return [f"{t} = {v}" for t, v in zip(targets, values)]
+
+
+@functools.lru_cache(maxsize=None)
+def _function_factory(field: Field) -> Callable:
+    return _compile([f"def _bind({', '.join(field.consts)}):",
+                     f"    def _f({field.t}, _y):",
+                     f"        {_tuple(field.state)} = _y",
+                     *(f"        {s}" for s in field.body),
+                     f"        return {_tuple(field.rates)}",
+                     "    return _f"], f"field {field.state}")["_bind"]
+
+
+@functools.lru_cache(maxsize=None)
+def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], ...]):
+    """``advance(t, y, f, h_abs, g, t_end, rtol, atol, max_steps, n_accepted,
+    n_rejected, ts, ys, hs, stages, *consts)``: the stepping loop of
+    ``field`` with the events ``exprs``, which may rise and fall through zero
+    as ``scan`` says. It steps on from state y at t with slope f and event
+    values g, appends each accepted step to the arrays, and returns at an
+    event's sign change ("event"), at t_end ("finished"), below the minimum
+    step ("min_step") or after max_steps steps ("budget"): the reason, t, y,
+    f, h_abs, the counters, and the event values before and after the last
+    step. Each component's stage sums are written out term by term in
+    tableau order, so they round as ``v + (A21 a + ...) h`` would.
+    """
+    n, m = len(field.state), len(exprs)
+    y, z, tol = ([f"_{c}{i}" for i in range(n)] for c in ("y", "z", "tol"))
+    k = [[f"_k{s}_{i}" for i in range(n)] for s in range(7)]
+    old, new = _tuple(f"_o{j}" for j in range(m)), _tuple(f"_e{j}" for j in range(m))
 
     def weighted(weights, i):
         # zero weights drop out, as they do from the tableau's sums
-        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in enumerate(weights) if w)
+        return " + ".join(f"{w!r} * _k{s}_{i}" for s, w in enumerate(weights) if w)
 
-    lines = ["def step(fun, t, y, f, h, rtol, atol):",
-             f"    {names('y')}= y",
-             f"    {names('tol')}= atol",
-             f"    {names('k0_')}= f"]
+    def rates(at, state, s):
+        return [f"{field.t} = {at}", *_assign(field.state, state), *field.body,
+                *_assign(k[s], field.rates)]
+
+    trial = []
     for s, (c, row) in enumerate(zip(_C, _A), start=1):
-        at = f"t + {c!r} * h" if c != 1 else "t + h"
-        state = "".join(f"y{i} + ({weighted(row, i)}) * h, " for i in idx)
-        lines.append(f"    {names(f'k{s}_')}= fun({at}, ({state}))")
-    lines += [f"    z{i} = y{i} + h * ({weighted(_B, i)})" for i in idx]
-    lines.append(f"    y_new = ({names('z')})")
-    lines.append(f"    {names('k6_')}= f_new = fun(t + h, y_new)")
+        trial += rates(f"_t + {c!r} * _h" if c != 1 else "_t + _h",
+                       [f"_y{i} + ({weighted(row, i)}) * _h" for i in range(n)], s)
+    trial += [f"_z{i} = _y{i} + _h * ({weighted(_B, i)})" for i in range(n)]
+    trial += rates("_t + _h", z, 6)
     # scale atol + max(|y|, |y_new|) rtol, taking |y_new| only if larger, as
     # max() does
-    for i in idx:
-        lines += [f"    m{i} = abs(y{i})",
-                  f"    a{i} = abs(z{i})",
-                  f"    if a{i} > m{i}:",
-                  f"        m{i} = a{i}"]
-    terms = " + ".join(f"(({weighted(_E, i)}) * h / (tol{i} + m{i} * rtol)) ** 2"
-                       for i in idx)
-    stages = "".join(names(f"k{s}_") for s in range(7))
-    lines += ["    try:",
-              f"        err = sqrt({terms}) / {math.sqrt(n)!r}",
-              "    except ZeroDivisionError:  # zero scale: the error cannot be controlled",
-              "        err = inf",
-              f"    return y_new, f_new, err, ({stages})"]
-    namespace = {"sqrt": math.sqrt, "inf": math.inf}
-    exec(compile("\n".join(lines), f"<dp45 trial step, n={n}>", "exec"), namespace)
-    return namespace["step"]
+    for i in range(n):
+        trial += [f"_m{i} = abs(_y{i})", f"_a{i} = abs(_z{i})",
+                  f"if _a{i} > _m{i}:", f"    _m{i} = _a{i}"]
+    terms = " + ".join(f"(({weighted(_E, i)}) * _h / (_tol{i} + _m{i} * _rtol)) ** 2"
+                       for i in range(n))
+    trial += ["try:", f"    _err = _sqrt({terms}) / {math.sqrt(n)!r}",
+              "except ZeroDivisionError:  # zero scale: the error cannot be controlled",
+              "    _err = _inf"]
+    crossed = " or ".join(
+        c for j, (rise, fall) in enumerate(scan)
+        for c, on in ((f"_o{j} <= 0.0 <= _e{j}", rise), (f"_o{j} >= 0.0 >= _e{j}", fall)) if on)
+    state = f"_t, {_tuple(y)}, {_tuple(k[0])}, _h_abs, _n_accepted, _n_rejected"
+    lines = [
+        "def advance(_t, _y, _f, _h_abs, _g, _t_end, _rtol, _atol, _max_steps, _n_accepted,"
+        f" _n_rejected, _ts, _ys, _hs, _stages, {', '.join(field.consts)}):",
+        f"    {_tuple(y)}, {_tuple(k[0])}, {_tuple(tol)}, {old} = _y, _f, _atol, _g",
+        "    while True:",
+        "        if _n_accepted >= _max_steps:",
+        f"            return 'budget', {state}, {old}, {old}",
+        "        _min_step = 10.0 * (_nextafter(_t, _inf) - _t)",
+        "        if _min_step > _h_abs:",
+        "            _h_abs = _min_step",
+        "        _rejected = False",
+        "        while True:",
+        "            if _h_abs < _min_step:",
+        f"                return 'min_step', {state}, {old}, {old}",
+        "            _t_new = _t + _h_abs",
+        "            if _t_end < _t_new:",
+        "                _t_new = _t_end",
+        "            _h = _h_abs = _t_new - _t",
+        "            try:",
+        *(f"                {s}" for s in trial),
+        "            except OverflowError:  # a stage left the double range: reject",
+        "                _err = _inf  # the step, as scipy's infinite error norm does",
+        "            if _err < 1.0:",
+        "                break",
+        "            _h_abs *= max(0.2, 0.9 * _err ** -0.2)",
+        "            _rejected = True",
+        "            _n_rejected += 1",
+        "        _factor = 10.0 if _err == 0 else 0.9 * _err ** -0.2",
+        "        if _factor > 10.0:",
+        "            _factor = 10.0",
+        "        if _rejected and _factor > 1.0:",
+        "            _factor = 1.0",
+        "        _h_abs *= _factor",
+        "        _n_accepted += 1",
+        "        _hs.append(_h)",
+        f"        _stages.extend({_tuple(name for row in k for name in row)})",
+        "        _t = _t_new",
+        *(f"        {s}" for s in _assign(y, z) + _assign(k[0], k[6])),
+        "        _ts.append(_t)",
+        f"        _ys.extend({_tuple(y)})",
+        f"        {field.t} = _t",
+        *(f"        {s}" for s in _assign(field.state, y)),
+        *(f"        _e{j} = {expr}" for j, expr in enumerate(exprs)),
+        *([f"        if {crossed}:", f"            return 'event', {state}, {old}, {new}"]
+          if crossed else []),
+        f"        {old} = {new}",
+        "        if _t >= _t_end:",
+        f"            return 'finished', {state}, {old}, {old}"]
+    return _compile(lines, f"loop {field.state} {exprs}")["advance"]
 
 
 def _interpolant(t0, h, y0, Q):
@@ -183,11 +274,11 @@ def _interpolant(t0, h, y0, Q):
 
 
 class Event(NamedTuple):
-    """Event function g(t, y); a zero of g is recorded when g changes sign
-    over a step in ``direction`` (0: either way), and the run stops at the
-    ``terminal``-th such zero (0: never)."""
+    """Event expression g in the names of a :class:`Field`; a zero of g is
+    recorded when g changes sign over a step in ``direction`` (0: either
+    way), and the run stops at the ``terminal``-th such zero (0: never)."""
 
-    g: Callable
+    expr: str
     direction: float = 0.0
     terminal: int = 0
 
@@ -210,9 +301,14 @@ class Run:
     n_rejected: int
 
 
-def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
-    """Integrate y' = fun(t, y) from t0 forward to t_end > t0 with the
-    Dormand-Prince 5(4) pair on tuples of floats.
+_FAILURES = {"min_step": "Required step size is less than spacing between numbers.",
+             "budget": "Step budget of {} accepted steps exhausted."}
+
+
+def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
+    """Integrate y' = f(t, y) of ``field``, its constants taken by name from
+    the mapping ``consts``, from t0 forward to t_end > t0 with the
+    Dormand-Prince 5(4) pair on floats.
 
     The step rules are those of scipy's RK45, so the same steps are taken:
     FSAL stages, Hairer's starting step, the RMS error norm with scale
@@ -230,122 +326,75 @@ def solve(fun, t0, y0, t_end, rtol, atol, events=()) -> Run:
     """
     if not t_end > t0:
         raise ParameterError(f"integration runs forward: t_end={t_end} must exceed t0={t0}")
-    n = len(y0)
+    n = len(field.state)
     y = tuple(float(v) for v in y0)
     rtol = max(rtol, 100 * _EPS)
     atol = tuple(atol) if isinstance(atol, tuple) else (atol,) * n
-    t = t0
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end, rtol, atol)
-    nfev, n_accepted, n_rejected = 2, 0, 0
+    fun = field.function(consts)
+    f = fun(t0, y)
+    h_abs = _initial_step(fun, t0, y, f, t_end, rtol, atol)
+    # per event: whether it may rise and whether it may fall through zero
+    scan = tuple((ev.direction >= 0, ev.direction <= 0) for ev in events)
+    advance = _loop(field, tuple(ev.expr for ev in events), scan)
+    # each event's g(t, y), as the one-component field of its expression
+    gs = [replace(field, body=(), rates=(ev.expr,)).function(consts) for ev in events]
+    g = tuple(gj(t0, y)[0] for gj in gs)
+    max_steps, values = MAX_STEPS, [consts[name] for name in field.consts]
+    t, n_accepted, n_rejected = t0, 0, 0
     # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
-    # per event: g, whether it may rise and whether it may fall through zero
-    scan = [(ev.g, ev.direction >= 0, ev.direction <= 0) for ev in events]
-    g = [ev.g(t, y) for ev in events]
-    counts = [0] * len(events)
-    t_events = [[] for _ in events]
-    rises = [[] for _ in events]
+    t_events, rises = [[] for _ in events], [[] for _ in events]
     status, message = None, ""
-    step = _trial_step(n)
     while status is None:
-        if n_accepted >= MAX_STEPS:
-            status = "failed"
-            message = f"Step budget of {MAX_STEPS} accepted steps exhausted."
+        why, t, y, f, h_abs, n_accepted, n_rejected, before, g = advance(
+            t, y, f, h_abs, g, t_end, rtol, atol, max_steps, n_accepted, n_rejected,
+            ts, ys, hs, stages, *values)
+        if why in _FAILURES:
+            status, message = "failed", _FAILURES[why].format(max_steps)
             break
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status = "failed"
-                message = "Required step size is less than spacing between numbers."
-                break
-            t_new = min(t + h_abs, t_end)
-            h = h_abs = t_new - t
-            nfev += 6
-            try:
-                y_new, f_new, err, K = step(fun, t, y, f, h, rtol, atol)
-            except OverflowError:
-                # a stage left the double range: reject the step, as scipy's
-                # RK45 does with its infinite error norm
-                err = math.inf
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
-            rejected = True
-            n_rejected += 1
-        if status == "failed":
-            break
-        n_accepted += 1
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        hs.append(h)
-        stages.extend(K)
         if t >= t_end:
             status = "finished"
-        # one pass over the events: g is updated in place, and the old value
-        # of each event that changed sign is kept for its crossing
-        before = None
-        for j, (gj, rise, fall) in enumerate(scan):
-            old = g[j]
-            g[j] = new = gj(t, y)
-            if (rise and old <= 0 <= new) or (fall and old >= 0 >= new):
-                if before is None:
-                    before = {}
-                before[j] = old
-        if before is not None:
-            active = list(before)
-            interp = _interpolant(t_old, h, y_old, _quartic(K))
-            roots = {}
-            for j in active:
-                counts[j] += 1
-                ev = events[j]
+        if why == "finished":
+            break
+        # an event changed sign over the last step, which the arrays end with
+        active = [j for j, (rise, fall) in enumerate(scan)
+                  if (rise and before[j] <= 0 <= g[j]) or (fall and before[j] >= 0 >= g[j])]
+        t_old = ts[-2]
+        interp = _interpolant(t_old, hs[-1], tuple(ys[-2 * n:-n]), _quartic(stages[-7 * n:]))
+        roots = {}
+        for j in active:
 
-                def on_step(s, ev=ev):
-                    return ev.g(s, interp(s))
+            def on_step(s, gj=gs[j]):
+                return gj(s, interp(s))[0]
 
-                try:
-                    roots[j] = brentq(on_step, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                except ValueError:
-                    # the interpolant's ends miss the sign change of the
-                    # accepted states: take those at the ends, it inside
-                    ends = {t_old: before[j], t: g[j]}
-                    roots[j] = brentq(lambda s: ends[s] if s in ends else on_step(s),
-                                      t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-            done = {j for j in active if 0 < events[j].terminal <= counts[j]}
-            if done:
-                # keep the zeros up to the first one that ends the run
-                active.sort(key=roots.get)
-                active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
-                status = "event"
-                t = roots[active[-1]]
-                y = interp(t)
-            for j in active:
-                t_events[j].append(roots[j])
-                rises[j].append(g[j] > before[j])
-        if len(ts) > 1 and t == ts[-1]:
-            # a terminal zero on the step's start: the step adds nothing
-            hs.pop()
-            del stages[-7 * n:]
-        else:
-            ts.append(t)
-            ys.extend(y)
+            try:
+                roots[j] = brentq(on_step, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            except ValueError:
+                # the interpolant's ends miss the sign change of the
+                # accepted states: take those at the ends, it inside
+                ends = {t_old: before[j], t: g[j]}
+                roots[j] = brentq(lambda s: ends[s] if s in ends else on_step(s),
+                                  t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+        done = {j for j in active if 0 < events[j].terminal <= len(t_events[j]) + 1}
+        if done:
+            # keep the zeros up to the first one that ends the run
+            active.sort(key=roots.get)
+            active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
+            status = "event"
+            t = roots[active[-1]]
+            if len(ts) > 2 and t == t_old:
+                # a terminal zero on the step's start: the step adds nothing
+                del ts[-1], ys[-n:], hs[-1], stages[-7 * n:]
+            else:
+                ts[-1] = t
+                ys[-n:] = array("d", interp(t))
+        for j in active:
+            t_events[j].append(roots[j])
+            rises[j].append(g[j] > before[j])
     ys = np.array(ys).reshape(-1, n)
     Q = np.tensordot(np.array(stages).reshape(-1, 7, n), _P, axes=([1], [0]))
-    return Run(
-        t=np.array(ts),
-        y=ys.T,
-        t_events=[np.array(te) for te in t_events],
-        rises=[np.array(up, dtype=bool) for up in rises],
-        status=status,
-        message=message,
-        dense=Dense(ts, hs, ys[:-1], Q),
-        nfev=nfev,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-    )
+    return Run(t=np.array(ts), y=ys.T, t_events=[np.array(te) for te in t_events],
+               rises=[np.array(up, dtype=bool) for up in rises], status=status,
+               message=message, dense=Dense(ts, hs, ys[:-1], Q),
+               nfev=2 + 6 * (n_accepted + n_rejected), n_accepted=n_accepted,
+               n_rejected=n_rejected)

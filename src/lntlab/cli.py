@@ -14,7 +14,6 @@ import math
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +502,8 @@ def cmd_sweep(args, bundle, outdir: Path):
         # than there are points to compute
         workers = min(args.jobs, len(pending))
         if workers > 1:
+            # imported here, so that no other command loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(_sweep_point, [pl for _, pl in pending]))
         else:

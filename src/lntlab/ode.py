@@ -212,21 +212,19 @@ class RadialTrajectory:
         write_artifact(path, self.to_json_dict(max_rows=max_rows, full=full))
 
 
-def _vector_field(params: ProblemParams):
-    N, p = params.N, params.p
-    odd = not float(p).is_integer()
+# u'' = -(N-1)/r u' + u - u**p. Trial steps may probe u < 0 before the
+# terminal event truncates the run; u**p is extended oddly so the field stays
+# defined there.
+_RADIAL = _dp45.Field(
+    t="r", state=("u", "du"), consts=("N", "p", "odd"),
+    body=("up = -((-u) ** p) if odd and u < 0.0 else u ** p",),
+    rates=("du", "-(N - 1.0) / r * du + u - up"))
 
-    def f(r, y):
-        u, du = y
-        # trial steps may probe u < 0 before the terminal event truncates the
-        # run; extend u**p oddly so the field stays defined there
-        if odd and u < 0.0:
-            up = -((-u) ** p)
-        else:
-            up = u**p
-        return (du, -(N - 1.0) / r * du + u - up)
 
-    return f
+def _constants(params: ProblemParams, rtol: float) -> dict:
+    """The constants of ``_RADIAL`` and ``_DIFFERENCE`` at tolerance rtol."""
+    return {"N": params.N, "p": params.p, "odd": not float(params.p).is_integer(),
+            "floor": sys.float_info.min / rtol}
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -251,8 +249,8 @@ def integrate_adaptive(
     Uses the Dormand-Prince 5(4) pair with adaptive error control and dense
     output. Unit crossings and critical points are root-polished on each
     step's interpolant and recorded in increasing order, and
-    ``stop_at_critical = i`` ends the run at the i-th critical point; reaching u = 0 truncates the run and marks the trajectory
-    nonpositive.
+    ``stop_at_critical = i`` ends the run at the i-th critical point;
+    reaching u = 0 truncates the run and marks the trajectory nonpositive.
 
     Raises
     ------
@@ -286,14 +284,13 @@ def integrate_adaptive(
             dense=_dp45.Dense(r, [r_end - start.r], [[1.0, 0.0]], np.zeros((1, 2, 4))),
         )
 
-    event_list = (
-        _dp45.Event(lambda r, y: y[0] - 1.0),
-        _dp45.Event(lambda r, y: y[1], terminal=stop_at_critical or 0),
-        _dp45.Event(lambda r, y: y[0], direction=-1.0, terminal=1),
+    events = (
+        _dp45.Event("u - 1.0"),
+        _dp45.Event("du", terminal=stop_at_critical or 0),
+        _dp45.Event("u", direction=-1.0, terminal=1),
     )
-
-    run = _dp45.solve(_vector_field(params), start.r, (start.u, start.du), r_end,
-                      rtol, atol, event_list)
+    run = _dp45.solve(_RADIAL, _constants(params, rtol), start.r, (start.u, start.du), r_end,
+                      rtol, atol, events)
 
     if run.status == "failed":
         partial = None
@@ -339,31 +336,17 @@ def _build_trajectory(params, run, rtol, atol, status, message):
     )
 
 
-
-
-def _difference_field(params: ProblemParams):
-    """Field of (u*, u*', d, d') for a solution u* and the difference
-    d = u - u* of a second solution u:
-
-    d'' = -(N-1)/r d' + d - u***p expm1(p log1p(d/u*)),
-
-    so the nonlinearity difference carries the relative precision of d however
-    small d is. Past u* + d = 0 (trial steps beyond a terminal event) the
-    power is extended oddly so the field stays defined.
-    """
-    N, p = params.N, params.p
-    track = _vector_field(params)
-
-    def f(r, y):
-        u, du, d, dd = y
-        q = d / u
-        if q > -1.0:
-            jump = u**p * math.expm1(p * math.log1p(q))
-        else:
-            jump = -((-(u + d)) ** p) - u**p
-        return (*track(r, (u, du)), dd, -(N - 1.0) / r * dd + d - jump)
-
-    return f
+# (u*, u*', d, d') for a solution u* and the difference d = u - u* of a second
+# solution u: d'' = -(N-1)/r d' + d - u***p expm1(p log1p(d/u*)), so the
+# nonlinearity difference carries the relative precision of d however small d
+# is. Past u* + d = 0 (trial steps beyond a terminal event) the power is
+# extended oddly so the field stays defined.
+_DIFFERENCE = _dp45.Field(
+    t="r", state=("u", "du", "d", "dd"), consts=("N", "p", "odd", "floor"),
+    body=("q = d / u",
+          "jump = u ** p * expm1(p * log1p(q)) if q > -1.0 else -((-(u + d)) ** p) - u ** p",
+          *_RADIAL.body),
+    rates=(*_RADIAL.rates, "dd", "-(N - 1.0) / r * dd + d - jump"))
 
 
 @dataclass
@@ -406,13 +389,12 @@ def integrate_difference(
     ``float_info.min / rtol``, where the error scale ``rtol * |d|`` would
     leave the normal double range.
     """
-    floor = sys.float_info.min / rtol
     events = (
-        _dp45.Event(lambda r, y: math.hypot(y[2], y[3]) - floor, direction=-1.0, terminal=1),
-        _dp45.Event(lambda r, y: y[0] + y[2], direction=-1.0, terminal=1),
+        _dp45.Event("hypot(d, dd) - floor", direction=-1.0, terminal=1),
+        _dp45.Event("u + d", direction=-1.0, terminal=1),
     )
-    run = _dp45.solve(_difference_field(params), ref.r, (ref.u, ref.du, *delta), r_end,
-                      rtol, (atol, atol, 0.0, 0.0), events)
+    run = _dp45.solve(_DIFFERENCE, _constants(params, rtol), ref.r, (ref.u, ref.du, *delta),
+                      r_end, rtol, (atol, atol, 0.0, 0.0), events)
     if run.status == "failed":
         raise IntegrationError(f"difference integration failed: {run.message}")
     status = "ok"

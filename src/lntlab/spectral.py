@@ -210,12 +210,14 @@ def _ldl_negative_count(diag: np.ndarray, off: np.ndarray) -> int | None:
 
     Returns None on pivot breakdown (a zero or non-finite pivot).
     """
+    # on Python floats: indexing numpy scalars would cost most of the pass
+    diag, off = diag.tolist(), off.tolist()
     pivot = diag[0]
     if pivot == 0.0 or not math.isfinite(pivot):
         return None
     count = int(pivot < 0.0)
-    for k in range(1, diag.size):
-        pivot = diag[k] - off[k - 1] * off[k - 1] / pivot
+    for d, o in zip(diag[1:], off):
+        pivot = d - o * o / pivot
         if pivot == 0.0 or not math.isfinite(pivot):
             return None
         count += int(pivot < 0.0)

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import shlex
@@ -162,7 +163,7 @@ class _SerialPool:
 def test_sweep_workers_capped_by_pending_points(tmp_path, monkeypatch):
     # the pool forks all its workers at once: never more than points to compute
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _SerialPool(sizes, max_workers))
     assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
                     "--jobs", 100000, "--out-dir", tmp_path]) == 0
@@ -539,7 +540,7 @@ def test_sweep_recomputes_truncated_point(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
 def test_readme_example_writes_only_its_artifacts(tmp_path, monkeypatch, argv):
     # every file of a run is report.json or a listed artifact, none a leftover .tmp
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _SerialPool([], max_workers))
     assert run_cli([*argv, "--out-dir", tmp_path]) == 0
     (run_dir,) = tmp_path.glob("run-*")

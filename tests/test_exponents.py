@@ -11,7 +11,7 @@ from lntlab import (
     find_istar,
     solve_with_criticals,
 )
-from lntlab import exponents
+from lntlab import exponents, singular
 from lntlab.exponents import continuity_scan
 
 # regression fixture: power with first critical radius at R = 1 (N = 5)
@@ -196,3 +196,21 @@ def test_find_exponent_solves_each_power_once(monkeypatch):
     assert sol.p_i == pytest.approx(REF_P_5[1], rel=1e-10)
     assert len(keys) == len(set(keys))
     assert (sol.p_i, 1e-10, 1e-12) in keys
+
+
+def test_find_exponent_round_counters(monkeypatch):
+    # the counters that do not depend on the machine, summed over the
+    # trajectories of one round: another step or another solve shows here
+    trajs = []
+    integrate = singular.integrate_adaptive
+
+    def recorded(*args, **kwargs):
+        trajs.append(integrate(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(singular, "integrate_adaptive", recorded)
+    solves = [find_exponent(i, 1.0, 5, p_lo=6.0).solves for i in range(1, 5)]
+    assert solves == [7, 6, 6, 6] and len(trajs) == 25
+    assert sum(t.n_accepted for t in trajs) == 7304
+    assert sum(t.n_rejected for t in trajs) == 53
+    assert sum(t.nfev for t in trajs) == 44192

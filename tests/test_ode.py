@@ -13,15 +13,19 @@ from lntlab import (
     integrate_adaptive,
     integrate_difference,
 )
-from lntlab.ode import _difference_field, _vector_field, energy_values
+from lntlab.ode import _DIFFERENCE, _RADIAL, _constants, energy_values
 from lntlab.params import derive_constants, lemma_constants
 from lntlab.singular import seed_at_origin
 
 
+def _function(field, params):
+    return field.function(_constants(params, 1e-10))
+
+
 def test_vector_field_equilibrium_and_hand_value():
-    du, ddu = _vector_field(ProblemParams(3, 5.5))(2.0, (1.0, 0.0))
+    du, ddu = _function(_RADIAL, ProblemParams(3, 5.5))(2.0, (1.0, 0.0))
     assert du == 0.0 and ddu == 0.0
-    du, ddu = _vector_field(ProblemParams(3, 5.0))(1.0, (2.0, -1.0))
+    du, ddu = _function(_RADIAL, ProblemParams(3, 5.0))(1.0, (2.0, -1.0))
     assert du == -1.0
     assert ddu == pytest.approx(-28.0, rel=1e-14)
 
@@ -31,7 +35,7 @@ def test_difference_field_matches_subtraction():
     # fields; for a tiny one it is the linearization, which subtraction
     # cannot resolve
     params = ProblemParams(5, 20.0)
-    radial, pair = _vector_field(params), _difference_field(params)
+    radial, pair = _function(_RADIAL, params), _function(_DIFFERENCE, params)
     r, u, du = 0.7, 1.3, -0.2
     for d, dd in [(0.4, 0.1), (-0.5, 0.7)]:
         _, want = radial(r, (u + d, du + dd))

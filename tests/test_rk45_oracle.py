@@ -29,8 +29,8 @@ from lntlab import (
     integrate_difference,
     solve_singular,
 )
-from lntlab import _dp45, ode
-from lntlab.ode import _difference_field, _vector_field
+from lntlab import _dp45, exponents, ode
+from lntlab.ode import _DIFFERENCE, _RADIAL, _constants
 from lntlab.params import derive_constants, lemma_constants
 from lntlab.shooting import _taylor_start
 from lntlab.singular import _default_seed_radius, seed_at_origin
@@ -56,6 +56,11 @@ def _radial_events(stop_at_critical):
     return [unit, critical, floor]
 
 
+def _function(field, params, rtol=1e-10):
+    """The plain f(t, y) of one of ode's fields, as the stepper runs it."""
+    return field.function(_constants(params, rtol))
+
+
 def _scaled_gap(a, b):
     """Largest |a - b| relative to max(|b|, 1), per component."""
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0), axis=-1)
@@ -66,7 +71,7 @@ def test_singular_solve_matches_rk45():
     sol = solve_singular(params, 5.0, stop_at_critical=3)
     traj = sol.trajectory
     seed = seed_at_origin(params, derive_constants(params), sol.seed_radius)
-    ref = solve_ivp(_vector_field(params), (seed.r, 5.0), (seed.u, seed.du),
+    ref = solve_ivp(_function(_RADIAL, params), (seed.r, 5.0), (seed.u, seed.du),
                     method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
                     events=_radial_events(3))
     assert ref.status == 1 and traj.status == "ok"
@@ -93,7 +98,7 @@ def test_difference_run_matches_rk45():
     delta = (start.u - ref_state.u, start.du - ref_state.du)
     path = integrate_difference(params, ref_state, delta, 2.0, rtol, atol)
 
-    ref = solve_ivp(_difference_field(params), (ref_state.r, 2.0),
+    ref = solve_ivp(_function(_DIFFERENCE, params), (ref_state.r, 2.0),
                     (ref_state.u, ref_state.du, *delta), method="RK45",
                     rtol=rtol, atol=(atol, atol, 0.0, 0.0), dense_output=True)
     assert ref.status == 0 and path.status == "ok"
@@ -109,28 +114,26 @@ def test_difference_run_matches_rk45():
     assert np.max(gap / np.hypot(want[2], mid * want[3])) < STATE_RTOL
 
 
+_DECAY = _dp45.Field(t="t", state=("y",), consts=(), body=(), rates=("-y",))
+
+
 @pytest.mark.parametrize("t_end", [1.0, 0.5, math.nan])
 def test_solve_runs_forward_only(t_end):
     with pytest.raises(ParameterError):
-        _dp45.solve(lambda t, y: (-y[0],), 1.0, (1.0,), t_end, 1e-8, 1e-12)
+        _dp45.solve(_DECAY, {}, 1.0, (1.0,), t_end, 1e-8, 1e-12)
 
 
 def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
     # u'' = u**3 from u = 2 blows up near r = 1.7, so the step size collapses
-    def blowup(params):
-        def f(r, y):
-            return (y[1], y[0] ** 3)
-
-        return f
-
-    monkeypatch.setattr(ode, "_vector_field", blowup)
+    blowup = _dp45.Field(t="r", state=("u", "du"), consts=(), body=(), rates=("du", "u ** 3"))
+    monkeypatch.setattr(ode, "_RADIAL", blowup)
     params = ProblemParams(5, 20.0)
     start = RadialState(1.0, 2.0, 0.1)
     with pytest.raises(IntegrationError) as exc:
         integrate_adaptive(params, start, 3.0)
     partial = exc.value.partial
     assert partial is not None and partial.status == "failed"
-    ref = solve_ivp(blowup(params), (1.0, 3.0), (2.0, 0.1), method="RK45",
+    ref = solve_ivp(blowup.function({}), (1.0, 3.0), (2.0, 0.1), method="RK45",
                     rtol=1e-10, atol=1e-12, events=_radial_events(0))
     assert ref.status == -1
     assert partial.r.size == ref.t.size
@@ -163,20 +166,22 @@ def test_step_budget_fails_with_partial_trajectory(monkeypatch):
 
 def test_import_leaves_scipy_integrate_out():
     # nor scipy.optimize and scipy.linalg, which take most of a second to
-    # load; scipy.linalg is imported by smallest_eigenvalues alone
+    # load; scipy.linalg is imported by smallest_eigenvalues alone, and the
+    # process pool (multiprocessing) by a sweep with workers alone
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, lntlab, lntlab.cli; print([m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg'))])")
+            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+            "'concurrent.futures.process'))])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
     assert out.stdout.strip() == "[]"
 
 
 # The trial step as the stepper once wrote it, one generator per stage sum,
-# with its own copy of scipy's tableau: the reference the generated kernel
-# must match bit for bit.
+# with its own copy of scipy's tableau, and the Python loop that drove it:
+# the reference the generated stepping loop must match bit for bit.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -215,67 +220,281 @@ def _reference_trial_step(fun, t, y, f, h, rtol, atol):
     return y_new, f_new, err, (*k1, *k2, *k3, *k4, *k5, *k6, *f_new)
 
 
+def _reference_event(field, consts, expr):
+    """g(t, y) of an event expression, evaluated by eval() on the names."""
+    code = compile(expr, "<event>", "eval")
+
+    def g(t, y):
+        return eval(code, {**vars(math), **consts, field.t: t, **dict(zip(field.state, y))})
+
+    return g
+
+
+def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
+    """The stepper's Python loop on the field's plain f(t, y)."""
+    fun = field.function(consts)
+    n = len(y0)
+    y = tuple(float(v) for v in y0)
+    rtol = max(rtol, 100 * _dp45._EPS)
+    atol = tuple(atol) if isinstance(atol, tuple) else (atol,) * n
+    t = t0
+    f = fun(t, y)
+    h_abs = _dp45._initial_step(fun, t, y, f, t_end, rtol, atol)
+    nfev, n_accepted, n_rejected = 2, 0, 0
+    ts, ys, hs, stages = [t], list(y), [], []
+    gs = [_reference_event(field, consts, ev.expr) for ev in events]
+    scan = [(ev.direction >= 0, ev.direction <= 0) for ev in events]
+    g = [gj(t, y) for gj in gs]
+    counts = [0] * len(events)
+    t_events = [[] for _ in events]
+    rises = [[] for _ in events]
+    status, message = None, ""
+    while status is None:
+        if n_accepted >= _dp45.MAX_STEPS:
+            status = "failed"
+            message = f"Step budget of {_dp45.MAX_STEPS} accepted steps exhausted."
+            break
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = "failed"
+                message = "Required step size is less than spacing between numbers."
+                break
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            nfev += 6
+            try:
+                y_new, f_new, err, K = _reference_trial_step(fun, t, y, f, h, rtol, atol)
+            except OverflowError:
+                err = math.inf
+            if err < 1.0:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err**-0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * err**-0.2)
+            rejected = True
+            n_rejected += 1
+        if status == "failed":
+            break
+        n_accepted += 1
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        hs.append(h)
+        stages.extend(K)
+        if t >= t_end:
+            status = "finished"
+        before = {}
+        for j, (gj, (rise, fall)) in enumerate(zip(gs, scan)):
+            old = g[j]
+            g[j] = new = gj(t, y)
+            if (rise and old <= 0 <= new) or (fall and old >= 0 >= new):
+                before[j] = old
+        if before:
+            active = list(before)
+            interp = _dp45._interpolant(t_old, h, y_old, _dp45._quartic(K))
+            roots = {}
+            for j in active:
+                counts[j] += 1
+
+                def on_step(s, gj=gs[j]):
+                    return gj(s, interp(s))
+
+                try:
+                    roots[j] = _dp45.brentq(on_step, t_old, t,
+                                            xtol=4 * _dp45._EPS, rtol=4 * _dp45._EPS)
+                except ValueError:
+                    ends = {t_old: before[j], t: g[j]}
+                    roots[j] = _dp45.brentq(lambda s: ends[s] if s in ends else on_step(s),
+                                            t_old, t, xtol=4 * _dp45._EPS, rtol=4 * _dp45._EPS)
+            done = {j for j in active if 0 < events[j].terminal <= counts[j]}
+            if done:
+                active.sort(key=roots.get)
+                active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
+                status = "event"
+                t = roots[active[-1]]
+                y = interp(t)
+            for j in active:
+                t_events[j].append(roots[j])
+                rises[j].append(g[j] > before[j])
+        if len(ts) > 1 and t == ts[-1]:
+            hs.pop()
+            del stages[-7 * n:]
+        else:
+            ts.append(t)
+            ys.extend(y)
+    ys = np.array(ys).reshape(-1, n)
+    Q = np.tensordot(np.array(stages).reshape(-1, 7, n), _dp45._P, axes=([1], [0]))
+    return _dp45.Run(t=np.array(ts), y=ys.T, t_events=[np.array(te) for te in t_events],
+                     rises=[np.array(up, dtype=bool) for up in rises], status=status,
+                     message=message, dense=_dp45.Dense(ts, hs, ys[:-1], Q), nfev=nfev,
+                     n_accepted=n_accepted, n_rejected=n_rejected)
+
+
 def _hex(values):
-    return [float(v).hex() for v in values]
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _assert_same_run(got, want):
+    assert (got.status, got.message) == (want.status, want.message)
+    assert (got.nfev, got.n_accepted, got.n_rejected) == (
+        want.nfev, want.n_accepted, want.n_rejected)
+    assert _hex(got.t) == _hex(want.t)
+    assert _hex(got.y) == _hex(want.y)
+    assert [_hex(te) for te in got.t_events] == [_hex(te) for te in want.t_events]
+    assert [up.tolist() for up in got.rises] == [up.tolist() for up in want.rises]
+    if got.t.size > 1:
+        grid = np.linspace(got.t[0], got.t[-1], 999)
+        assert _hex(got.dense(grid)) == _hex(want.dense(grid))
+
+
+@pytest.fixture
+def checked_solves(monkeypatch):
+    """Runs every _dp45.solve call also on the reference loop, compares the
+    two bit for bit, and records the runs."""
+    solve, runs = _dp45.solve, []
+
+    def both(*args):
+        got = solve(*args)
+        _assert_same_run(got, _reference_solve(*args))
+        runs.append(got)
+        return got
+
+    monkeypatch.setattr(_dp45, "solve", both)
+    return runs
+
+
+def _difference_start(gamma=10.0):
+    params = ProblemParams(5, 20.0)
+    c = derive_constants(params)
+    cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, 1e-10)
+    start = _taylor_start(gamma, params, 2.1, 1e-10, 1e-12, h_max=cap)
+    return params, seed_at_origin(params, c, start.r)
+
+
+def _exponent_round(monkeypatch):
+    p_i = [exponents.find_exponent(i, 1.0, 5, 6.0).p_i for i in range(1, 5)]
+    assert [p.hex() for p in p_i] == ["0x1.6c99f999a0e35p+4", "0x1.0e4b9cdfabaebp+6",
+                                      "0x1.05febbed57cfdp+7", "0x1.accea19ae57e1p+7"]
+
+
+def _huge_power(monkeypatch):
+    solve_singular(ProblemParams(5, 1e6), 1.0)
+
+
+def _shot_to_zero(monkeypatch):
+    traj = integrate_adaptive(ProblemParams(5, 20.0), RadialState(1.0, 0.5, -2.0), 5.0)
+    assert traj.status == "nonpositive"
+
+
+def _difference_with_zero_component(monkeypatch):
+    # d starts at 0 with no absolute tolerance: its scale is 0 until d' moves it
+    params, ref = _difference_start()
+    assert integrate_difference(params, ref, (0.0, 1e-3), 2.0).status == "ok"
+    # d stays 0, so every trial step's error is infinite
+    with pytest.raises(IntegrationError, match="spacing"):
+        integrate_difference(params, ref, (0.0, 0.0), 2.0)
+
+
+def _step_budget(monkeypatch):
+    monkeypatch.setattr(_dp45, "MAX_STEPS", 40)
+    with pytest.raises(IntegrationError, match="budget"):
+        integrate_adaptive(ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0), 5.0)
+
+
+# case -> (runs it, number of solves)
+_CASES = {
+    "exponent-round": (_exponent_round, 25),
+    "p=1e6": (_huge_power, 1),
+    "shot-to-zero": (_shot_to_zero, 1),
+    "difference-zero-component": (_difference_with_zero_component, 2),
+    "step-budget": (_step_budget, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_generated_loop_matches_reference(case, checked_solves, monkeypatch):
+    run_case, solves = _CASES[case]
+    run_case(monkeypatch)
+    assert len(checked_solves) == solves
 
 
 # states drawn where each field is tame: u > 0 for the radial field, and
 # u* > 0 with |d| well below u* for the difference pair
-@pytest.mark.parametrize("n, field, y_lo, y_hi", [
-    (2, _vector_field, 0.2, 1.5),
-    (4, _difference_field, (0.2, 0.2, -0.1, -0.1), (1.5, 1.5, 0.1, 0.1))])
-def test_trial_step_kernel_matches_reference(n, field, y_lo, y_hi):
-    fun = field(ProblemParams(5, 20.0))
-    step = _dp45._trial_step(n)
+@pytest.mark.parametrize("field, y_lo, y_hi", [
+    (_RADIAL, 0.2, 1.5),
+    (_DIFFERENCE, (0.2, 0.2, -0.1, -0.1), (1.5, 1.5, 0.1, 0.1))], ids=["radial", "difference"])
+def test_trial_step_kernel_matches_reference(field, y_lo, y_hi, monkeypatch):
+    # short runs from random states, tolerances and zero absolute tolerances
+    monkeypatch.setattr(_dp45, "MAX_STEPS", 5)
+    n = len(field.state)
     rng = np.random.default_rng(20 + n)
-    for _ in range(200):
+    for _ in range(40):
         t = float(rng.uniform(0.05, 5.0))
         y = tuple(rng.uniform(y_lo, y_hi, n).tolist())
-        f = fun(t, y)
-        h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, -2))
+        t_end = t + float(10.0 ** rng.uniform(-6, 0))
         rtol = float(10.0 ** rng.uniform(-13, -3))
         atol = tuple((10.0 ** rng.uniform(-14, -6, n) * rng.integers(0, 2, n)).tolist())
-        got = step(fun, t, y, f, h, rtol, atol)
-        want = _reference_trial_step(fun, t, y, f, h, rtol, atol)
-        assert _hex(got[0]) == _hex(want[0])
-        assert _hex(got[1]) == _hex(want[1])
-        assert float(got[2]).hex() == float(want[2]).hex()
-        assert _hex(got[3]) == _hex(want[3])
+        consts = _constants(ProblemParams(5, 20.0), rtol)
+        _assert_same_run(_dp45.solve(field, consts, t, y, t_end, rtol, atol),
+                         _reference_solve(field, consts, t, y, t_end, rtol, atol))
 
 
 def test_trial_step_zero_scale_gives_infinite_error():
-    # a component that stays 0 with no absolute tolerance has a zero scale
-    def fun(t, y):
-        return (0.0, 1.0)
+    # a component that stays 0 with no absolute tolerance has a zero scale,
+    # so every trial step is rejected until the step floor
+    steady = _dp45.Field(t="t", state=("a", "b"), consts=(), body=(), rates=("0.0", "1.0"))
+    args = (steady, {}, 0.0, (0.0, 1.0), 1.0, 1e-6, (0.0, 0.0))
+    run = _dp45.solve(*args)
+    assert run.status == "failed" and run.n_accepted == 0 and run.n_rejected > 0
+    assert "spacing between numbers" in run.message
+    _assert_same_run(run, _reference_solve(*args))
 
-    step = _dp45._trial_step(2)
-    assert step(fun, 0.0, (0.0, 1.0), (0.0, 1.0), 0.1, 1e-6, (0.0, 0.0))[2] == math.inf
-    assert _reference_trial_step(fun, 0.0, (0.0, 1.0), (0.0, 1.0), 0.1, 1e-6,
-                                 (0.0, 0.0))[2] == math.inf
 
-
-def _overflowing_decay(overflows):
-    """y' = -y, whose evaluations number ``overflows`` (0-based) raise
-    OverflowError, as u**p does once u leaves the double range."""
+def _hook(raising, error=OverflowError):
+    """A hook whose calls numbered in ``raising`` (0-based) raise ``error``;
+    an OverflowError stands for u**p leaving the double range."""
     calls = iter(range(10**6))
 
-    def fun(t, y):
-        if next(calls) in overflows:
-            raise OverflowError("Numerical result out of range")
-        return (-y[0],)
+    def hook():
+        if next(calls) in raising:
+            raise error("raised by the hook")
 
-    return fun
+    return hook
+
+
+# y' = -y, calling the hook once per evaluation
+_HOOKED_DECAY = _dp45.Field(t="t", state=("y",), consts=("hook",), body=("hook()",),
+                            rates=("-y",))
+
+
+def _hooked_decay(overflows):
+    run = _dp45.solve(_HOOKED_DECAY, {"hook": _hook(overflows)},
+                      0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    _assert_same_run(run, _reference_solve(_HOOKED_DECAY, {"hook": _hook(overflows)},
+                                           0.0, (1.0,), 1.0, 1e-8, 1e-12))
+    return run
 
 
 def test_overflowing_stage_rejects_the_step():
-    clean = _dp45.solve(_overflowing_decay(()), 0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    clean = _hooked_decay(())
     # evaluations 0 and 1 pick the first step; 3 is the first trial's second stage
-    run = _dp45.solve(_overflowing_decay({3}), 0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    run = _hooked_decay({3})
     assert run.status == "finished"
     assert run.n_rejected == clean.n_rejected + 1
     assert run.nfev == 6 * (run.n_accepted + run.n_rejected) + 2
     assert run.y[0, -1] == pytest.approx(math.exp(-1.0), rel=1e-7)
     # a stage that overflows on every trial ends the run at the minimum step
-    always = _dp45.solve(_overflowing_decay(range(2, 10**6)), 0.0, (1.0,), 1.0, 1e-8, 1e-12)
+    always = _hooked_decay(range(2, 10**6))
     assert always.status == "failed" and always.n_accepted == 0
     assert "spacing between numbers" in always.message
+
+
+def test_other_stage_errors_propagate():
+    # the first trial's second stage, inside the stepping loop
+    with pytest.raises(ZeroDivisionError, match="hook"):
+        _dp45.solve(_HOOKED_DECAY, {"hook": _hook({3}, ZeroDivisionError)},
+                    0.0, (1.0,), 1.0, 1e-8, 1e-12)

@@ -18,7 +18,7 @@ from lntlab import (
     solve_singular,
 )
 from lntlab import shooting
-from lntlab.ode import _difference_field
+from lntlab.ode import _DIFFERENCE, _constants
 from lntlab.params import derive_constants, lemma_constants
 from lntlab.shooting import _critical_radius_of_shot, _taylor_start
 from lntlab.singular import _default_seed_radius, seed_at_origin
@@ -134,7 +134,7 @@ def test_convergence_distance_matches_dop853(collapse_report, k):
     cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, 1e-10)
     start = _taylor_start(collapse_report.gammas[k], params, 2.1, 1e-10, 1e-12, h_max=cap)
     ref = seed_at_origin(params, c, start.r)
-    sol = solve_ivp(_difference_field(params), (start.r, 2.0),
+    sol = solve_ivp(_DIFFERENCE.function(_constants(params, 1e-13)), (start.r, 2.0),
                     (ref.u, ref.du, start.u - ref.u, start.du - ref.du), method="DOP853",
                     rtol=1e-13, atol=(1e-15, 1e-15, 0.0, 0.0), dense_output=True)
     d = np.max(np.abs(sol.sol(np.linspace(0.5, 2.0, 2048))[2]))
