@@ -21,6 +21,7 @@ cutoff.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -53,8 +54,9 @@ DEFAULT_EPS0 = 0.35
 MIN_GRID_SIZE = 32
 GRID_START = 1024  # intervals of the first grid a cutoff scan tries
 GRID_CAP = 2**16  # largest grid a cutoff scan tries before giving up
-# eigenvalues grow like delta**-2 and their Sturm sequences square them, which
-# leaves double range below about 1e-77
+# the pencil's largest eigenvalues grow like delta**-2 and its mass like
+# delta**2: at this cutoff on 2048 nodes they reach about 4e152 and 1e-151,
+# well inside double range; deeper cutoffs are untested, so the bound stays
 MIN_CUTOFF = 1e-75
 
 
@@ -83,8 +85,11 @@ class TridiagonalForm:
     def __post_init__(self):
         if self.offdiag.size != max(self.diag.size - 1, 0):
             raise ParameterError("offdiagonal must be one shorter than the diagonal")
-        if self.mass is not None and self.mass.size != self.diag.size:
-            raise ParameterError("mass must match the diagonal size")
+        if self.mass is not None:
+            if self.mass.size != self.diag.size:
+                raise ParameterError("mass must match the diagonal size")
+            if not np.all((self.mass > 0.0) & np.isfinite(self.mass)):
+                raise ParameterError("mass must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -205,71 +210,122 @@ def assemble_operator(
     return AssembledOperator(spec=spec, form=TridiagonalForm(diag=diag, offdiag=off, mass=mass))
 
 
-def _ldl_negative_count(diag: np.ndarray, off: np.ndarray) -> int | None:
-    """Inertia of a symmetric tridiagonal matrix from the LDL^T pivots.
-
-    Returns None on pivot breakdown (a zero or non-finite pivot).
-    """
-    # on Python floats: indexing numpy scalars would cost most of the pass
-    diag, off = diag.tolist(), off.tolist()
-    pivot = diag[0]
-    if pivot == 0.0 or not math.isfinite(pivot):
+def _pencil(form: TridiagonalForm) -> tuple[list, list, list] | None:
+    """The pencil as Python float lists (diag, mass, off2) for the pivot
+    recurrence, taken once per operator: indexing numpy scalars would cost
+    most of a pass. off2 holds the squared off-diagonal behind a leading 0.0,
+    so the first pivot is diag[0] - shift*mass[0] with no special case.
+    None if an entry is not finite."""
+    diag = np.asarray(form.diag, dtype=float)
+    off = np.asarray(form.offdiag, dtype=float)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         return None
-    count = int(pivot < 0.0)
-    for d, o in zip(diag[1:], off):
-        pivot = d - o * o / pivot
-        if pivot == 0.0 or not math.isfinite(pivot):
-            return None
-        count += int(pivot < 0.0)
+    mass = [1.0] * diag.size if form.mass is None else np.asarray(form.mass, dtype=float).tolist()
+    return diag.tolist(), mass, [0.0] + (off * off).tolist()
+
+
+def _pivot_count(diag: list, mass: list, off2: list, shift: float) -> int:
+    """Negative pivots of the LDL^T factorization of A - shift*B,
+
+        piv_i = a_i - shift*m_i - o_{i-1}**2 / piv_{i-1},
+
+    which by Sylvester's law of inertia is the number of pencil eigenvalues
+    below ``shift``. Every pivot decreases with the shift, so a zero pivot is
+    taken as it would be just above the shift: negative, standing as the
+    smallest negative normal double, which makes the next pivot +inf and the
+    one after it finite again. The count is then the number of eigenvalues at
+    or below the shift.
+    """
+    tiny = -sys.float_info.min
+    pivot, count = 1.0, 0
+    for d, m, o2 in zip(diag, mass, off2):
+        pivot = d - shift * m - o2 / pivot
+        if pivot <= 0.0:
+            count += 1
+            if pivot == 0.0:
+                pivot = tiny
     return count
+
+
+def _form(system) -> TridiagonalForm:
+    return system.form if isinstance(system, AssembledOperator) else system
 
 
 def negative_count(system, shift: float = 0.0) -> int:
     """Number of pencil eigenvalues below ``shift`` via a Sturm/inertia pass.
 
     Exact for the discrete system up to floating-point sign evaluation at the
-    shift. A pivot breakdown perturbs the shift by 1e-12 times the matrix
-    scale and retries, at most three times.
+    shift; an eigenvalue on which the pass lands exactly is counted.
     """
-    form = system.form if isinstance(system, AssembledOperator) else system
-    diag = np.asarray(form.diag, dtype=float)
-    off = np.asarray(form.offdiag, dtype=float)
-    mass = np.ones_like(diag) if form.mass is None else np.asarray(form.mass, dtype=float)
-    if diag.size == 0:
-        return 0
-    scale = max(
-        float(np.max(np.abs(diag))),
-        float(np.max(np.abs(off))) if off.size else 0.0,
-        1.0,
-    )
-    s = shift
-    for _ in range(4):
-        count = _ldl_negative_count(diag - s * mass, off)
-        if count is not None:
-            return count
-        s += 1e-12 * scale
-    raise ConvergenceFailure("inertia recurrence broke down after three shift perturbations")
+    pencil = _pencil(_form(system))
+    if pencil is None:
+        raise ConvergenceFailure("inertia pass over non-finite form entries")
+    return _pivot_count(*pencil, shift)
+
+
+_DOUBLE = struct.Struct("<d")
+_INT = struct.Struct("<q")
+_SIGN = 1 << 63
+
+
+def _order(x: float) -> int:
+    """Position of x among the doubles: adjacent doubles are one apart."""
+    bits = _INT.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else -(bits + _SIGN)
+
+
+def _from_order(key: int) -> float:
+    return _DOUBLE.unpack(_INT.pack(key if key >= 0 else -key - _SIGN))[0]
 
 
 def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
-    """The k smallest pencil eigenvalues via the mass-normalized standard form."""
-    # imported here: scipy.linalg takes about 0.3 s to load, and no other
-    # path of the package needs it
-    from scipy.linalg import eigh_tridiagonal
+    """The k smallest pencil eigenvalues (all of them if there are fewer), by
+    Sturm bisection on the pivot count of A - shift*B (Barth, Martin and
+    Wilkinson, Numer. Math. 9, 1967).
 
-    form = system.form if isinstance(system, AssembledOperator) else system
+    The bracket is the pencil's Gershgorin interval: at an eigenvector's
+    largest component i, |a_i - lambda m_i| <= |o_{i-1}| + |o_i|. It is
+    bisected in the integer order of doubles down to two adjacent doubles, at
+    most 64 passes per eigenvalue, and the upper one is returned; the j-th
+    eigenvalue starts from the lower end the (j-1)-th ended on. The count
+    runs on the pencil itself, with no pivot floor that scales with the
+    entries, so the graded log-radius pencil keeps its small eigenvalues
+    accurate down to MIN_CUTOFF.
+    """
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got {k}")
+    form = _form(system)
+    pencil = _pencil(form)
+    if pencil is None:
+        raise ParameterError("form entries must be finite")
+    if not pencil[0]:
+        raise ParameterError("the form has no unknowns")
     diag = np.asarray(form.diag, dtype=float)
-    off = np.asarray(form.offdiag, dtype=float)
+    off = np.abs(np.asarray(form.offdiag, dtype=float))
     mass = np.ones_like(diag) if form.mass is None else np.asarray(form.mass, dtype=float)
-    d = diag / mass
-    e = off / np.sqrt(mass[:-1] * mass[1:]) if off.size else off
-    k = min(k, diag.size)
-    # the log-radius pencil is graded: its standard form grows like r**-2
-    # towards the cutoff, so LAPACK's default tolerance eps * |T| would swamp
-    # eigenvalues of order one; bisect to relative accuracy instead
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True,
-                            tol=sys.float_info.min)
-    return tuple(float(v) for v in vals)
+    radius = np.zeros_like(diag)
+    radius[:-1] += off
+    radius[1:] += off
+    with np.errstate(over="ignore"):
+        lo = float(np.min((diag - radius) / mass))
+        hi = float(np.max((diag + radius) / mass))
+    # rounding may leave an extreme eigenvalue just outside the computed
+    # bounds; any bracket inside double range costs at most 64 passes
+    pad = 2.0**-40 * max(abs(lo), abs(hi))
+    big = sys.float_info.max
+    key_lo, key_top = _order(max(lo - pad, -big)), _order(min(hi + pad, big))
+
+    vals = []
+    for j in range(min(k, diag.size)):
+        key_hi = key_top
+        while key_hi - key_lo > 1:
+            key = (key_lo + key_hi) // 2
+            if _pivot_count(*pencil, _from_order(key)) > j:
+                key_hi = key
+            else:
+                key_lo = key
+        vals.append(_from_order(key_hi))
+    return tuple(vals)
 
 
 def check_cutoffs(deltas, R) -> list[float]:

@@ -537,6 +537,19 @@ def test_sweep_recomputes_truncated_point(tmp_path, monkeypatch):
     assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
 
 
+def test_readme_morse_example_loads_no_scipy(tmp_path):
+    (argv,) = [a for a in _readme_examples() if a[0] == "morse"]
+    env = dict(os.environ)
+    src = str(Path(lntlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from lntlab.cli import main; code = main(sys.argv[1:]); "
+            "print([m for m in sys.modules if m.startswith('scipy')]); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path)],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
 def test_readme_example_writes_only_its_artifacts(tmp_path, monkeypatch, argv):
     # every file of a run is report.json or a listed artifact, none a leftover .tmp

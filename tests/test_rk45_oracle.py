@@ -166,8 +166,8 @@ def test_step_budget_fails_with_partial_trajectory(monkeypatch):
 
 def test_import_leaves_scipy_integrate_out():
     # nor scipy.optimize and scipy.linalg, which take most of a second to
-    # load; scipy.linalg is imported by smallest_eigenvalues alone, and the
-    # process pool (multiprocessing) by a sweep with workers alone
+    # load and which no path of the package imports; the process pool
+    # (multiprocessing) is imported by a sweep with workers alone
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

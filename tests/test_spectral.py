@@ -1,11 +1,14 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from lntlab import (
+    ConvergenceFailure,
     CoverageError,
     ParameterError,
     ProblemParams,
@@ -19,6 +22,7 @@ from lntlab import (
     smallest_eigenvalues,
     solve_singular,
 )
+from lntlab import spectral
 from lntlab.spectral import SampledRadialFunction, TailClass, TridiagonalForm
 from lntlab.params import derive_constants
 
@@ -93,6 +97,16 @@ def test_inertia_shift_counts_below_threshold():
         assert negative_count(form, shift=s) == int(np.count_nonzero(evs < s))
 
 
+def test_pass_landing_on_a_zero_pivot():
+    # eigenvalues 0 and 2; a zero pivot counts as negative and the pivot after
+    # it as +inf, so each pass counts the eigenvalues at or below its shift
+    form = TridiagonalForm(diag=np.array([1.0, 1.0]), offdiag=np.array([1.0]))
+    assert [negative_count(form, s) for s in (0.0, 1.0, 2.0)] == [1, 1, 2]
+    assert smallest_eigenvalues(form, 2) == pytest.approx((0.0, 2.0), abs=4e-16)
+    with pytest.raises(ConvergenceFailure, match="non-finite"):
+        negative_count(TridiagonalForm(diag=np.array([1.0, math.nan]), offdiag=np.array([1.0])))
+
+
 def test_eigenvalue_grid_convergence_second_order():
     params = ProblemParams(3, 5.0, R=1.0)
     vals = {}
@@ -104,6 +118,97 @@ def test_eigenvalue_grid_convergence_second_order():
     d3 = abs(vals[1024] - vals[2048])
     assert 3.0 < d1 / d2 < 5.5
     assert 3.0 < d2 / d3 < 5.5
+
+
+def _lapack_eigenvalues(form, k):
+    """The k smallest eigenvalues by LAPACK bisection on the mass-normalized
+    standard form, to relative accuracy."""
+    mass = np.ones_like(form.diag) if form.mass is None else form.mass
+    d = form.diag / mass
+    e = form.offdiag / np.sqrt(mass[:-1] * mass[1:])
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True,
+                            tol=sys.float_info.min)
+
+
+def _oracle_forms():
+    for (N, p), deltas in [((12, 5.0), (1e-2, 1e-3, 1e-4)),  # the README example
+                           ((5, 10.0), (1e-2, 1e-4, 1e-12)),
+                           ((12, 3.0), (1e-2, 1e-4, 1e-12))]:
+        params = ProblemParams(N, p, R=1.0)
+        sol = solve_singular(params, r_end=1.05)
+        for delta in deltas:
+            yield assemble_operator(sol, params, delta, 2048).form, 3
+    rng = np.random.default_rng(1312)  # the random tridiagonals of C11
+    for _ in range(50):
+        n = int(rng.integers(2, 201))
+        d = rng.normal(size=n)
+        yield TridiagonalForm(diag=d, offdiag=rng.normal(size=n - 1)), 4
+
+
+def test_eigenvalues_match_lapack_in_at_most_64_passes(monkeypatch):
+    passes = []
+    count = spectral._pivot_count
+    monkeypatch.setattr(spectral, "_pivot_count",
+                        lambda *args: passes.append(1) or count(*args))
+    for form, k in _oracle_forms():
+        want = _lapack_eigenvalues(form, k)
+        # the j-th eigenvalue resumes from where the (j-1)-th ended, so the
+        # passes of eigenvalue j are those of k = j+1 less those of k = j
+        used = []
+        for j in range(1, k + 1):
+            passes.clear()
+            got = smallest_eigenvalues(form, j)
+            used.append(len(passes))
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(abs(w), 1.0)
+        assert max(np.diff([0, *used])) <= 64
+
+
+def _mp_count_below(form, shift):
+    """Sturm count of the pencil below ``shift`` in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        shift = mpmath.mpf(shift)
+        count = 0
+        for i, (d, m) in enumerate(zip(form.diag.tolist(), form.mass.tolist())):
+            pivot = d - shift * m
+            if i:
+                pivot -= mpmath.mpf(form.offdiag[i - 1]) ** 2 / prev
+            count += pivot < 0
+            prev = pivot
+        return count
+
+
+@pytest.mark.parametrize("N, p", [(12, 5.0), (30, 1.3)])
+def test_eigenvalues_certified_at_deepest_cutoff(N, p):
+    # at delta = MIN_CUTOFF the standard form's off-diagonals reach 1e150,
+    # which a pivot floor scaled by them turns into wrong eigenvalues
+    params = ProblemParams(N, p, R=1.0)
+    sol = solve_singular(params, r_end=1.05)
+    form = assemble_operator(sol, params, spectral.MIN_CUTOFF, 2048).form
+    for j, lam in enumerate(smallest_eigenvalues(form, 3)):
+        assert _mp_count_below(form, lam - 1e-9 * abs(lam)) == j
+        assert _mp_count_below(form, lam + 1e-9 * abs(lam)) == j + 1
+
+
+def test_eigenvalue_input_validation():
+    form = TridiagonalForm(diag=np.array([1.0, 2.0]), offdiag=np.array([0.5]))
+    for k in (0, -1):
+        with pytest.raises(ParameterError, match="at least 1"):
+            smallest_eigenvalues(form, k)
+    with pytest.raises(ParameterError, match="no unknowns"):
+        smallest_eigenvalues(TridiagonalForm(diag=np.array([]), offdiag=np.array([])))
+    for bad in (math.nan, math.inf):
+        for diag, off in [([1.0, bad], [0.5]), ([1.0, 2.0], [bad])]:
+            with pytest.raises(ParameterError, match="finite"):
+                smallest_eigenvalues(TridiagonalForm(diag=np.array(diag), offdiag=np.array(off)))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_form_rejects_mass_not_positive_and_finite(bad):
+    with pytest.raises(ParameterError, match="positive and finite"):
+        TridiagonalForm(diag=np.array([1.0, 2.0]), offdiag=np.array([0.5]),
+                        mass=np.array([1.0, bad]))
 
 
 def test_assemble_validation():
