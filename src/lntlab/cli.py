@@ -286,7 +286,9 @@ def cmd_singular(args, bundle, outdir: Path):
         claim="singular-solution-constructed",
         margins={"r_p": sol.r_p if sol.r_p is not None else math.nan,
                  "n_critical": len(sol.critical_radii),
-                 "seed_truncation": sol.seed_truncation},
+                 "seed_radius": sol.seed_radius,
+                 "seed_truncation": sol.seed_truncation,
+                 "steps": sol.trajectory.n_accepted},
     ))
     if args.check_bounds:
         _verification_checks(bundle, sol)
@@ -422,7 +424,7 @@ def cmd_hardy(args, bundle, outdir: Path):
     fjs = [hardy_test_function(j, args.eps0, args.N) for j in range(1, args.j_max + 1)]
     rows = []
     for j, fj in enumerate(fjs, start=1):
-        # the solution is the two-term origin expansion of c, which the
+        # the solution is the origin series of c, which the
         # spectral code evaluates in scaled form: no overflow at large theta
         value = rayleigh_quotient(fj, c, params)
         rows.append((j, value))

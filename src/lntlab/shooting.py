@@ -152,7 +152,7 @@ def convergence_to_singular(
     integrated trajectories, whose transport errors would swamp it. Each
     shot's difference d = u_gamma - u* is integrated in r together with the
     singular track from the shot's Taylor start radius, where the singular
-    track is seeded from its origin expansion; d is error-controlled
+    track is seeded from its origin series; d is error-controlled
     relative to itself, and |d| is taken as a maximum over a shared uniform
     grid of 2048 radii.
 

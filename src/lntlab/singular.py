@@ -1,23 +1,31 @@
 """Construction of the singular radial solution from its origin asymptotics.
 
-The solution blowing up like ``A * r**(-theta)`` at the origin is built by
-seeding the two-term expansion ``A r**(-theta) (1 + Dp r**2)`` at a small
-radius inside the validated window ``r <= ctilde/sqrt(p)`` and integrating
-outward. The seed is certified a priori: the first term it leaves out,
-``D2 r**4`` of the origin series, must stay within the integration
-tolerance. The module also records the first unit crossing and the
+The solution blowing up like ``A * r**(-theta)`` at the origin has the
+origin series ``A r**(-theta) sum_k c_k r**(2k)``. The run is seeded from
+the series summed through ``c_K`` at the edge of the validated window
+``r <= ctilde/sqrt(p)`` and integrated outward. The seed is certified a
+priori: each of the next four terms the sum leaves out must stay within a
+quarter of the integration tolerance. Below the seed radius the solution is
+the series itself. The module also records the first unit crossing and the
 increasing sequence of critical radii, and exposes the origin-envelope and
 derivative verification reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEventError, EventError, IntegrationError, ParameterError
+from .errors import (
+    CoverageError,
+    DegenerateEventError,
+    EventError,
+    IntegrationError,
+    ParameterError,
+)
 from .ode import PointKind, RadialState, RadialTrajectory, integrate_adaptive
 from .params import (
     DerivedConstants,
@@ -30,6 +38,8 @@ from .params import (
 __all__ = [
     "CriticalRadii",
     "SingularSolution",
+    "origin_series",
+    "origin_profile",
     "seed_at_origin",
     "solve_singular",
     "solve_with_criticals",
@@ -39,7 +49,9 @@ __all__ = [
     "DerivativeBoundReport",
 ]
 
-SEED_SHRINK = 16.0  # default seed radius is at most rtilde_p / SEED_SHRINK
+SERIES_ORDER = 8  # K: the origin series is summed through c_K r**(2K)
+CERTIFIED_TERMS = 4  # terms past c_K that certify a seed radius
+WINDOW_SHRINK = 16.0  # the origin checks sample [rtilde_p / WINDOW_SHRINK, rtilde_p]
 R_END_EXTENSION_CAP = 2**10  # critical-radius search may extend r_end this far
 
 
@@ -82,61 +94,117 @@ def _critical_radii_from(traj: RadialTrajectory, require_first_min: bool) -> Cri
 
 @dataclass(frozen=True)
 class SingularSolution:
-    """Singular solution on (0, r_end] with its events and seed metadata."""
+    """Singular solution on (0, r_end]: the origin series below the seed
+    radius, the integrated trajectory above it, with its events and seed
+    metadata."""
 
     params: ProblemParams
     constants: DerivedConstants
     lemma: LemmaConstants
     seed_radius: float
-    seed_truncation: float  # |D2| seed_radius**4, the seed's relative error
+    seed_truncation: float  # sum of the certifying terms |c_k| r0**(2k) past c_K
     trajectory: RadialTrajectory
     r_p: float | None
     critical_radii: CriticalRadii
 
-    def sample(self, radii):
-        return self.trajectory.sample(radii)
+    def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        """(u, u') at the requested radii: the origin series the run was
+        seeded from below the seed radius, the trajectory's dense output
+        from there on."""
+        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        if radii.size and not radii.min() > 0.0:
+            raise CoverageError(f"the singular solution covers r > 0, not r = {radii.min()}")
+        inner = radii < self.seed_radius
+        u, du = self.trajectory.sample(np.where(inner, self.seed_radius, radii))
+        if inner.any():
+            r = radii[inner]
+            c = self.constants
+            t, dt = origin_profile(c, r)
+            u[inner] = t * r**-c.theta
+            du[inner] = dt * r ** (-c.theta - 1.0)
+        return u, du
+
+
+@functools.lru_cache(maxsize=64)
+def origin_series(c: DerivedConstants) -> tuple[float, ...]:
+    """Coefficients c_0 .. c_{K+4} of the origin series
+
+        u = A r**(-theta) sum_k c_k r**(2k),   K = SERIES_ORDER.
+
+    With s = r**2, a = A**(p-1) = theta (N-2-theta) and m_k = 2k - theta,
+    the r**(m_k - 2) terms of the equation give
+
+        c_k (m_k (m_k + N - 2) + a p) = c_{k-1} - a rest_k,
+
+    where b_k = p c_k + rest_k are the coefficients of (sum c_k s**k)**p by
+    J.C.P. Miller's power recurrence,
+    rest_k = (1/k) sum_{j=1}^{k-1} ((p+1) j - k) c_j b_{k-j}. c_0 = 1 and
+    c_1 = Dp. The terms past c_K certify a seed radius.
+    """
+    p, N, theta = c.p, c.N, c.theta
+    a = theta * (N - 2.0 - theta)
+    coef, power = [1.0], [1.0]
+    for k in range(1, SERIES_ORDER + CERTIFIED_TERMS + 1):
+        rest = sum(((p + 1.0) * j - k) * coef[j] * power[k - j] for j in range(1, k)) / k
+        m = 2.0 * k - theta
+        ck = (coef[k - 1] - a * rest) / (m * (m + N - 2.0) + a * p)
+        coef.append(ck)
+        power.append(p * ck + rest)
+    return tuple(coef)
+
+
+def origin_profile(c: DerivedConstants, r):
+    """Scaled values (u r**theta, u' r**(theta+1)) of the origin series
+    summed through c_K, at a radius or an array of radii.
+
+    They tend to (A, -theta A) at the origin, where u itself overflows once
+    theta is large.
+    """
+    coef = origin_series(c)
+    s = np.square(r)
+    t = dt = 0.0
+    for k in range(SERIES_ORDER, -1, -1):
+        t = t * s + coef[k]
+        dt = dt * s + coef[k] * (2.0 * k - c.theta)
+    return c.A * t, c.A * dt
 
 
 def seed_at_origin(
     params: ProblemParams, constants: DerivedConstants, r0: float
 ) -> RadialState:
-    """Seed state from the two-term origin expansion, valid for r0 <= rtilde_p.
+    """Seed state from the origin series summed through c_K, valid for
+    r0 <= rtilde_p.
 
-    u(r0)  = A r0**(-theta) (1 + Dp r0**2)
-    u'(r0) = A r0**(-theta-1) (-theta + (2 - theta) Dp r0**2)
+    u(r0)  = A r0**(-theta) sum_k c_k r0**(2k)
+    u'(r0) = A r0**(-theta-1) sum_k (2k - theta) c_k r0**(2k)
     """
     lem = lemma_constants(params)
     if not (0.0 < r0 <= lem.rtilde_p):
         raise ParameterError(
             f"seed radius must lie in (0, rtilde_p={lem.rtilde_p}], got r0={r0}"
         )
-    c = constants
-    u0 = c.A * r0**-c.theta * (1.0 + c.Dp * r0 * r0)
-    du0 = c.A * r0 ** (-c.theta - 1.0) * (-c.theta + (2.0 - c.theta) * c.Dp * r0 * r0)
-    return RadialState(r=r0, u=u0, du=du0)
+    t, dt = origin_profile(constants, r0)
+    theta = constants.theta
+    return RadialState(r=r0, u=float(t) * r0**-theta, du=float(dt) * r0 ** (-theta - 1.0))
 
 
-def _r4_coefficient(c: DerivedConstants) -> float:
-    """Coefficient D2 of the origin series A r**(-theta) (1 + Dp r**2 + D2 r**4 + ...).
-
-    Matching the r**(2-theta) terms of the equation, with
-    a = A**(p-1) = theta (N-2-theta), gives
-    D2 ((4-theta)(N+2-theta) + p a) = Dp (1 - p (p-1) a Dp / 2).
-    """
-    a = c.theta * (c.N - 2.0 - c.theta)
-    return c.Dp * (1.0 - 0.5 * c.p * (c.p - 1.0) * a * c.Dp) / (
-        (4.0 - c.theta) * (c.N + 2.0 - c.theta) + c.p * a)
+def _certifying_terms(c: DerivedConstants) -> list[tuple[int, float]]:
+    """(k, c_k) for the CERTIFIED_TERMS terms past c_K."""
+    series = origin_series(c)
+    return [(k, series[k]) for k in range(SERIES_ORDER + 1, len(series))]
 
 
-def _max_seed_radius(c: DerivedConstants, rtol: float) -> float:
-    """Largest seed radius whose truncation |D2| r0**4 stays within rtol."""
-    d2 = abs(_r4_coefficient(c))
-    return (rtol / d2) ** 0.25 if d2 else math.inf
+def _certified_radius(c: DerivedConstants, rtol: float) -> float:
+    """Largest seed radius at which each term |c_k| r0**(2k) past c_K stays
+    within rtol / CERTIFIED_TERMS."""
+    return min(((rtol / CERTIFIED_TERMS / abs(ck)) ** (0.5 / k)
+                for k, ck in _certifying_terms(c) if ck), default=math.inf)
 
 
 def _default_seed_radius(c: DerivedConstants, rtilde_p: float, rtol: float) -> float:
-    """rtilde_p / 16, shrunk where the seed's truncation would exceed rtol."""
-    return min(rtilde_p / SEED_SHRINK, _max_seed_radius(c, rtol))
+    """The window edge rtilde_p, shrunk to the certified radius where that
+    is smaller."""
+    return min(rtilde_p, _certified_radius(c, rtol))
 
 
 def solve_singular(
@@ -150,18 +218,20 @@ def solve_singular(
 ) -> SingularSolution:
     """Construct the singular solution on (0, r_end].
 
-    Seeds the two-term origin expansion at ``seed_radius``, integrates
-    outward with event detection, and fills the first unit crossing and the
-    critical radii; ``stop_at_critical = i`` ends the run at the i-th
-    critical radius if it comes before r_end. The seed's truncation error is
-    the first term it leaves out, ``|D2| r0**4`` relative to u; it must not
-    exceed rtol. The default seed radius is ``rtilde_p / 16``, shrunk to
-    ``(rtol / |D2|)**(1/4)`` where that is smaller.
+    Seeds the origin series summed through c_K at ``seed_radius``,
+    integrates outward with event detection, and fills the first unit
+    crossing and the critical radii; ``stop_at_critical = i`` ends the run
+    at the i-th critical radius if it comes before r_end. The seed is
+    certified when each of the next CERTIFIED_TERMS terms,
+    ``|c_k| r0**(2k)`` relative to u, is within ``rtol / CERTIFIED_TERMS``;
+    their sum is the seed's truncation. The default seed radius is the
+    window edge ``rtilde_p``, shrunk to the certified radius where that is
+    smaller.
 
     Raises
     ------
     IntegrationError
-        If the seed's truncation exceeds rtol (only a supplied
+        If the seed radius lies past the certified radius (only a supplied
         ``seed_radius`` can), or on integration breakdown.
     """
     c = derive_constants(params)
@@ -171,14 +241,15 @@ def solve_singular(
         raise ParameterError(
             f"r_end={r_end} must exceed the validated window rtilde_p={lem.rtilde_p}"
         )
-    seed = seed_at_origin(params, c, r0)
-    truncation = abs(_r4_coefficient(c)) * r0**4
+    certified = _certified_radius(c, rtol)
     # compared as radii, so the default radius passes without rounding doubt
-    if r0 > _max_seed_radius(c, rtol):
+    if r0 > certified:
         raise IntegrationError(
-            f"seed radius r0={r0} leaves a truncation |D2| r0**4 = {truncation} "
-            f"above rtol={rtol}; seed closer to the origin"
+            f"seed radius r0={r0} lies past the radius {certified} where the "
+            f"origin series is certified at rtol={rtol}; seed closer to the origin"
         )
+    seed = seed_at_origin(params, c, r0)
+    truncation = sum(abs(ck) * r0 ** (2 * k) for k, ck in _certifying_terms(c))
     traj = integrate_adaptive(params, seed, r_end, rtol, atol,
                               stop_at_critical=stop_at_critical)
     if traj.status == "nonpositive":
@@ -231,6 +302,13 @@ def solve_with_criticals(
     return sol
 
 
+def _window(sol: SingularSolution) -> np.ndarray:
+    """64 log-spaced radii spanning [rtilde_p / WINDOW_SHRINK, rtilde_p],
+    wherever the seed lies."""
+    rtilde_p = sol.lemma.rtilde_p
+    return np.geomspace(rtilde_p / WINDOW_SHRINK, rtilde_p, 64)
+
+
 @dataclass(frozen=True)
 class OriginBoundsReport:
     """Signed worst-case margins of the two-sided origin envelope."""
@@ -242,15 +320,16 @@ class OriginBoundsReport:
 
 
 def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> OriginBoundsReport:
-    """Check A r**(-theta) <= u <= A r**(-theta)(1 + Dp r**2) on the seed window.
+    """Check A r**(-theta) <= u <= A r**(-theta)(1 + Dp r**2) on the window.
 
-    Margins are relative and evaluated at 64 log-spaced radii in
-    (r0, rtilde_p]. The default tolerance is 10x the integrator tolerance.
+    Margins are relative and evaluated at 64 log-spaced radii of
+    [rtilde_p / WINDOW_SHRINK, rtilde_p]. The default tolerance is 10x the
+    integrator tolerance.
     """
     c = sol.constants
     if tol is None:
         tol = 10.0 * max(sol.trajectory.rtol, sol.trajectory.atol)
-    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, 64)
+    radii = _window(sol)
     u, _ = sol.sample(radii)
     lower = c.A * radii**-c.theta
     upper = lower * (1.0 + c.Dp * radii * radii)
@@ -276,10 +355,10 @@ class DerivativeBoundReport:
 
 
 def derivative_bound_check(sol: SingularSolution) -> DerivativeBoundReport:
-    """Evaluate the derivative-decay quantities at 64 log-spaced radii of the
-    validated seed window."""
+    """Evaluate the derivative-decay quantities at 64 log-spaced radii of
+    [rtilde_p / WINDOW_SHRINK, rtilde_p]."""
     c = sol.constants
-    radii = np.geomspace(sol.seed_radius * (1.0 + 1e-12), sol.lemma.rtilde_p, 64)
+    radii = _window(sol)
     u, du = sol.sample(radii)
     remainder = np.abs(du + c.theta * c.A * radii ** (-1.0 - c.theta))
     ratio = remainder / radii ** (1.0 - c.theta)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
 from .params import DerivedConstants, ProblemParams
-from .singular import SingularSolution
+from .singular import WINDOW_SHRINK, SingularSolution, origin_profile
 
 __all__ = [
     "EigenProblemSpec",
@@ -83,6 +83,10 @@ class TridiagonalForm:
     mass: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("diag", "offdiag", "mass"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
         if self.offdiag.size != max(self.diag.size - 1, 0):
             raise ParameterError("offdiagonal must be one shorter than the diagonal")
         if self.mass is not None:
@@ -122,26 +126,25 @@ def _scaled_profile(u, p: float):
     """Normalize the solution argument to a vectorized callable for the
     scaled profile r -> u(r) r**theta, theta = 2/(p-1), and the radii it
     covers (None: all). The solution is a ``SingularSolution``, the
-    ``DerivedConstants`` standing for their two-term origin expansion, or a
-    positive constant.
+    ``DerivedConstants`` standing for their origin series, or a positive
+    constant.
 
     The scaled profile tends to A at the origin, where u itself overflows
     once theta is large.
     """
     theta = 2.0 / (p - 1.0)
     if isinstance(u, DerivedConstants):
-        # the two-term origin expansion A r**(-theta) (1 + Dp r**2)
-        return lambda r: u.A * (1.0 + u.Dp * np.square(r)), None
+        return lambda r: origin_profile(u, r)[0], None
     if isinstance(u, SingularSolution):
-        # below the seed radius the two-term origin expansion the run was
-        # seeded from is at least as accurate as at the seed itself
+        # below the seed radius the solution is the origin series the run
+        # was seeded from
         traj = u.trajectory
-        inner, _ = _scaled_profile(u.constants, p)
-        r0 = traj.r_start
+        r0 = u.seed_radius
 
         def scaled(r):
             r = np.asarray(r, dtype=float)
-            return np.where(r < r0, inner(r), traj.sample(np.maximum(r, r0))[0] * r**theta)
+            return np.where(r < r0, origin_profile(u.constants, r)[0],
+                            traj.sample(np.maximum(r, r0))[0] * r**theta)
 
         return scaled, (0.0, traj.r_end)
     if isinstance(u, (int, float)):
@@ -216,11 +219,10 @@ def _pencil(form: TridiagonalForm) -> tuple[list, list, list] | None:
     most of a pass. off2 holds the squared off-diagonal behind a leading 0.0,
     so the first pivot is diag[0] - shift*mass[0] with no special case.
     None if an entry is not finite."""
-    diag = np.asarray(form.diag, dtype=float)
-    off = np.asarray(form.offdiag, dtype=float)
+    diag, off = form.diag, form.offdiag
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         return None
-    mass = [1.0] * diag.size if form.mass is None else np.asarray(form.mass, dtype=float).tolist()
+    mass = [1.0] * diag.size if form.mass is None else form.mass.tolist()
     return diag.tolist(), mass, [0.0] + (off * off).tolist()
 
 
@@ -300,9 +302,9 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
         raise ParameterError("form entries must be finite")
     if not pencil[0]:
         raise ParameterError("the form has no unknowns")
-    diag = np.asarray(form.diag, dtype=float)
-    off = np.abs(np.asarray(form.offdiag, dtype=float))
-    mass = np.ones_like(diag) if form.mass is None else np.asarray(form.mass, dtype=float)
+    diag = form.diag
+    off = np.abs(form.offdiag)
+    mass = np.ones_like(diag) if form.mass is None else form.mass
     radius = np.zeros_like(diag)
     radius[:-1] += off
     radius[1:] += off
@@ -497,17 +499,18 @@ class ThresholdReport:
 def potential_threshold_check(sol: SingularSolution) -> ThresholdReport:
     """Locate the near-origin potential relative to the Hardy constant.
 
-    Evaluates r**2 (p u**(p-1) - 1) at the inner edge of the validated seed
-    window. The limit at the origin is p theta (N-2-theta); the potential
-    admits infinitely many negative directions when the limit exceeds
-    (N-2)**2/4 (power below the Joseph-Lundgren exponent) and only finitely
-    many when it falls below. PASS requires the side to match the power's
-    side of pJL and the computed value to match the limit within 1e-3.
+    Evaluates r**2 (p u**(p-1) - 1) at the inner edge rtilde_p /
+    WINDOW_SHRINK of the validated window. The limit at the origin is
+    p theta (N-2-theta); the potential admits infinitely many negative
+    directions when the limit exceeds (N-2)**2/4 (power below the
+    Joseph-Lundgren exponent) and only finitely many when it falls below.
+    PASS requires the side to match the power's side of pJL and the computed
+    value to match the limit within 1e-3.
     """
     params = sol.params
     c = sol.constants
-    r = np.array([sol.seed_radius * (1.0 + 1e-12)])
-    limit_computed = float(_q_r2(sol.trajectory.sample(r)[0] * r**c.theta, r, params.p)[0])
+    r = np.array([sol.lemma.rtilde_p / WINDOW_SHRINK])
+    limit_computed = float(_q_r2(sol.sample(r)[0] * r**c.theta, r, params.p)[0])
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)
     hardy = 0.25 * (params.N - 2.0) ** 2
     margin = limit_closed - hardy

@@ -242,7 +242,7 @@ def test_c09_morse_dichotomy():
 def test_c10_hardy_certificates():
     t0 = time.time()
     params = ProblemParams(5, 10.0)
-    prof = derive_constants(params)  # stands for its two-term origin expansion
+    prof = derive_constants(params)  # stands for its origin series
     eps0 = 1.0
     ok = True
     for j in range(1, 6):

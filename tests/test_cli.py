@@ -42,6 +42,11 @@ def test_singular_command_and_determinism(tmp_path):
     assert all(c["claim"] for c in report["checks"])
     solve = next(c for c in report["checks"] if c["name"] == "singular-solve")
     assert 0.0 < solve["margins"]["seed_truncation"] <= 1e-10
+    # the report alone shows where the run started and how many steps it took
+    rtilde_p = lntlab.lemma_constants(lntlab.ProblemParams(5, 20.0)).rtilde_p
+    assert solve["margins"]["seed_radius"] == rtilde_p
+    assert solve["margins"]["steps"] == lntlab.solve_singular(
+        lntlab.ProblemParams(5, 20.0), 3.0).trajectory.n_accepted
 
 
 def test_config_error_exit_code(tmp_path):

@@ -211,6 +211,8 @@ def test_find_exponent_round_counters(monkeypatch):
     monkeypatch.setattr(singular, "integrate_adaptive", recorded)
     solves = [find_exponent(i, 1.0, 5, p_lo=6.0).solves for i in range(1, 5)]
     assert solves == [7, 6, 6, 6] and len(trajs) == 25
-    assert sum(t.n_accepted for t in trajs) == 7304
-    assert sum(t.n_rejected for t in trajs) == 53
-    assert sum(t.nfev for t in trajs) == 44192
+    # seeded at the window edge rtilde_p, none of them steps through the
+    # power-law stretch below it
+    assert sum(t.n_accepted for t in trajs) == 5121
+    assert sum(t.n_rejected for t in trajs) == 28
+    assert sum(t.nfev for t in trajs) == 30944

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lntlab import (
     DegenerateEventError,
@@ -20,7 +21,7 @@ from lntlab import (
 )
 from lntlab import _dp45, ode, singular
 from lntlab.params import critical_exponent
-from lntlab.singular import CriticalRadii, _default_seed_radius, _max_seed_radius
+from lntlab.singular import CriticalRadii, _certified_radius, _default_seed_radius
 
 # regression fixtures from a run at rtol=1e-12, atol=1e-14
 REF_R_P_5_20 = 0.78556695084947
@@ -30,10 +31,14 @@ REF_R1_5_20 = 1.06900443866014
 def test_seed_at_origin_hand_value():
     params = ProblemParams(4, 3.0)
     c = derive_constants(params)
+    # A = theta = a = 1 and p = 3: the recurrence gives c = 1, 1/6, 1/216, -1/8208
+    assert singular.origin_series(c)[:4] == pytest.approx(
+        (1.0, 1.0 / 6.0, 1.0 / 216.0, -1.0 / 8208.0), rel=1e-14)
     seed = seed_at_origin(params, c, 0.01)
-    # A = theta = 1, Dp = 1/6: u = 100 (1 + 1e-4/6), u' = -1e4 (1 - 1e-4/6)
-    assert seed.u == pytest.approx(100.0 * (1.0 + 1e-4 / 6.0), rel=1e-14)
-    assert seed.du == pytest.approx(1e4 * (-1.0 + 1e-4 / 6.0), rel=1e-14)
+    # u = 100 sum c_k 1e-4**k, u' = 1e4 sum (2k - 1) c_k 1e-4**k; the c_3
+    # terms sit below the tolerance
+    assert seed.u == pytest.approx(100.0 * (1.0 + 1e-4 / 6.0 + 1e-8 / 216.0), rel=1e-14)
+    assert seed.du == pytest.approx(1e4 * (-1.0 + 1e-4 / 6.0 + 3e-8 / 216.0), rel=1e-14)
 
 
 def test_seed_rejects_radius_outside_window():
@@ -101,27 +106,29 @@ def test_uniqueness_proxy_two_seeds():
 
 
 def test_seed_sensitivity_catches_bad_seed():
-    # seeding at the window edge makes the expansion error visible
+    # a seed past the certified radius is refused before integrating, even
+    # where it lies outside the window too
     params = ProblemParams(5, 10.0)
-    lem = lemma_constants(params)
-    with pytest.raises(IntegrationError):
-        solve_singular(params, r_end=1.0, seed_radius=lem.rtilde_p)
+    certified = _certified_radius(derive_constants(params), 1e-10)
+    assert certified > lemma_constants(params).rtilde_p
+    with pytest.raises(IntegrationError, match="certified"):
+        solve_singular(params, r_end=1.0, seed_radius=1.01 * certified)
 
 
-def _probe_at_rtilde(params, r0, rtol, atol):
-    """(u, u') at rtilde_p of the run seeded at r0."""
-    lem = lemma_constants(params)
+def _probe_at(params, r0, r_probe, rtol, atol):
+    """(u, u') at r_probe of the run seeded at r0."""
     seed = seed_at_origin(params, derive_constants(params), r0)
-    run = integrate_adaptive(params, seed, lem.rtilde_p, rtol, atol)
-    u, du = run.sample(lem.rtilde_p)
+    run = integrate_adaptive(params, seed, r_probe, rtol, atol)
+    u, du = run.sample(r_probe)
     return float(u[0]), float(du[0])
 
 
 def _probes_accept(params, r0, rtol, atol=1e-12):
     """Empirical seed check: runs seeded at r0 and r0/2, at a quarter of the
-    tolerances, agree at rtilde_p within 10 (atol + rtol scale)."""
-    ua, dua = _probe_at_rtilde(params, r0, rtol / 4.0, atol / 4.0)
-    ub, dub = _probe_at_rtilde(params, r0 / 2.0, rtol / 4.0, atol / 4.0)
+    tolerances, agree at 2 rtilde_p within 10 (atol + rtol scale)."""
+    r_probe = 2.0 * lemma_constants(params).rtilde_p
+    ua, dua = _probe_at(params, r0, r_probe, rtol / 4.0, atol / 4.0)
+    ub, dub = _probe_at(params, r0 / 2.0, r_probe, rtol / 4.0, atol / 4.0)
     budget = 10.0 * (atol + rtol * max(abs(ua), abs(ub), abs(dua), abs(dub), 1.0))
     return abs(ua - ub) <= budget and abs(dua - dub) <= budget
 
@@ -130,25 +137,123 @@ def _probes_accept(params, r0, rtol, atol=1e-12):
 @pytest.mark.parametrize("ratio", [1.0, 1.1, 2.0])
 @pytest.mark.parametrize("N", [3, 4, 8, 12])
 def test_seed_bound_against_probe_oracle(N, ratio, rtol):
-    # the a priori bound |D2| r0**4 <= rtol against two probe runs from r0
-    # and r0/2: the default seed passes the probes, and so does every other
-    # seed the bound accepts
+    # the a priori certificate against two probe runs from r0 and r0/2: the
+    # default seed, at the window edge, passes the probes, and so does every
+    # other seed the certificate accepts
     params = ProblemParams(N, ratio * critical_exponent(N))
     c = derive_constants(params)
     rtilde_p = lemma_constants(params).rtilde_p
     r0 = _default_seed_radius(c, rtilde_p, rtol)
+    assert r0 == rtilde_p
     assert _probes_accept(params, r0, rtol)
-    for r in (rtilde_p / 16.0, rtilde_p / 8.0, 2.0 * r0):
-        if r <= _max_seed_radius(c, rtol):
+    for r in (rtilde_p / 16.0, rtilde_p / 4.0):
+        if r <= _certified_radius(c, rtol):
             assert _probes_accept(params, r, rtol)
 
 
 def test_critical_exponent_seed_solves():
-    # at p = (N+2)/(N-2) the default seed shrinks below rtilde_p / 16, to the
-    # radius where the truncation meets rtol
-    sol = solve_singular(ProblemParams(3, 5.0), 5.0)
-    assert sol.seed_radius < sol.lemma.rtilde_p / 16.0
-    assert sol.seed_truncation == pytest.approx(1e-10, rel=1e-12)
+    # at p = (N+2)/(N-2), N = 3: theta = 1/2 and a = 1/4 give the series
+    # c = 1, 1/5, 1/170, -1/1850, certified well past the window edge
+    params = ProblemParams(3, 5.0)
+    c = derive_constants(params)
+    series = singular.origin_series(c)
+    assert series[:4] == pytest.approx((1.0, 0.2, 1.0 / 170.0, -1.0 / 1850.0), rel=1e-14)
+    sol = solve_singular(params, 5.0)
+    r0 = sol.lemma.rtilde_p
+    assert sol.seed_radius == r0
+    assert sol.seed_truncation == pytest.approx(
+        sum(abs(series[k]) * r0 ** (2 * k) for k in range(9, 13)), rel=1e-12)
+    assert sol.seed_truncation <= 1e-10
+    seed = seed_at_origin(params, c, r0)
+    assert (sol.trajectory.u[0], sol.trajectory.du[0]) == (seed.u, seed.du)
+
+
+def _closed_form_d2(c):
+    """D2 of A r**(-theta) (1 + Dp r**2 + D2 r**4 + ...): matching the
+    r**(2-theta) terms of the equation, with a = theta (N-2-theta),
+    D2 ((4-theta)(N+2-theta) + p a) = Dp (1 - p (p-1) a Dp / 2)."""
+    a = c.theta * (c.N - 2.0 - c.theta)
+    return c.Dp * (1.0 - 0.5 * c.p * (c.p - 1.0) * a * c.Dp) / (
+        (4.0 - c.theta) * (c.N + 2.0 - c.theta) + c.p * a)
+
+
+_SERIES_GRID = [(N, p) for N in (3, 5, 12, 30)
+                for p in (1.05 * critical_exponent(N), 22.8, 214.0, 1e4)]
+
+
+@pytest.mark.parametrize("N, p", _SERIES_GRID)
+def test_series_leading_coefficients(N, p):
+    c = derive_constants(ProblemParams(N, p))
+    series = singular.origin_series(c)
+    assert series[0] == 1.0
+    assert series[1] == pytest.approx(c.Dp, rel=1e-14)
+    assert series[2] == pytest.approx(_closed_form_d2(c), rel=1e-12)
+
+
+@pytest.mark.parametrize("N, p", _SERIES_GRID)
+def test_series_state_at_window_edge_matches_dop853(N, p):
+    # scipy's DOP853 at rtol 1e-13 from the two-term seed where the first
+    # omitted term |D2| r**4 is 1e-16, run out to rtilde_p
+    params = ProblemParams(N, p)
+    c = derive_constants(params)
+    rtilde_p = lemma_constants(params).rtilde_p
+    r0 = (1e-16 / abs(_closed_form_d2(c))) ** 0.25
+    u0 = c.A * r0**-c.theta * (1.0 + c.Dp * r0 * r0)
+    du0 = c.A * r0 ** (-c.theta - 1.0) * (-c.theta + (2.0 - c.theta) * c.Dp * r0 * r0)
+
+    def rhs(r, y):
+        return (y[1], -(N - 1.0) / r * y[1] + y[0] - max(y[0], 0.0) ** p)
+
+    ref = solve_ivp(rhs, (r0, rtilde_p), (u0, du0), method="DOP853", rtol=1e-13, atol=0.0)
+    assert ref.status == 0
+    seed = seed_at_origin(params, c, rtilde_p)
+    assert seed.u == pytest.approx(ref.y[0, -1], rel=1e-11)
+    assert seed.du == pytest.approx(ref.y[1, -1], rel=1e-11)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-13])
+def test_certified_radius_covers_window(rtol):
+    # so the default seed is the window edge over the whole grid
+    for N, p in _SERIES_GRID:
+        params = ProblemParams(N, p)
+        rtilde_p = lemma_constants(params).rtilde_p
+        assert _certified_radius(derive_constants(params), rtol) >= rtilde_p
+        assert _default_seed_radius(derive_constants(params), rtilde_p, rtol) == rtilde_p
+
+
+def test_origin_checks_sample_the_window(sing_5_20, monkeypatch):
+    # 64 distinct radii spanning [rtilde_p / 16, rtilde_p], though the seed
+    # sits at rtilde_p
+    seen = []
+    sample = singular.SingularSolution.sample
+
+    def recorded(self, radii):
+        seen.append(np.atleast_1d(radii))
+        return sample(self, radii)
+
+    monkeypatch.setattr(singular.SingularSolution, "sample", recorded)
+    verify_origin_bounds(sing_5_20)
+    derivative_bound_check(sing_5_20)
+    rtilde_p = sing_5_20.lemma.rtilde_p
+    assert sing_5_20.seed_radius == rtilde_p
+    windows = [r for r in seen if r.size > 1]
+    assert len(windows) == 2
+    for radii in windows:
+        assert np.unique(radii).size == 64
+        assert radii.min() == pytest.approx(rtilde_p / 16.0, rel=1e-14)
+        assert radii.max() == pytest.approx(rtilde_p, rel=1e-14)
+
+
+def test_origin_sandwich_catches_raised_series(sing_5_20, monkeypatch):
+    # c_1 raised by 1% lifts u above A r**(-theta) (1 + Dp r**2) by about
+    # 6e-6 at rtilde_p, far past the tolerance
+    series = singular.origin_series(sing_5_20.constants)
+    raised = (series[0], 1.01 * series[1], *series[2:])
+    monkeypatch.setattr(singular, "origin_series", lambda c: raised)
+    rep = verify_origin_bounds(sing_5_20)
+    assert not rep.passed
+    assert 1e-6 < rep.upper_margin < 1e-5
+    assert rep.upper_margin > 1e3 * rep.tol
 
 
 def test_critical_radius_ordering_and_extension():

@@ -211,6 +211,23 @@ def test_form_rejects_mass_not_positive_and_finite(bad):
                         mass=np.array([1.0, bad]))
 
 
+def test_form_from_lists_validates_like_arrays():
+    # fields are converted on construction, so lists are checked, not
+    # refused with an AttributeError
+    form = TridiagonalForm(diag=[1.0, 2.0], offdiag=[0.5], mass=[1.0, 1.0])
+    ref = TridiagonalForm(diag=np.array([1.0, 2.0]), offdiag=np.array([0.5]),
+                          mass=np.array([1.0, 1.0]))
+    assert isinstance(form.diag, np.ndarray) and form.diag.dtype == float
+    assert negative_count(form, 1.5) == negative_count(ref, 1.5)
+    assert smallest_eigenvalues(form, 2) == smallest_eigenvalues(ref, 2)
+    with pytest.raises(ParameterError, match="one shorter"):
+        TridiagonalForm(diag=[1.0, 2.0], offdiag=[0.5, 0.5])
+    with pytest.raises(ParameterError, match="mass must match"):
+        TridiagonalForm(diag=[1.0, 2.0], offdiag=[0.5], mass=[1.0])
+    with pytest.raises(ParameterError, match="positive and finite"):
+        TridiagonalForm(diag=[1.0, 2], offdiag=[0.5], mass=[1.0, 0])
+
+
 def test_assemble_validation():
     params = ProblemParams(3, 5.0, R=1.0)
     with pytest.raises(ParameterError):
@@ -344,7 +361,7 @@ def test_rayleigh_constant_function_on_constant_solution():
 
 def test_rayleigh_negative_on_hardy_functions():
     params = ProblemParams(5, 10.0)
-    prof = derive_constants(params)  # stands for its two-term origin expansion
+    prof = derive_constants(params)  # stands for its origin series
     vals = [rayleigh_quotient(hardy_test_function(j, 0.35, 5), prof, params)
             for j in (1, 3, 5)]
     assert all(v < 0.0 for v in vals)
@@ -364,7 +381,7 @@ def test_rayleigh_coverage_error(sing_5_20):
     fj = hardy_test_function(1, 0.35, 5)
     with pytest.raises(ParameterError):
         rayleigh_quotient(fj, sing_5_20.trajectory, params)
-    # below the seed radius the solution is its two-term origin expansion
+    # below the seed radius the solution is its origin series
     assert fj.radii[-1] < sing_5_20.seed_radius
     assert (rayleigh_quotient(fj, sing_5_20, params)
             == rayleigh_quotient(fj, sing_5_20.constants, params))
@@ -383,7 +400,7 @@ def test_origin_expansion_at_large_theta():
 
 def test_discrete_projection_stays_negative():
     params = ProblemParams(5, 10.0)
-    prof = derive_constants(params)  # stands for its two-term origin expansion
+    prof = derive_constants(params)  # stands for its origin series
     fj = hardy_test_function(1, 1.0, 5)
     r = fj.radii
     sub = ProblemParams(5, 10.0, R=float(r[-1]))
@@ -407,6 +424,12 @@ def test_potential_threshold_sides():
     assert rep.limit_closed_form == pytest.approx(23.75, rel=1e-12)
     assert rep.hardy_constant == 25.0
     assert rep.side == "below" and rep.passed
+    # evaluated at the inner edge rtilde_p / 16 of the window, below the
+    # seed at rtilde_p, where the solution is its origin series
+    assert sol.seed_radius == lem.rtilde_p
+    r = lem.rtilde_p / 16.0
+    u, _ = sol.sample(r)
+    assert rep.limit_computed == pytest.approx(r * r * (5.0 * u[0] ** 4 - 1.0), rel=1e-14)
 
     # infinite-index side: limit 27 above 25
     params = ProblemParams(12, 3.0)
