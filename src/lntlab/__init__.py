@@ -48,9 +48,11 @@ from .params import (
 from .shooting import ShootingResult, branch_sample, convergence_to_singular, shoot
 from .singular import (
     CriticalRadii,
+    SeedWindow,
     SingularSolution,
     derivative_bound_check,
     seed_at_origin,
+    seed_window,
     solve_singular,
     solve_with_criticals,
     verify_origin_bounds,

@@ -383,8 +383,10 @@ def cmd_continuity(args, bundle, outdir: Path):
 def cmd_morse(args, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
     check_cutoffs(args.deltas, params.R)
-    sol = solve_singular(params, r_end=1.05 * args.R, rtol=args.tol_rel,
-                         atol=args.tol_abs)
+    # past R, and far enough past the window edge at a small ball
+    rtilde_p = lemma_constants(derive_constants(params)).rtilde_p
+    sol = solve_singular(params, r_end=max(1.05 * args.R, 2.0 * rtilde_p),
+                         rtol=args.tol_rel, atol=args.tol_abs)
     scan = morse_scan(params, sol, args.deltas)
     bundle.add_artifact(outdir / "morse.json", {
         "classification": scan.classification.name,
@@ -413,7 +415,7 @@ def cmd_hardy(args, bundle, outdir: Path):
         raise ParameterError(f"eps0 must be positive and finite, got {args.eps0}")
     params = ProblemParams(args.N, args.p)
     c = derive_constants(params)
-    lem = lemma_constants(params)
+    lem = lemma_constants(c)
     r1 = math.exp(-2.0 * math.pi / args.eps0)
     if r1 > lem.rtilde_p:
         raise ParameterError(
@@ -501,8 +503,8 @@ def cmd_sweep(args, bundle, outdir: Path):
             pending.append((k, payload))
     if pending:
         # the pool forks all its workers at the first submit, so never more
-        # than there are points to compute
-        workers = min(args.jobs, len(pending))
+        # than there are points to compute or cores to run them
+        workers = min(args.jobs, len(pending), os.cpu_count() or 1)
         if workers > 1:
             # imported here, so that no other command loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor

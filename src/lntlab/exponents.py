@@ -22,7 +22,7 @@ import numpy as np
 
 from ._brent import brentq
 from .errors import BracketError, EventError, ParameterError
-from .params import ProblemParams, critical_exponent, lemma_constants
+from .params import ProblemParams, critical_exponent, derive_constants, lemma_constants
 from .singular import solve_singular, solve_with_criticals
 
 __all__ = [
@@ -66,7 +66,7 @@ def find_istar(
     if not (R > 0):
         raise ParameterError(f"target radius must be positive, got R={R}")
     params = ProblemParams(N, p_tilde, R=R)
-    r_end = max(R, 2.0 * lemma_constants(params).rtilde_p)
+    r_end = max(R, 2.0 * lemma_constants(derive_constants(params)).rtilde_p)
     sol = solve_singular(params, r_end, rtol, atol)
     return 1 + int(np.count_nonzero(sol.critical_radii.radii <= R))
 

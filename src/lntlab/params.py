@@ -216,13 +216,13 @@ def phi_nonlinearity(eta, p: float):
     return float(out) if out.ndim == 0 else out
 
 
-def compute_PN(c: DerivedConstants, ctilde: float, p: float) -> tuple[float, float]:
+def compute_PN(c: DerivedConstants, ctilde: float) -> tuple[float, float]:
     """Smallness functional and its admissibility threshold for one (c, ctilde).
 
-    Returns ``(PN, threshold)``. The envelope value at the edge of the seed
-    window is ``f = Dp * ctilde**2 / p``; PN multiplies ``|phi(f)|/f`` by a
-    kernel bound whose form depends on whether N < 10 or N >= 10. The
-    constant ctilde is admissible when PN < threshold.
+    Returns ``(PN, threshold)`` at the power ``c.p``. The envelope value at
+    the edge of the seed window is ``f = Dp * ctilde**2 / p``; PN multiplies
+    ``|phi(f)|/f`` by a kernel bound whose form depends on whether N < 10 or
+    N >= 10. The constant ctilde is admissible when PN < threshold.
     """
     if not (0.0 < ctilde < 1.0):
         raise ParameterError(f"ctilde must lie in (0, 1), got {ctilde}")
@@ -230,6 +230,7 @@ def compute_PN(c: DerivedConstants, ctilde: float, p: float) -> tuple[float, flo
         raise ParameterError("Dp * ctilde**2 must not exceed 1")
     if not (c.beta > 0):
         raise ParameterError("kernel bound undefined for beta = 0")
+    p = c.p
     f_edge = c.Dp * ctilde * ctilde / p
     ratio = abs(phi_nonlinearity(f_edge, p)) / f_edge
     if c.N < 10:
@@ -240,71 +241,25 @@ def compute_PN(c: DerivedConstants, ctilde: float, p: float) -> tuple[float, flo
         denom = 2.0 * c.beta * (0.5 * c.alpha + 4.0 * c.m - c.beta)
         if denom <= 0.0:
             raise FeasibilityError(
-                f"kernel bound degenerate at N={c.N}, p={p}: "
-                "alpha/2 + 4m - beta is not positive"
+                f"no admissible ctilde: the kernel bound is degenerate at N={c.N}, "
+                f"p={p}, where alpha/2 + 4m - beta is not positive"
             )
         bracket = 1.0 / denom
         threshold = 0.5
     return ratio * bracket, threshold
 
 
-# ctilde search is deterministic, so the cache is write-once per key.
-_CTILDE_CACHE: dict[tuple[int, float, float], float] = {}
-
 _CTILDE_GRID = [2.0**-k for k in range(1, 21)]
-_P_SAMPLES = 32
-
-
-def choose_ctilde(N: int, p_range: tuple[float, float]) -> float:
-    """Largest grid constant ctilde admissible across a sampled power range.
-
-    Searches ctilde over {2**-1, ..., 2**-20} and requires, at 32 log-spaced
-    powers in ``p_range``, that ``compute_PN`` stays below its threshold and
-    ``Dp * ctilde**2 <= 1``. Only existence is guaranteed upstream, so the
-    search favors determinism over optimality; the result is cached.
-    """
-    _check_dimension(N)
-    lo, hi = float(p_range[0]), float(p_range[1])
-    ps = critical_exponent(N)
-    if not (ps <= lo <= hi):
-        raise ParameterError(
-            f"p_range must sit inside the supercritical range [{ps}, inf), got {p_range}"
-        )
-    key = (N, lo, hi)
-    if key in _CTILDE_CACHE:
-        return _CTILDE_CACHE[key]
-    if lo == hi:
-        p_samples = np.array([lo])
-    else:
-        p_samples = np.exp(np.linspace(math.log(lo), math.log(hi), _P_SAMPLES))
-        # exp(log(x)) can round below x, and lo may be the critical exponent
-        p_samples[[0, -1]] = lo, hi
-    constants = [derive_constants(ProblemParams(N, float(p))) for p in p_samples]
-    for ctilde in _CTILDE_GRID:
-        if all(_admissible(c, ctilde, float(p)) for c, p in zip(constants, p_samples)):
-            _CTILDE_CACHE[key] = ctilde
-            return ctilde
-    raise FeasibilityError(
-        f"no admissible ctilde on the search grid for N={N}, p_range={p_range}; "
-        "the range likely contains powers that are too small"
-    )
-
-
-def _admissible(c: DerivedConstants, ctilde: float, p: float) -> bool:
-    try:
-        pn, threshold = compute_PN(c, ctilde, p)
-    except (ParameterError, FeasibilityError):
-        return False
-    return pn < threshold
 
 
 @dataclass(frozen=True)
 class LemmaConstants:
     """Seed-window constants of one instance: ctilde and its radius.
 
-    ``rtilde_p = ctilde / sqrt(p)`` bounds the window on which the two-sided
-    power-law envelope is validated, and ``PN`` with ``PN_threshold`` records
-    the admissibility margin at this p.
+    ``ctilde`` is the largest grid value admissible at this p, ``rtilde_p =
+    ctilde / sqrt(p)`` bounds the window on which the two-sided power-law
+    envelope is validated, and ``PN`` with ``PN_threshold`` is the
+    admissibility margin the search found for that ctilde.
     """
 
     N: int
@@ -315,22 +270,30 @@ class LemmaConstants:
     PN_threshold: float
 
 
-def lemma_constants(params: ProblemParams) -> LemmaConstants:
-    """Seed-window constants for ``params``, sharing ctilde across a power range.
+def lemma_constants(c: DerivedConstants) -> LemmaConstants:
+    """Seed-window constants at the power ``c.p``: the first ctilde of the
+    grid {2**-1, ..., 2**-20} whose ``compute_PN`` lies below its threshold,
+    with that PN.
 
-    The admissibility search covers ``(min(p, 10), max(p, 1e4))`` so that
-    sweeps over common desk-scale powers reuse one ctilde.
+    Raises :class:`FeasibilityError` when no grid value is admissible.
     """
-    c = derive_constants(params)
-    lo = max(min(params.p, 10.0), critical_exponent(params.N))
-    ctilde = choose_ctilde(params.N, (lo, max(params.p, 1.0e4)))
-    rtilde = ctilde / math.sqrt(params.p)
-    pn, threshold = compute_PN(c, ctilde, params.p)
-    return LemmaConstants(
-        N=params.N,
-        p=params.p,
-        ctilde=ctilde,
-        rtilde_p=rtilde,
-        PN=pn,
-        PN_threshold=threshold,
-    )
+    for ctilde in _CTILDE_GRID:
+        pn, threshold = compute_PN(c, ctilde)
+        if pn < threshold:
+            return LemmaConstants(
+                N=c.N,
+                p=c.p,
+                ctilde=ctilde,
+                rtilde_p=ctilde / math.sqrt(c.p),
+                PN=pn,
+                PN_threshold=threshold,
+            )
+    raise FeasibilityError(f"no admissible ctilde on the search grid at N={c.N}, p={c.p}")
+
+
+def choose_ctilde(c: DerivedConstants) -> float:
+    """Largest ctilde of {2**-1, ..., 2**-20} admissible at the power ``c.p``.
+
+    Raises :class:`FeasibilityError` when no grid value is admissible.
+    """
+    return lemma_constants(c).ctilde

@@ -20,14 +20,14 @@ import numpy as np
 from .errors import BracketError, EventError, IntegrationError, ParameterError
 from .exponents import _power_root
 from .ode import RadialState, RadialTrajectory, integrate_adaptive, integrate_difference
-from .params import ProblemParams, derive_constants, lemma_constants
+from .params import ProblemParams
 from .singular import (
     R_END_EXTENSION_CAP,
     CriticalRadii,
     SingularSolution,
     _critical_radii_from,
-    _default_seed_radius,
     seed_at_origin,
+    seed_window,
     solve_singular,
 )
 
@@ -157,7 +157,8 @@ def convergence_to_singular(
     grid of 2048 radii.
 
     The jointly integrated singular track is checked on the grid against
-    ``singular`` (by default a :func:`solve_singular` run); it must
+    ``singular`` (by default a :func:`solve_singular` run to
+    ``max(1.05 b, 2 rtilde_p)``); it must
     agree within 10 (atol + rtol |u|) at the looser of the two runs'
     tolerances, else :class:`IntegrationError` is raised.
 
@@ -174,21 +175,21 @@ def convergence_to_singular(
         raise ParameterError("convergence sweep requires gamma > 1")
     if sorted(gammas) != gammas:
         raise ParameterError("gammas must be increasing")
+    window = seed_window(params, rtol)
     if singular is None:
-        singular = solve_singular(params, r_end=1.05 * b, rtol=rtol, atol=atol)
+        singular = solve_singular(params, r_end=max(1.05 * b, 2.0 * window.lemma.rtilde_p),
+                                  rtol=rtol, atol=atol)
     if not singular.trajectory.covers(a, b):
         raise ParameterError("singular solution does not cover the interval")
     grid = np.linspace(a, b, 2048)
     u_ref, _ = singular.sample(grid)
     budget = 10.0 * (max(atol, singular.trajectory.atol)
                      + max(rtol, singular.trajectory.rtol) * np.abs(u_ref))
-    c = derive_constants(params)
-    seed_cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, rtol)
 
     distances, statuses = [], []
     for g in gammas:
-        start = _taylor_start(g, params, 1.05 * b, rtol, atol, h_max=seed_cap)
-        ref = seed_at_origin(params, c, start.r)
+        start = _taylor_start(g, params, 1.05 * b, rtol, atol, h_max=window.radius)
+        ref = seed_at_origin(window, start.r)
         path = integrate_difference(params, ref, (start.u - ref.u, start.du - ref.du),
                                     b, rtol, atol)
         if path.status != "ok":

@@ -38,8 +38,10 @@ from .params import (
 __all__ = [
     "CriticalRadii",
     "SingularSolution",
+    "SeedWindow",
     "origin_series",
     "origin_profile",
+    "seed_window",
     "seed_at_origin",
     "solve_singular",
     "solve_with_criticals",
@@ -169,42 +171,49 @@ def origin_profile(c: DerivedConstants, r):
     return c.A * t, c.A * dt
 
 
-def seed_at_origin(
-    params: ProblemParams, constants: DerivedConstants, r0: float
-) -> RadialState:
+@dataclass(frozen=True)
+class SeedWindow:
+    """Where the singular run of one instance starts, at one tolerance.
+
+    ``lemma`` holds ctilde and the window edge rtilde_p; the origin series
+    is certified up to ``certified_radius``, where each of the
+    CERTIFIED_TERMS terms ``|c_k| r0**(2k)`` past c_K stays within
+    ``rtol / CERTIFIED_TERMS``; the default seed ``radius`` is the smaller
+    of the two.
+    """
+
+    constants: DerivedConstants
+    lemma: LemmaConstants
+    certified_radius: float
+    radius: float
+
+
+def seed_window(params: ProblemParams, rtol: float) -> SeedWindow:
+    """The seed window of ``params`` at ``rtol``: ctilde at p itself and the
+    certified seed radius."""
+    c = derive_constants(params)
+    lem = lemma_constants(c)
+    series = origin_series(c)
+    certified = min(((rtol / CERTIFIED_TERMS / abs(series[k])) ** (0.5 / k)
+                     for k in range(SERIES_ORDER + 1, len(series)) if series[k]),
+                    default=math.inf)
+    return SeedWindow(constants=c, lemma=lem, certified_radius=certified,
+                      radius=min(lem.rtilde_p, certified))
+
+
+def seed_at_origin(window: SeedWindow, r0: float) -> RadialState:
     """Seed state from the origin series summed through c_K, valid for
     r0 <= rtilde_p.
 
     u(r0)  = A r0**(-theta) sum_k c_k r0**(2k)
     u'(r0) = A r0**(-theta-1) sum_k (2k - theta) c_k r0**(2k)
     """
-    lem = lemma_constants(params)
-    if not (0.0 < r0 <= lem.rtilde_p):
-        raise ParameterError(
-            f"seed radius must lie in (0, rtilde_p={lem.rtilde_p}], got r0={r0}"
-        )
-    t, dt = origin_profile(constants, r0)
-    theta = constants.theta
+    rtilde_p = window.lemma.rtilde_p
+    if not (0.0 < r0 <= rtilde_p):
+        raise ParameterError(f"seed radius must lie in (0, rtilde_p={rtilde_p}], got r0={r0}")
+    t, dt = origin_profile(window.constants, r0)
+    theta = window.constants.theta
     return RadialState(r=r0, u=float(t) * r0**-theta, du=float(dt) * r0 ** (-theta - 1.0))
-
-
-def _certifying_terms(c: DerivedConstants) -> list[tuple[int, float]]:
-    """(k, c_k) for the CERTIFIED_TERMS terms past c_K."""
-    series = origin_series(c)
-    return [(k, series[k]) for k in range(SERIES_ORDER + 1, len(series))]
-
-
-def _certified_radius(c: DerivedConstants, rtol: float) -> float:
-    """Largest seed radius at which each term |c_k| r0**(2k) past c_K stays
-    within rtol / CERTIFIED_TERMS."""
-    return min(((rtol / CERTIFIED_TERMS / abs(ck)) ** (0.5 / k)
-                for k, ck in _certifying_terms(c) if ck), default=math.inf)
-
-
-def _default_seed_radius(c: DerivedConstants, rtilde_p: float, rtol: float) -> float:
-    """The window edge rtilde_p, shrunk to the certified radius where that
-    is smaller."""
-    return min(rtilde_p, _certified_radius(c, rtol))
 
 
 def solve_singular(
@@ -226,7 +235,7 @@ def solve_singular(
     ``|c_k| r0**(2k)`` relative to u, is within ``rtol / CERTIFIED_TERMS``;
     their sum is the seed's truncation. The default seed radius is the
     window edge ``rtilde_p``, shrunk to the certified radius where that is
-    smaller.
+    smaller (:func:`seed_window`).
 
     Raises
     ------
@@ -234,22 +243,23 @@ def solve_singular(
         If the seed radius lies past the certified radius (only a supplied
         ``seed_radius`` can), or on integration breakdown.
     """
-    c = derive_constants(params)
-    lem = lemma_constants(params)
-    r0 = seed_radius if seed_radius is not None else _default_seed_radius(c, lem.rtilde_p, rtol)
+    window = seed_window(params, rtol)
+    c, lem = window.constants, window.lemma
+    r0 = seed_radius if seed_radius is not None else window.radius
     if not (r_end > lem.rtilde_p):
         raise ParameterError(
             f"r_end={r_end} must exceed the validated window rtilde_p={lem.rtilde_p}"
         )
-    certified = _certified_radius(c, rtol)
     # compared as radii, so the default radius passes without rounding doubt
-    if r0 > certified:
+    if r0 > window.certified_radius:
         raise IntegrationError(
-            f"seed radius r0={r0} lies past the radius {certified} where the "
-            f"origin series is certified at rtol={rtol}; seed closer to the origin"
+            f"seed radius r0={r0} lies past the radius {window.certified_radius} where "
+            f"the origin series is certified at rtol={rtol}; seed closer to the origin"
         )
-    seed = seed_at_origin(params, c, r0)
-    truncation = sum(abs(ck) * r0 ** (2 * k) for k, ck in _certifying_terms(c))
+    seed = seed_at_origin(window, r0)
+    series = origin_series(c)
+    truncation = sum(abs(series[k]) * r0 ** (2 * k)
+                     for k in range(SERIES_ORDER + 1, len(series)))
     traj = integrate_adaptive(params, seed, r_end, rtol, atol,
                               stop_at_critical=stop_at_critical)
     if traj.status == "nonpositive":

@@ -117,7 +117,7 @@ def test_c03_origin_sandwich():
     for N in (5, 12):
         for p in (10.0, 50.0):
             params = ProblemParams(N, p)
-            lem = lemma_constants(params)
+            lem = lemma_constants(derive_constants(params))
             sol = solve_singular(params, r_end=2.0 * lem.rtilde_p)
             rep = verify_origin_bounds(sol, tol=1e-6)
             margins.append((N, p, rep.lower_margin, rep.upper_margin))
@@ -212,7 +212,7 @@ def test_c09_morse_dichotomy():
     results = {}
     for N, p in [(12, 5.0), (12, 3.0), (5, 10.0)]:
         params = ProblemParams(N, p, R=1.0)
-        lem = lemma_constants(params)
+        lem = lemma_constants(derive_constants(params))
         seed = min(lem.rtilde_p / 16.0, 0.5e-4)
         sol = solve_singular(params, r_end=1.05, seed_radius=seed)
         results[(N, p)] = morse_scan(params, sol, [1e-2, 1e-3, 1e-4])

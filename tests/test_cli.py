@@ -43,7 +43,7 @@ def test_singular_command_and_determinism(tmp_path):
     solve = next(c for c in report["checks"] if c["name"] == "singular-solve")
     assert 0.0 < solve["margins"]["seed_truncation"] <= 1e-10
     # the report alone shows where the run started and how many steps it took
-    rtilde_p = lntlab.lemma_constants(lntlab.ProblemParams(5, 20.0)).rtilde_p
+    rtilde_p = lntlab.seed_window(lntlab.ProblemParams(5, 20.0), 1e-10).lemma.rtilde_p
     assert solve["margins"]["seed_radius"] == rtilde_p
     assert solve["margins"]["steps"] == lntlab.solve_singular(
         lntlab.ProblemParams(5, 20.0), 3.0).trajectory.n_accepted
@@ -170,9 +170,22 @@ def test_sweep_workers_capped_by_pending_points(tmp_path, monkeypatch):
     sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _SerialPool(sizes, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
                     "--jobs", 100000, "--out-dir", tmp_path]) == 0
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("cores, sizes", [(3, [3]), (1, []), (None, [])])
+def test_sweep_workers_capped_by_cpu_count(tmp_path, monkeypatch, cores, sizes):
+    # nor more than there are cores; one core, or an unknown count, is serial
+    seen = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(seen, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20,40,80,160",
+                    "--jobs", 100000, "--out-dir", tmp_path]) == 0
+    assert seen == sizes
 
 
 def test_sweep_rejects_jobs_below_one(tmp_path):
@@ -219,6 +232,17 @@ def test_morse_command(tmp_path):
     blob = json.loads(next(tmp_path.glob("run-*/morse.json")).read_text())
     assert blob["classification"] == "SUPERCRITICAL_STABLE_TAIL"
     assert [r["negative_count"] for r in blob["reports"]] == [1, 1]
+
+
+def test_morse_small_ball_solves_past_window(tmp_path):
+    # 1.05 R = 0.105 lies inside the window rtilde_p = 0.1118 at (5, 20): the
+    # singular solve runs to 2 rtilde_p instead
+    assert run_cli(["morse", "--N", 5, "--p", 20, "--R", 0.1, "--deltas", "1e-2,1e-3",
+                    "--out-dir", tmp_path]) == 0
+    check = next(c for c in read_report(tmp_path)["checks"] if c["name"] == "morse-dichotomy")
+    assert check["status"] == "PASS"
+    blob = json.loads(next(tmp_path.glob("run-*/morse.json")).read_text())
+    assert blob["classification"] == "UNBOUNDED"
 
 
 @pytest.mark.parametrize("N, p", [(12, 3), (5, 10), (12, 5)])

@@ -209,8 +209,18 @@ def test_find_exponent_round_counters(monkeypatch):
         return trajs[-1]
 
     monkeypatch.setattr(singular, "integrate_adaptive", recorded)
+    # and the seed windows: one ctilde search per solve
+    windows = []
+    lemma = singular.lemma_constants
+
+    def counted(c):
+        windows.append(c.p)
+        return lemma(c)
+
+    monkeypatch.setattr(singular, "lemma_constants", counted)
     solves = [find_exponent(i, 1.0, 5, p_lo=6.0).solves for i in range(1, 5)]
     assert solves == [7, 6, 6, 6] and len(trajs) == 25
+    assert len(windows) == 25
     # seeded at the window edge rtilde_p, none of them steps through the
     # power-law stretch below it
     assert sum(t.n_accepted for t in trajs) == 5121

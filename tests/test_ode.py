@@ -14,8 +14,7 @@ from lntlab import (
     integrate_difference,
 )
 from lntlab.ode import _DIFFERENCE, _RADIAL, _constants, energy_values
-from lntlab.params import derive_constants, lemma_constants
-from lntlab.singular import seed_at_origin
+from lntlab.singular import seed_at_origin, seed_window
 
 
 def _function(field, params):
@@ -182,8 +181,9 @@ def test_integrate_rejects_non_finite_end(r_end):
 def _seed_window(params):
     """The seed state of the singular solution at rtilde_p / 16 and an end
     radius of 4 rtilde_p."""
-    lem = lemma_constants(params)
-    return seed_at_origin(params, derive_constants(params), lem.rtilde_p / 16.0), 4.0 * lem.rtilde_p
+    window = seed_window(params, 1e-10)
+    rtilde_p = window.lemma.rtilde_p
+    return seed_at_origin(window, rtilde_p / 16.0), 4.0 * rtilde_p
 
 
 def test_difference_track_matches_radial():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lntlab import (
+    FeasibilityError,
     ParameterError,
     ProblemParams,
     Regime,
@@ -177,17 +178,17 @@ def test_f_envelope_at_window_edge():
     # there
     params = ProblemParams(5, 50.0)
     c = derive_constants(params)
-    lem = lemma_constants(params)
+    lem = lemma_constants(c)
     want = c.Dp * lem.ctilde**2 / params.p
     assert c.Dp * lem.rtilde_p**2 == pytest.approx(want, rel=1e-12)
 
 
 def test_lemma_constants_at_critical_exponent():
-    # the log-spaced power samples must not round the critical exponent below
-    # itself, which ProblemParams admits
+    # ProblemParams admits the critical exponent itself, and below N = 10
+    # the search at that power finds an admissible ctilde
     for N in (3, 4, 5):
         p = critical_exponent(N)
-        lem = lemma_constants(ProblemParams(N, p))
+        lem = lemma_constants(derive_constants(ProblemParams(N, p)))
         assert lem.p == p
         assert lem.PN < lem.PN_threshold
 
@@ -195,56 +196,110 @@ def test_lemma_constants_at_critical_exponent():
 def test_compute_PN_threshold_below_half():
     for N, p in [(5, 50.0), (12, 50.0), (10, 30.0), (3, 100.0)]:
         c = derive_constants(ProblemParams(N, p))
-        pn, threshold = compute_PN(c, 0.25, p)
+        pn, threshold = compute_PN(c, 0.25)
         assert threshold <= 0.5
         assert pn > 0.0
 
 
 def test_compute_PN_superlinear_in_ctilde():
     c = derive_constants(ProblemParams(5, 50.0))
-    pn_full, _ = compute_PN(c, 0.5, 50.0)
-    pn_half, _ = compute_PN(c, 0.25, 50.0)
+    pn_full, _ = compute_PN(c, 0.5)
+    pn_half, _ = compute_PN(c, 0.25)
     assert pn_half < pn_full / 2.0
 
 
 def test_compute_PN_margin_positive_at_instance():
-    params = ProblemParams(5, 50.0)
-    c = derive_constants(params)
-    ct = choose_ctilde(5, (50.0, 1e4))
-    pn, threshold = compute_PN(c, ct, 50.0)
+    c = derive_constants(ProblemParams(5, 50.0))
+    ct = choose_ctilde(c)
+    pn, threshold = compute_PN(c, ct)
     assert pn < threshold
     assert threshold - pn > 0.01  # recorded margin is far from tight
+    # the lemma records the margin of its own search
+    lem = lemma_constants(c)
+    assert (lem.ctilde, lem.PN, lem.PN_threshold) == (ct, pn, threshold)
 
 
 def test_compute_PN_rejects_bad_ctilde():
     c = derive_constants(ProblemParams(5, 50.0))
     with pytest.raises(ParameterError):
-        compute_PN(c, 1.5, 50.0)
+        compute_PN(c, 1.5)
     with pytest.raises(ParameterError):
-        compute_PN(c, 0.0, 50.0)
+        compute_PN(c, 0.0)
 
 
 def test_choose_ctilde_contract():
-    ct = choose_ctilde(5, (20.0, 1e4))
-    assert 0.0 < ct < 1.0
-    assert ct == 0.5  # regression: largest grid point is admissible here
-    # the chosen constant is admissible with a margin at every sampled power
-    for p in np.geomspace(20.0, 1e4, 32):
-        pn, threshold = compute_PN(derive_constants(ProblemParams(5, float(p))), ct, float(p))
-        assert threshold - pn > 0.0
-    # shrinking the lower endpoint never increases the constant
-    assert choose_ctilde(5, (6.0, 1e4)) <= ct
-    # the cached search returns the same constant
-    assert choose_ctilde(5, (20.0, 1e4)) == ct
+    # the largest grid value admissible at the instance's own power: it is
+    # admissible there, and the grid value above it is not
+    grid = [2.0**-k for k in range(1, 21)]
+    for N, p in [(5, 20.0), (10, 3.5e5), (10, 1e7), (18, 1.2500013)]:
+        c = derive_constants(ProblemParams(N, p))
+        ct = choose_ctilde(c)
+        assert ct in grid
+        pn, threshold = compute_PN(c, ct)
+        assert pn < threshold
+        if ct < 0.5:
+            pn, threshold = compute_PN(c, 2.0 * ct)
+            assert not pn < threshold
+
+
+# (N, p, ctilde) of the search over the power range (min(p, 10), max(p, 1e4))
+# that choose_ctilde replaced; None where that search found no admissible
+# ctilde. The search at the power itself must reproduce every entry.
+RANGE_SEARCH_CTILDE = [
+    (3, 5.0, 0.5),
+    (3, 1e7, 0.5),
+    (4, 3.0, 0.5),
+    (5, 7.0 / 3.0, 0.5),
+    (5, 6.0, 0.5),
+    (5, 20.0, 0.5),
+    (5, 1e4, 0.5),
+    (5, 1e7, 0.5),
+    (9, 1e7, 0.5),
+    (10, 1.5, 0.5),
+    (10, 1e4, 0.5),
+    (10, 2.5e5, 0.25),
+    (10, 3.5e5, 0.25),
+    (10, 1e6, 0.25),
+    (10, 1e7, 0.125),
+    (12, 5.0, 0.5),
+    (12, 1e7, 0.5),
+    (18, 1.25, None),
+    (18, 1.2500013, 2.0**-6),
+    (18, 1.250013, 2.0**-5),
+    (18, 1.25013, 2.0**-3),
+    (18, 1.2513, 0.5),
+    (18, 1e7, 0.5),
+    (20, 1.2223, None),
+    (20, 1.2224, None),
+    (20, 1.3, 0.5),
+    (30, 1.15, None),
+    (30, 1.16, 0.5),
+    (30, 1e7, 0.5),
+    (40, 1.2, 0.5),
+]
+
+
+@pytest.mark.parametrize("N, p, want", RANGE_SEARCH_CTILDE)
+def test_choose_ctilde_matches_range_search(N, p, want):
+    c = derive_constants(ProblemParams(N, p))
+    if want is None:
+        with pytest.raises(FeasibilityError, match="no admissible"):
+            choose_ctilde(c)
+    else:
+        assert choose_ctilde(c) == want
 
 
 def test_choose_ctilde_rejects_subcritical_range():
+    # a power below the critical exponent never reaches the search, and one
+    # at it is infeasible from N = 10 on
     with pytest.raises(ParameterError):
-        choose_ctilde(5, (1.0, 100.0))
+        choose_ctilde(derive_constants(ProblemParams(5, 1.0)))
+    with pytest.raises(FeasibilityError, match="no admissible"):
+        choose_ctilde(derive_constants(ProblemParams(18, critical_exponent(18))))
 
 
 def test_lemma_constants_relations():
-    lem = lemma_constants(ProblemParams(5, 50.0))
+    lem = lemma_constants(derive_constants(ProblemParams(5, 50.0)))
     assert lem.rtilde_p == pytest.approx(lem.ctilde / math.sqrt(50.0), rel=1e-15)
     assert lem.PN < lem.PN_threshold
 

@@ -31,9 +31,8 @@ from lntlab import (
 )
 from lntlab import _dp45, exponents, ode
 from lntlab.ode import _DIFFERENCE, _RADIAL, _constants
-from lntlab.params import derive_constants, lemma_constants
 from lntlab.shooting import _taylor_start
-from lntlab.singular import _default_seed_radius, seed_at_origin
+from lntlab.singular import seed_at_origin, seed_window
 
 STEP_RTOL = 1e-6  # step radii: see the module docstring
 STATE_RTOL = 1e-12
@@ -70,7 +69,7 @@ def test_singular_solve_matches_rk45():
     params = ProblemParams(5, 20.0)
     sol = solve_singular(params, 5.0, stop_at_critical=3)
     traj = sol.trajectory
-    seed = seed_at_origin(params, derive_constants(params), sol.seed_radius)
+    seed = seed_at_origin(seed_window(params, 1e-10), sol.seed_radius)
     ref = solve_ivp(_function(_RADIAL, params), (seed.r, 5.0), (seed.u, seed.du),
                     method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
                     events=_radial_events(3))
@@ -90,11 +89,10 @@ def test_singular_solve_matches_rk45():
 
 def test_difference_run_matches_rk45():
     params = ProblemParams(5, 20.0)
-    c = derive_constants(params)
     rtol, atol = 1e-10, 1e-12
-    seed_cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, rtol)
-    start = _taylor_start(10.0, params, 2.1, rtol, atol, h_max=seed_cap)
-    ref_state = seed_at_origin(params, c, start.r)
+    window = seed_window(params, rtol)
+    start = _taylor_start(10.0, params, 2.1, rtol, atol, h_max=window.radius)
+    ref_state = seed_at_origin(window, start.r)
     delta = (start.u - ref_state.u, start.du - ref_state.du)
     path = integrate_difference(params, ref_state, delta, 2.0, rtol, atol)
 
@@ -369,10 +367,9 @@ def checked_solves(monkeypatch):
 
 def _difference_start(gamma=10.0):
     params = ProblemParams(5, 20.0)
-    c = derive_constants(params)
-    cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, 1e-10)
-    start = _taylor_start(gamma, params, 2.1, 1e-10, 1e-12, h_max=cap)
-    return params, seed_at_origin(params, c, start.r)
+    window = seed_window(params, 1e-10)
+    start = _taylor_start(gamma, params, 2.1, 1e-10, 1e-12, h_max=window.radius)
+    return params, seed_at_origin(window, start.r)
 
 
 def _exponent_round(monkeypatch):

@@ -19,9 +19,8 @@ from lntlab import (
 )
 from lntlab import shooting
 from lntlab.ode import _DIFFERENCE, _constants
-from lntlab.params import derive_constants, lemma_constants
 from lntlab.shooting import _critical_radius_of_shot, _taylor_start
-from lntlab.singular import _default_seed_radius, seed_at_origin
+from lntlab.singular import seed_at_origin, seed_window
 
 # regression fixture from a run at rtol=1e-12, atol=1e-14
 REF_SHOT_R1 = 1.06900443866011
@@ -130,10 +129,10 @@ def test_convergence_distance_matches_dop853(collapse_report, k):
     # scipy's eighth-order DOP853 at tight tolerance, on the same difference
     # field from the same start, is an independent integration of d
     params = ProblemParams(5, 20.0)
-    c = derive_constants(params)
-    cap = _default_seed_radius(c, lemma_constants(params).rtilde_p, 1e-10)
-    start = _taylor_start(collapse_report.gammas[k], params, 2.1, 1e-10, 1e-12, h_max=cap)
-    ref = seed_at_origin(params, c, start.r)
+    window = seed_window(params, 1e-10)
+    start = _taylor_start(collapse_report.gammas[k], params, 2.1, 1e-10, 1e-12,
+                          h_max=window.radius)
+    ref = seed_at_origin(window, start.r)
     sol = solve_ivp(_DIFFERENCE.function(_constants(params, 1e-13)), (start.r, 2.0),
                     (ref.u, ref.du, start.u - ref.u, start.du - ref.du), method="DOP853",
                     rtol=1e-13, atol=(1e-15, 1e-15, 0.0, 0.0), dense_output=True)

@@ -15,13 +15,14 @@ from lntlab import (
     integrate_adaptive,
     lemma_constants,
     seed_at_origin,
+    seed_window,
     solve_singular,
     solve_with_criticals,
     verify_origin_bounds,
 )
 from lntlab import _dp45, ode, singular
 from lntlab.params import critical_exponent
-from lntlab.singular import CriticalRadii, _certified_radius, _default_seed_radius
+from lntlab.singular import CriticalRadii
 
 # regression fixtures from a run at rtol=1e-12, atol=1e-14
 REF_R_P_5_20 = 0.78556695084947
@@ -34,7 +35,7 @@ def test_seed_at_origin_hand_value():
     # A = theta = a = 1 and p = 3: the recurrence gives c = 1, 1/6, 1/216, -1/8208
     assert singular.origin_series(c)[:4] == pytest.approx(
         (1.0, 1.0 / 6.0, 1.0 / 216.0, -1.0 / 8208.0), rel=1e-14)
-    seed = seed_at_origin(params, c, 0.01)
+    seed = seed_at_origin(seed_window(params, 1e-10), 0.01)
     # u = 100 sum c_k 1e-4**k, u' = 1e4 sum (2k - 1) c_k 1e-4**k; the c_3
     # terms sit below the tolerance
     assert seed.u == pytest.approx(100.0 * (1.0 + 1e-4 / 6.0 + 1e-8 / 216.0), rel=1e-14)
@@ -43,12 +44,11 @@ def test_seed_at_origin_hand_value():
 
 def test_seed_rejects_radius_outside_window():
     params = ProblemParams(5, 20.0)
-    c = derive_constants(params)
-    lem = lemma_constants(params)
+    window = seed_window(params, 1e-10)
     with pytest.raises(ParameterError):
-        seed_at_origin(params, c, 2.0 * lem.rtilde_p)
+        seed_at_origin(window, 2.0 * window.lemma.rtilde_p)
     with pytest.raises(ParameterError):
-        seed_at_origin(params, c, 0.0)
+        seed_at_origin(window, 0.0)
 
 
 def test_solve_singular_regression(sing_5_20):
@@ -58,7 +58,7 @@ def test_solve_singular_regression(sing_5_20):
 
 def test_solve_singular_rejects_short_range():
     params = ProblemParams(5, 20.0)
-    lem = lemma_constants(params)
+    lem = lemma_constants(derive_constants(params))
     with pytest.raises(ParameterError):
         solve_singular(params, r_end=0.5 * lem.rtilde_p)
 
@@ -69,7 +69,7 @@ def test_first_crossing_beyond_window(sing_5_20):
 
 def test_first_crossing_absent():
     params = ProblemParams(5, 20.0)
-    lem = lemma_constants(params)
+    lem = lemma_constants(derive_constants(params))
     sol = solve_singular(params, r_end=2.0 * lem.rtilde_p)
     assert sol.r_p is None
 
@@ -95,7 +95,7 @@ def test_monotone_before_first_critical(sing_5_20):
 
 def test_uniqueness_proxy_two_seeds():
     params = ProblemParams(5, 20.0)
-    lem = lemma_constants(params)
+    lem = lemma_constants(derive_constants(params))
     r0 = lem.rtilde_p / 16.0
     a = solve_singular(params, r_end=3.0, seed_radius=r0)
     b = solve_singular(params, r_end=3.0, seed_radius=r0 / 2.0)
@@ -109,15 +109,16 @@ def test_seed_sensitivity_catches_bad_seed():
     # a seed past the certified radius is refused before integrating, even
     # where it lies outside the window too
     params = ProblemParams(5, 10.0)
-    certified = _certified_radius(derive_constants(params), 1e-10)
-    assert certified > lemma_constants(params).rtilde_p
+    window = seed_window(params, 1e-10)
+    certified = window.certified_radius
+    assert certified > window.lemma.rtilde_p
     with pytest.raises(IntegrationError, match="certified"):
         solve_singular(params, r_end=1.0, seed_radius=1.01 * certified)
 
 
 def _probe_at(params, r0, r_probe, rtol, atol):
     """(u, u') at r_probe of the run seeded at r0."""
-    seed = seed_at_origin(params, derive_constants(params), r0)
+    seed = seed_at_origin(seed_window(params, rtol), r0)
     run = integrate_adaptive(params, seed, r_probe, rtol, atol)
     u, du = run.sample(r_probe)
     return float(u[0]), float(du[0])
@@ -126,7 +127,7 @@ def _probe_at(params, r0, r_probe, rtol, atol):
 def _probes_accept(params, r0, rtol, atol=1e-12):
     """Empirical seed check: runs seeded at r0 and r0/2, at a quarter of the
     tolerances, agree at 2 rtilde_p within 10 (atol + rtol scale)."""
-    r_probe = 2.0 * lemma_constants(params).rtilde_p
+    r_probe = 2.0 * lemma_constants(derive_constants(params)).rtilde_p
     ua, dua = _probe_at(params, r0, r_probe, rtol / 4.0, atol / 4.0)
     ub, dub = _probe_at(params, r0 / 2.0, r_probe, rtol / 4.0, atol / 4.0)
     budget = 10.0 * (atol + rtol * max(abs(ua), abs(ub), abs(dua), abs(dub), 1.0))
@@ -141,13 +142,13 @@ def test_seed_bound_against_probe_oracle(N, ratio, rtol):
     # default seed, at the window edge, passes the probes, and so does every
     # other seed the certificate accepts
     params = ProblemParams(N, ratio * critical_exponent(N))
-    c = derive_constants(params)
-    rtilde_p = lemma_constants(params).rtilde_p
-    r0 = _default_seed_radius(c, rtilde_p, rtol)
+    window = seed_window(params, rtol)
+    rtilde_p = window.lemma.rtilde_p
+    r0 = window.radius
     assert r0 == rtilde_p
     assert _probes_accept(params, r0, rtol)
     for r in (rtilde_p / 16.0, rtilde_p / 4.0):
-        if r <= _certified_radius(c, rtol):
+        if r <= window.certified_radius:
             assert _probes_accept(params, r, rtol)
 
 
@@ -164,7 +165,7 @@ def test_critical_exponent_seed_solves():
     assert sol.seed_truncation == pytest.approx(
         sum(abs(series[k]) * r0 ** (2 * k) for k in range(9, 13)), rel=1e-12)
     assert sol.seed_truncation <= 1e-10
-    seed = seed_at_origin(params, c, r0)
+    seed = seed_at_origin(seed_window(params, 1e-10), r0)
     assert (sol.trajectory.u[0], sol.trajectory.du[0]) == (seed.u, seed.du)
 
 
@@ -195,8 +196,8 @@ def test_series_state_at_window_edge_matches_dop853(N, p):
     # scipy's DOP853 at rtol 1e-13 from the two-term seed where the first
     # omitted term |D2| r**4 is 1e-16, run out to rtilde_p
     params = ProblemParams(N, p)
-    c = derive_constants(params)
-    rtilde_p = lemma_constants(params).rtilde_p
+    window = seed_window(params, 1e-10)
+    c, rtilde_p = window.constants, window.lemma.rtilde_p
     r0 = (1e-16 / abs(_closed_form_d2(c))) ** 0.25
     u0 = c.A * r0**-c.theta * (1.0 + c.Dp * r0 * r0)
     du0 = c.A * r0 ** (-c.theta - 1.0) * (-c.theta + (2.0 - c.theta) * c.Dp * r0 * r0)
@@ -206,7 +207,7 @@ def test_series_state_at_window_edge_matches_dop853(N, p):
 
     ref = solve_ivp(rhs, (r0, rtilde_p), (u0, du0), method="DOP853", rtol=1e-13, atol=0.0)
     assert ref.status == 0
-    seed = seed_at_origin(params, c, rtilde_p)
+    seed = seed_at_origin(window, rtilde_p)
     assert seed.u == pytest.approx(ref.y[0, -1], rel=1e-11)
     assert seed.du == pytest.approx(ref.y[1, -1], rel=1e-11)
 
@@ -215,10 +216,9 @@ def test_series_state_at_window_edge_matches_dop853(N, p):
 def test_certified_radius_covers_window(rtol):
     # so the default seed is the window edge over the whole grid
     for N, p in _SERIES_GRID:
-        params = ProblemParams(N, p)
-        rtilde_p = lemma_constants(params).rtilde_p
-        assert _certified_radius(derive_constants(params), rtol) >= rtilde_p
-        assert _default_seed_radius(derive_constants(params), rtilde_p, rtol) == rtilde_p
+        window = seed_window(ProblemParams(N, p), rtol)
+        assert window.certified_radius >= window.lemma.rtilde_p
+        assert window.radius == window.lemma.rtilde_p
 
 
 def test_origin_checks_sample_the_window(sing_5_20, monkeypatch):
@@ -305,7 +305,7 @@ def test_derivative_decay_sweep():
     reps = []
     for p in (20.0, 80.0, 320.0):
         params = ProblemParams(5, p)
-        sol = solve_singular(params, r_end=2.0 * lemma_constants(params).rtilde_p)
+        sol = solve_singular(params, r_end=2.0 * lemma_constants(derive_constants(params)).rtilde_p)
         reps.append(derivative_bound_check(sol))
     scaled = [r.du_scaled for r in reps]
     # |u'(rtilde)| sqrt(p) stays in a narrow band over the sweep

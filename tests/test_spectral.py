@@ -418,7 +418,7 @@ def test_discrete_projection_stays_negative():
 def test_potential_threshold_sides():
     # finite-index side: limit 23.75 below the Hardy constant 25
     params = ProblemParams(12, 5.0)
-    lem = lemma_constants(params)
+    lem = lemma_constants(derive_constants(params))
     sol = solve_singular(params, r_end=2.0 * lem.rtilde_p)
     rep = potential_threshold_check(sol)
     assert rep.limit_closed_form == pytest.approx(23.75, rel=1e-12)
@@ -433,7 +433,7 @@ def test_potential_threshold_sides():
 
     # infinite-index side: limit 27 above 25
     params = ProblemParams(12, 3.0)
-    lem = lemma_constants(params)
+    lem = lemma_constants(derive_constants(params))
     sol = solve_singular(params, r_end=2.0 * lem.rtilde_p)
     rep = potential_threshold_check(sol)
     assert rep.limit_closed_form == pytest.approx(27.0, rel=1e-12)
