@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from array import array
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
 
 from ._brent import brentq
 from .errors import ParameterError
@@ -40,18 +40,17 @@ _A = ((1 / 5,),
       (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
 _B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0, 0, 0, 0),
+      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+      (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 _EPS = sys.float_info.epsilon
 # Accepted steps allowed per run. The largest runs of the test suite and of
 # the README examples take 17k and 20k steps; a run that needs more fails
@@ -60,36 +59,102 @@ _EPS = sys.float_info.epsilon
 MAX_STEPS = 200_000
 
 
+class Column(array):
+    """A column of doubles, the package's one array type: ``array('d')``
+    that also answers ``size`` and, for bench/tracing.py, which reads the
+    steps below a radius off a trajectory as ``(r[1:] < x).sum()``, keeps
+    its type under slicing and compares elementwise with a number."""
+
+    def __new__(cls, values=()):
+        return super().__new__(cls, "d", values)
+
+    size = property(len)
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        return Column(item) if isinstance(key, slice) else item
+
+    def __lt__(self, x):
+        return Column([v < x for v in self])
+
+    def sum(self) -> float:
+        return math.fsum(self)
+
+    def increasing(self) -> bool:
+        """Whether the values increase strictly."""
+        return not any(map(operator.ge, self, self[1:]))
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced values from start to stop, as numpy's linspace
+    computes them: ``start + k step``, the last one set to ``stop``."""
+    if num < 0:
+        raise ValueError(f"number of samples must be non-negative, got {num}")
+    if num < 2:
+        return [float(start)] * num
+    step = (stop - start) / (num - 1)
+    return [start + k * step for k in range(num - 1)] + [float(stop)]
+
+
 def _quartic_value(y0, h, x, q0, q1, q2, q3):
     """Dense-output value y0 + h (q0 x + q1 x**2 + q2 x**3 + q3 x**4) at the
-    fraction x of a step; works on floats and on arrays."""
+    fraction x of a step."""
     return y0 + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
 
 
 class Dense:
-    """Piecewise quartic dense output of a Dormand-Prince run.
+    """Piecewise quartic dense output of a Dormand-Prince run of n
+    components, on the run's own buffers.
 
-    Step k starts at ``ts[k]`` from state ``y0[k]`` (shape (m, n)), has
-    length ``h[k]`` and coefficients ``Q[k]`` (shape (m, n, 4)). A query on
-    a breakpoint takes the step that ends there; ``ts`` increases, and its
-    last entry may cut the last step short (a terminal event).
+    Step k starts at ``ts[k]`` from the state ``ys[n k : n k + n]``, has
+    length ``hs[k]`` and the stages ``stages[7 n k : 7 n (k + 1)]``, stage
+    by stage; its quartic coefficients are computed when it is queried. A
+    query on a breakpoint takes the step that ends there; ``ts`` increases,
+    and its last entry may cut the last step short (a terminal event).
     """
 
-    def __init__(self, ts, h, y0, Q):
-        self._ts = np.asarray(ts, dtype=float)
-        self._h = np.asarray(h, dtype=float)
-        # per component, so a query copies one (m,) array at a time
-        self._y0 = np.asarray(y0, dtype=float).T
-        self._Q = np.asarray(Q, dtype=float).transpose(1, 2, 0)
+    def __init__(self, n, ts, hs, ys, stages):
+        self._n, self._ts, self._hs, self._ys, self._stages = n, ts, hs, ys, stages
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.searchsorted(self._ts, t, side="left") - 1
-        k = np.clip(k, 0, self._h.size - 1)
-        h = self._h[k]
-        x = (t - self._ts[k]) / h
-        return np.array([_quartic_value(y0[k], h, x, *(qj[k] for qj in q))
-                         for y0, q in zip(self._y0, self._Q)])
+    def step(self, k):
+        """Start, length, start state and quartic coefficients (one
+        (q0, q1, q2, q3) per component) of step k."""
+        n = self._n
+        K = self._stages[7 * n * k:7 * n * (k + 1)]
+        return (self._ts[k], self._hs[k], self._ys[n * k:n * (k + 1)],
+                [_quartic(*K[i::n]) for i in range(n)])
+
+    def __call__(self, points) -> tuple[Column, ...]:
+        """The n components at the floats ``points``, one column each. Over
+        an increasing grid the steps are walked once, and each step's
+        quartic is evaluated at all of its points in one pass."""
+        ts, last = self._ts, len(self._hs) - 1
+        columns = tuple(Column() for _ in range(self._n))
+
+        def evaluate(k, batch):
+            t0, h, y0, Q = self.step(k)
+            xs = [(t - t0) / h for t in batch]
+            for col, v, (q0, q1, q2, q3) in zip(columns, y0, Q):
+                col.extend([_quartic_value(v, h, x, q0, q1, q2, q3) for x in xs])
+
+        # step k serves the points in (lo, hi]; the first and the last step
+        # also serve those before and after the run
+        k, lo, hi, batch = 0, math.inf, -math.inf, []
+        for t in points:
+            if not lo < t <= hi:
+                if batch:
+                    evaluate(k, batch)
+                    batch = []
+                if t <= lo:
+                    k = max(bisect_left(ts, t) - 1, 0)
+                while k < last and ts[k + 1] < t:
+                    k += 1
+                lo = ts[k] if k else -math.inf
+                hi = ts[k + 1] if k < last else math.inf
+            batch.append(t)
+        if batch:
+            evaluate(k, batch)
+        return columns
 
 
 def _rms(x, scale) -> float:
@@ -114,12 +179,6 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, interval)
-
-
-def _quartic(K) -> list[tuple[float, ...]]:
-    """Dense-output coefficients Q = K^T P of one step, per component, from
-    its flat stage tuple (stage by stage)."""
-    return [tuple(float(q) for q in row) for row in np.asarray(K).reshape(7, -1).T @ _P]
 
 
 @dataclass(frozen=True)
@@ -158,6 +217,20 @@ def _assign(targets, values) -> list[str]:
     return [f"{t} = {v}" for t, v in zip(targets, values)]
 
 
+def _weighted(weights, names) -> str:
+    # zero weights drop out, as they do from the tableau's sums
+    return " + ".join(f"{w!r} * {v}" for w, v in zip(weights, names) if w)
+
+
+# _quartic(k0, ..., k6): the dense-output coefficients (q0, q1, q2, q3) of
+# one component from its seven stages, each written out term by term in
+# tableau order, as the stage sums are
+_quartic = _compile(["def _quartic(_k0, _k1, _k2, _k3, _k4, _k5, _k6):",
+                     "    return " + _tuple(_weighted([row[j] for row in _P],
+                                                      [f"_k{s}" for s in range(7)])
+                                            for j in range(4))], "quartic")["_quartic"]
+
+
 @functools.lru_cache(maxsize=None)
 def _function_factory(field: Field) -> Callable:
     return _compile([f"def _bind({', '.join(field.consts)}):",
@@ -187,8 +260,7 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     old, new = _tuple(f"_o{j}" for j in range(m)), _tuple(f"_e{j}" for j in range(m))
 
     def weighted(weights, i):
-        # zero weights drop out, as they do from the tableau's sums
-        return " + ".join(f"{w!r} * _k{s}_{i}" for s, w in enumerate(weights) if w)
+        return _weighted(weights, [row[i] for row in k])
 
     def rates(at, state, s):
         return [f"{field.t} = {at}", *_assign(field.state, state), *field.body,
@@ -265,14 +337,6 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     return _compile(lines, f"loop {field.state} {exprs}")["advance"]
 
 
-def _interpolant(t0, h, y0, Q):
-    def y(t):
-        x = (t - t0) / h
-        return tuple(_quartic_value(v, h, x, *q) for v, q in zip(y0, Q))
-
-    return y
-
-
 class Event(NamedTuple):
     """Event expression g in the names of a :class:`Field`; a zero of g is
     recorded when g changes sign over a step in ``direction`` (0: either
@@ -285,14 +349,14 @@ class Event(NamedTuple):
 
 @dataclass
 class Run:
-    """Output of :func:`solve`: step ends ``t`` with states ``y`` (n, m),
-    event roots per event with whether g rose across each, the dense output
-    and the solver counters."""
+    """Output of :func:`solve`: the step ends ``t`` and, n per step end, the
+    states ``y``, event roots per event with whether g rose across each, the
+    dense output and the solver counters."""
 
-    t: np.ndarray
-    y: np.ndarray
-    t_events: list
-    rises: list
+    t: array
+    y: array
+    t_events: list[list[float]]
+    rises: list[list[bool]]
     status: str  # "finished", "event" (terminal event) or "failed"
     message: str
     dense: Dense
@@ -343,6 +407,7 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     t, n_accepted, n_rejected = t0, 0, 0
     # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
+    dense = Dense(n, ts, hs, ys, stages)
     t_events, rises = [[] for _ in events], [[] for _ in events]
     status, message = None, ""
     while status is None:
@@ -359,8 +424,12 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
         # an event changed sign over the last step, which the arrays end with
         active = [j for j, (rise, fall) in enumerate(scan)
                   if (rise and before[j] <= 0 <= g[j]) or (fall and before[j] >= 0 >= g[j])]
-        t_old = ts[-2]
-        interp = _interpolant(t_old, hs[-1], tuple(ys[-2 * n:-n]), _quartic(stages[-7 * n:]))
+        t_old, h, y_old, Q = dense.step(len(hs) - 1)
+
+        def interp(s):
+            x = (s - t_old) / h
+            return [_quartic_value(v, h, x, *q) for v, q in zip(y_old, Q)]
+
         roots = {}
         for j in active:
 
@@ -391,10 +460,6 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
         for j in active:
             t_events[j].append(roots[j])
             rises[j].append(g[j] > before[j])
-    ys = np.array(ys).reshape(-1, n)
-    Q = np.tensordot(np.array(stages).reshape(-1, 7, n), _P, axes=([1], [0]))
-    return Run(t=np.array(ts), y=ys.T, t_events=[np.array(te) for te in t_events],
-               rises=[np.array(up, dtype=bool) for up in rises], status=status,
-               message=message, dense=Dense(ts, hs, ys[:-1], Q),
-               nfev=2 + 6 * (n_accepted + n_rejected), n_accepted=n_accepted,
+    return Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status, message=message,
+               dense=dense, nfev=2 + 6 * (n_accepted + n_rejected), n_accepted=n_accepted,
                n_rejected=n_rejected)

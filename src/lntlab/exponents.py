@@ -16,11 +16,11 @@ the critical radii of a shot.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._brent import brentq
+from ._dp45 import Column
 from .errors import BracketError, EventError, ParameterError
 from .params import ProblemParams, critical_exponent, derive_constants, lemma_constants
 from .singular import solve_singular, solve_with_criticals
@@ -68,7 +68,7 @@ def find_istar(
     params = ProblemParams(N, p_tilde, R=R)
     r_end = max(R, 2.0 * lemma_constants(derive_constants(params)).rtilde_p)
     sol = solve_singular(params, r_end, rtol, atol)
-    return 1 + int(np.count_nonzero(sol.critical_radii.radii <= R))
+    return 1 + sum(1 for r in sol.critical_radii.radii if r <= R)
 
 
 def _critical_radius_and_crossings(
@@ -197,8 +197,8 @@ def find_exponent(
 class ContinuityReport:
     """Refinement study of the modulus of continuity of p -> R_p_i."""
 
-    refined_grid: np.ndarray
-    refined_values: np.ndarray
+    refined_grid: Column
+    refined_values: Column
     modulus_coarse: float
     modulus_fine: float
     ratio: float
@@ -220,8 +220,8 @@ def continuity_scan(
     halve when the mesh halves; PASS requires the ratio in [1/3, 2/3] and no
     isolated jump above 10x the median increment.
     """
-    grid = np.asarray(sorted(float(p) for p in p_grid))
-    if grid.size < 3:
+    grid = sorted(float(p) for p in p_grid)
+    if len(grid) < 3:
         raise ParameterError("continuity scan needs at least three grid points")
     if grid[0] <= critical_exponent(N):
         raise ParameterError("grid extends below the supercritical range")
@@ -229,23 +229,18 @@ def continuity_scan(
     def radius_at(p: float) -> float:
         return _critical_radius_and_crossings(ProblemParams(N, p), i, rtol, atol)[0]
 
-    values = np.array([radius_at(p) for p in grid])
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    mid_values = np.array([radius_at(p) for p in mids])
-    refined = np.empty(grid.size + mids.size)
-    refined[0::2] = grid
-    refined[1::2] = mids
-    refined_values = np.empty_like(refined)
-    refined_values[0::2] = values
-    refined_values[1::2] = mid_values
+    mids = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+    # grid points and midpoints interleaved: the grid's values are every other one
+    refined = Column([*(x for pair in zip(grid, mids) for x in pair), grid[-1]])
+    refined_values = Column(radius_at(p) for p in refined)
+    values = refined_values[::2]
 
-    inc_coarse = np.abs(np.diff(values))
-    inc_fine = np.abs(np.diff(refined_values))
-    modulus_coarse = float(np.max(inc_coarse))
-    modulus_fine = float(np.max(inc_fine))
+    modulus_coarse = max(abs(b - a) for a, b in zip(values, values[1:]))
+    inc_fine = sorted(abs(b - a) for a, b in zip(refined_values, refined_values[1:]))
+    modulus_fine = inc_fine[-1]
     ratio = modulus_fine / modulus_coarse if modulus_coarse > 0 else 0.0
-    med = float(np.median(inc_fine))
-    max_jump_factor = float(np.max(inc_fine) / med) if med > 0 else 0.0
+    med = statistics.median(inc_fine)
+    max_jump_factor = modulus_fine / med if med > 0 else 0.0
     if modulus_coarse == 0.0:
         # degenerate constant grid: continuity holds with zero modulus
         passed = modulus_fine == 0.0

@@ -15,14 +15,14 @@ run can stop at the i-th critical point.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from . import _dp45
+from ._dp45 import Column
 from .errors import CoverageError, IntegrationError, ParameterError
 from .params import ProblemParams
 
@@ -59,19 +59,16 @@ class RadialState:
             raise ParameterError("state values must be finite")
 
 
-def energy_values(u, du, p: float):
+def energy_values(u, du, p: float) -> Column:
     """Lyapunov energy u'**2/2 - u**2/2 + u**(p+1)/(p+1) along sampled
-    (u, u') arrays; non-increasing in r along solutions."""
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
-    return 0.5 * du * du - 0.5 * u * u + u ** (p + 1.0) / (p + 1.0)
+    (u, u') sequences; non-increasing in r along solutions."""
+    q = p + 1.0
+    return Column([0.5 * d * d - 0.5 * v * v + v**q / q for v, d in zip(u, du)])
 
 
-def energy_rate(r, u, du, N: int):
+def energy_rate(r, u, du, N: int) -> Column:
     """Exact energy derivative -(N-1) u'**2 / r along solutions."""
-    r = np.asarray(r, dtype=float)
-    du = np.asarray(du, dtype=float)
-    return -(N - 1.0) * du * du / r
+    return Column([-(N - 1.0) * d * d / s for s, d in zip(r, du)])
 
 
 def energy_rate_deviation(traj: "RadialTrajectory") -> float:
@@ -87,16 +84,15 @@ def energy_rate_deviation(traj: "RadialTrajectory") -> float:
     """
     a = traj.r_start + 0.02 * (traj.r_end - traj.r_start)
     b = traj.r_start + 0.98 * (traj.r_end - traj.r_start)
-    grid = np.linspace(a, b, 20001)
+    grid = _dp45.linspace(a, b, 20001)
     h = grid[1] - grid[0]
     u, du = traj.sample(grid)
     e = energy_values(u, du, traj.params.p)
-    slope = (e[2:] - e[:-2]) / (2.0 * h)
     rate = energy_rate(grid[1:-1], u[1:-1], du[1:-1], traj.params.N)
-    mask = (rate != 0.0) & (np.abs(rate) >= 1e-2 * np.max(np.abs(rate)))
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(np.abs(slope[mask] - rate[mask]) / np.abs(rate[mask])))
+    floor = 1e-2 * max(map(abs, rate))
+    return max((abs((hi - lo) / (2.0 * h) - q) / abs(q)
+                for lo, hi, q in zip(e, e[2:], rate) if q != 0.0 and abs(q) >= floor),
+               default=0.0)
 
 
 @dataclass
@@ -106,16 +102,15 @@ class RadialTrajectory:
     Immutable after construction by convention. ``status`` is ``"ok"`` for a
     run that reached its end radius or stopped at the requested critical
     point, ``"nonpositive"`` when the solution reached u = 0 and the run was
-    truncated there.
+    truncated there. The energy trace is computed when first read.
     """
 
     params: ProblemParams
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    energy: np.ndarray
-    unit_crossings: np.ndarray
-    critical_points: np.ndarray
+    r: Column
+    u: Column
+    du: Column
+    unit_crossings: Column
+    critical_points: Column
     critical_kinds: tuple[PointKind, ...]
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -128,42 +123,46 @@ class RadialTrajectory:
     n_rejected: int = 0
 
     def __post_init__(self):
-        if self.r.size < 2:
+        if len(self.r) < 2:
             raise IntegrationError("trajectory must contain at least two samples")
-        if np.any(np.diff(self.r) <= 0):
+        if not self.r.increasing():
             raise IntegrationError("trajectory samples must be strictly increasing in r")
-        for ev in (self.unit_crossings, self.critical_points):
-            if ev.size > 1 and np.any(np.diff(ev) <= 0):
-                raise IntegrationError("event radii must be strictly increasing")
+        if not (self.unit_crossings.increasing() and self.critical_points.increasing()):
+            raise IntegrationError("event radii must be strictly increasing")
+
+    @functools.cached_property
+    def energy(self) -> Column:
+        return energy_values(self.u, self.du, self.params.p)
 
     @property
     def r_start(self) -> float:
-        return float(self.r[0])
+        return self.r[0]
 
     @property
     def r_end(self) -> float:
-        return float(self.r[-1])
+        return self.r[-1]
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.r_start <= lo and hi <= self.r_end
 
-    def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """Dense-output values (u, u') at the requested radii."""
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if radii.size and (radii.min() < self.r_start - 1e-14 * self.r_start
-                           or radii.max() > self.r_end * (1 + 1e-14)):
+    def sample(self, radii) -> tuple[Column, Column]:
+        """Dense-output values (u, u') at the requested radii (a float or
+        floats)."""
+        radii = [radii] if isinstance(radii, (int, float)) else list(radii)
+        lo, hi = self.r_start, self.r_end
+        if radii and (min(radii) < lo - 1e-14 * lo or max(radii) > hi * (1 + 1e-14)):
             raise CoverageError(
-                f"requested radii [{radii.min()}, {radii.max()}] outside "
-                f"trajectory range [{self.r_start}, {self.r_end}]"
+                f"requested radii [{min(radii)}, {max(radii)}] outside "
+                f"trajectory range [{lo}, {hi}]"
             )
         if self.dense is None:
             raise CoverageError("trajectory carries no dense output")
-        vals = self.dense(np.clip(radii, self.r_start, self.r_end))
-        return vals[0], vals[1]
+        return self.dense([lo if r < lo else hi if r > hi else r for r in radii])
 
     def crossings_upto(self, R: float) -> int:
         """Number of unit crossings on (0, R], with relative slack 1e-9 at R."""
-        return int(np.count_nonzero(self.unit_crossings <= R * (1.0 + 1e-9)))
+        bound = R * (1.0 + 1e-9)
+        return sum(1 for r in self.unit_crossings if r <= bound)
 
     def max_energy_rise(self) -> float:
         """Worst normalized energy increase between consecutive samples.
@@ -171,37 +170,40 @@ class RadialTrajectory:
         Values are scaled by the trajectory's own tolerances so that a
         return value below 1 means monotone within tolerance.
         """
-        de = np.diff(self.energy)
-        scale = self.atol + self.rtol * np.maximum(
-            1.0, np.maximum(np.abs(self.energy[:-1]), np.abs(self.energy[1:]))
-        )
-        return float(np.max(de / scale)) if de.size else 0.0
+        e = self.energy
+        return max(((b - a) / (self.atol + self.rtol * max(1.0, abs(a), abs(b)))
+                    for a, b in zip(e, e[1:])), default=0.0)
 
-    def thinned_indices(self, max_rows: int) -> np.ndarray:
-        n = self.r.size
+    def thinned_indices(self, max_rows: int) -> list[int]:
+        n = len(self.r)
         if n <= max_rows:
-            return np.arange(n)
-        idx = np.unique(np.linspace(0, n - 1, max_rows).round().astype(int))
-        return idx
+            return list(range(n))
+        return sorted({round(k) for k in _dp45.linspace(0, n - 1, max_rows)})
+
+    def _columns(self, max_rows: int, full: bool) -> list[list[float]]:
+        """r, u, du and the energy, thinned to at most max_rows unless full."""
+        columns = [c.tolist() for c in (self.r, self.u, self.du, self.energy)]
+        if full or len(self.r) <= max_rows:
+            return columns
+        idx = self.thinned_indices(max_rows)
+        return [[c[k] for k in idx] for c in columns]
 
     def to_csv(self, path, max_rows: int = 10_000, full: bool = False) -> None:
         # imported here, not with the module, so `import lntlab` stays light
         from .reports import write_artifact
-        idx = np.arange(self.r.size) if full else self.thinned_indices(max_rows)
-        columns = (self.r[idx], self.u[idx], self.du[idx], self.energy[idx])
-        write_artifact(path, (("r", "u", "du", "E"), zip(*(c.tolist() for c in columns))))
+        write_artifact(path, (("r", "u", "du", "E"), zip(*self._columns(max_rows, full))))
 
     def to_json_dict(self, max_rows: int = 10_000, full: bool = False) -> dict:
-        idx = np.arange(self.r.size) if full else self.thinned_indices(max_rows)
+        r, u, du, energy = self._columns(max_rows, full)
         return {
             "schema": "trajectory-v1",
             "params": self.params.as_dict(),
             "status": self.status,
             "message": self.message,
-            "r": self.r[idx].tolist(),
-            "u": self.u[idx].tolist(),
-            "du": self.du[idx].tolist(),
-            "energy": self.energy[idx].tolist(),
+            "r": r,
+            "u": u,
+            "du": du,
+            "energy": energy,
             "unit_crossings": self.unit_crossings.tolist(),
             "critical_points": self.critical_points.tolist(),
             "critical_kinds": [k.value for k in self.critical_kinds],
@@ -227,12 +229,10 @@ def _constants(params: ProblemParams, rtol: float) -> dict:
             "floor": sys.float_info.min / rtol}
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Mask dropping increasing event radii that repeat the previous one (a
-    zero on a step end is found by both steps)."""
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = np.diff(values) > 1e-13 * np.abs(values[1:])
-    return keep
+def _distinct(values: list[float]) -> list[bool]:
+    """Which increasing event radii to keep: not one that repeats the
+    previous one (a zero on a step end is found by both steps)."""
+    return [True] + [b - a > 1e-13 * abs(b) for a, b in zip(values, values[1:])]
 
 
 def integrate_adaptive(
@@ -268,20 +268,18 @@ def integrate_adaptive(
 
     if start.u == 1.0 and start.du == 0.0:
         # constant equilibrium: nothing to integrate
-        r = np.array([start.r, r_end])
-        ones = np.ones_like(r)
+        r = Column([start.r, r_end])
         return RadialTrajectory(
             params=params,
             r=r,
-            u=ones,
-            du=np.zeros_like(r),
-            energy=energy_values(ones, np.zeros_like(r), params.p),
-            unit_crossings=np.array([]),
-            critical_points=np.array([]),
+            u=Column([1.0, 1.0]),
+            du=Column([0.0, 0.0]),
+            unit_crossings=Column(),
+            critical_points=Column(),
             critical_kinds=(),
             rtol=rtol,
             atol=atol,
-            dense=_dp45.Dense(r, [r_end - start.r], [[1.0, 0.0]], np.zeros((1, 2, 4))),
+            dense=_dp45.Dense(2, r, [r_end - start.r], [1.0, 0.0], [0.0] * 14),
         )
 
     events = (
@@ -294,36 +292,36 @@ def integrate_adaptive(
 
     if run.status == "failed":
         partial = None
-        if run.t.size >= 2:
+        if len(run.t) >= 2:
             partial = _build_trajectory(
                 params, run, rtol, atol, status="failed", message=run.message
             )
         raise IntegrationError(f"integration failed: {run.message}", partial=partial)
     status, message = "ok", ""
-    if run.t_events[-1].size:
+    if run.t_events[-1]:
         status, message = "nonpositive", "solution reached u = 0; run truncated"
 
     return _build_trajectory(params, run, rtol, atol, status=status, message=message)
 
 
 def _build_trajectory(params, run, rtol, atol, status, message):
-    unit = run.t_events[0][_distinct(run.t_events[0])]
+    unit = run.t_events[0]
     keep = _distinct(run.t_events[1])
-    crit = run.t_events[1][keep]
-    kinds = tuple(PointKind.MIN if up else PointKind.MAX for up in run.rises[1][keep])
-    tr, u, du = run.t, run.y[0], run.y[1]
+    crit = [t for t, k in zip(run.t_events[1], keep) if k]
+    kinds = tuple(PointKind.MIN if up else PointKind.MAX
+                  for up, k in zip(run.rises[1], keep) if k)
+    tr, u, du = run.t, run.y[0::2], run.y[1::2]
     # the terminal floor event can leave a final sample with u <= 0; clip it
-    if u.size and u[-1] <= 0.0:
-        keep = u > 0.0
-        tr, u, du = tr[keep], u[keep], du[keep]
+    if u and u[-1] <= 0.0:
+        keep = [k for k, v in enumerate(u) if v > 0.0]
+        tr, u, du = ([col[k] for k in keep] for col in (tr, u, du))
     return RadialTrajectory(
         params=params,
-        r=tr,
-        u=u,
-        du=du,
-        energy=energy_values(u, du, params.p),
-        unit_crossings=unit,
-        critical_points=crit,
+        r=Column(tr),
+        u=Column(u),
+        du=Column(du),
+        unit_crossings=Column(t for t, k in zip(unit, _distinct(unit)) if k),
+        critical_points=Column(crit),
         critical_kinds=kinds,
         rtol=rtol,
         atol=atol,
@@ -361,13 +359,14 @@ class DifferencePath:
     run.
     """
 
-    r: np.ndarray
+    r: Column
     status: str
     dense: object | None = field(default=None, repr=False)
 
-    def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, radii) -> tuple[Column, Column]:
         """Dense-output values (u*, d) at the requested radii."""
-        vals = self.dense(np.clip(np.asarray(radii, dtype=float), self.r[0], self.r[-1]))
+        lo, hi = self.r[0], self.r[-1]
+        vals = self.dense([lo if r < lo else hi if r > hi else r for r in radii])
         return vals[0], vals[2]
 
 
@@ -399,5 +398,5 @@ def integrate_difference(
         raise IntegrationError(f"difference integration failed: {run.message}")
     status = "ok"
     if run.status == "event":
-        status = "underflow" if run.t_events[0].size else "nonpositive"
-    return DifferencePath(r=run.t, status=status, dense=run.dense)
+        status = "underflow" if run.t_events[0] else "nonpositive"
+    return DifferencePath(r=Column(run.t), status=status, dense=run.dense)

@@ -10,10 +10,9 @@ bounds the validated seeding window ``r <= ctilde / sqrt(p)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import FeasibilityError, ParameterError
 
@@ -43,7 +42,7 @@ class Regime(Enum):
 
 
 def _check_dimension(N: int) -> None:
-    if not isinstance(N, (int, np.integer)):
+    if not isinstance(N, numbers.Integral):
         raise ParameterError(f"dimension must be an integer, got {N!r}")
     if N < 3:
         raise ParameterError(f"dimension must satisfy N >= 3, got N={N}")
@@ -203,17 +202,15 @@ def asymptotic_limits(N: int) -> AsymptoticLimits:
     )
 
 
-def phi_nonlinearity(eta, p: float):
+def phi_nonlinearity(eta: float, p: float) -> float:
     """Quadratic remainder -( (1+eta)**p - 1 - p*eta ), nonpositive, 0 only at 0.
 
     Evaluated through expm1/log1p so the cancellation for small eta does not
     destroy accuracy.
     """
-    eta = np.asarray(eta, dtype=float)
-    if np.any(1.0 + eta <= 0.0):
+    if not 1.0 + eta > 0.0:
         raise ParameterError("phi_nonlinearity requires 1 + eta > 0")
-    out = -(np.expm1(p * np.log1p(eta)) - p * eta)
-    return float(out) if out.ndim == 0 else out
+    return -(math.expm1(p * math.log1p(eta)) - p * eta)
 
 
 def compute_PN(c: DerivedConstants, ctilde: float) -> tuple[float, float]:

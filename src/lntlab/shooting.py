@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._dp45 import linspace
 from .errors import BracketError, EventError, IntegrationError, ParameterError
 from .exponents import _power_root
 from .ode import RadialState, RadialTrajectory, integrate_adaptive, integrate_difference
@@ -181,10 +180,11 @@ def convergence_to_singular(
                                   rtol=rtol, atol=atol)
     if not singular.trajectory.covers(a, b):
         raise ParameterError("singular solution does not cover the interval")
-    grid = np.linspace(a, b, 2048)
+    grid = linspace(a, b, 2048)
     u_ref, _ = singular.sample(grid)
-    budget = 10.0 * (max(atol, singular.trajectory.atol)
-                     + max(rtol, singular.trajectory.rtol) * np.abs(u_ref))
+    atol_ref = max(atol, singular.trajectory.atol)
+    rtol_ref = max(rtol, singular.trajectory.rtol)
+    budget = [10.0 * (atol_ref + rtol_ref * abs(v)) for v in u_ref]
 
     distances, statuses = [], []
     for g in gammas:
@@ -197,15 +197,15 @@ def convergence_to_singular(
             statuses.append(path.status)
             continue
         u_track, d = path.sample(grid)
-        mismatch = np.abs(u_track - u_ref)
-        if np.any(mismatch > budget):
-            k = int(np.argmax(mismatch / budget))
+        mismatch = [abs(v - w) for v, w in zip(u_track, u_ref)]
+        if any(m > cap for m, cap in zip(mismatch, budget)):
+            k = max(range(len(grid)), key=lambda k: mismatch[k] / budget[k])
             raise IntegrationError(
                 f"singular track integrated with the gamma={g} shot departs "
                 f"from the given singular solution at r={grid[k]}: "
                 f"|difference| = {mismatch[k]}, allowed {budget[k]}"
             )
-        distances.append(float(np.max(np.abs(d))))
+        distances.append(max(map(abs, d)))
         statuses.append("ok")
     usable = [d for d in distances if not math.isnan(d)]
     passed = len(usable) >= 2 and all(x > y for x, y in zip(usable, usable[1:]))

@@ -17,8 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._dp45 import Column
 from .errors import (
     CoverageError,
     DegenerateEventError,
@@ -61,13 +60,14 @@ R_END_EXTENSION_CAP = 2**10  # critical-radius search may extend r_end this far
 class CriticalRadii:
     """Increasing critical radii with alternating min/max kinds."""
 
-    radii: np.ndarray
+    radii: Column
     kinds: tuple[PointKind, ...]
 
     def __post_init__(self):
-        if len(self.kinds) != self.radii.size:
+        object.__setattr__(self, "radii", Column(self.radii))
+        if len(self.kinds) != len(self.radii):
             raise ParameterError("one kind per critical radius required")
-        if self.radii.size > 1 and np.any(np.diff(self.radii) <= 0):
+        if not self.radii.increasing():
             raise ParameterError("critical radii must be strictly increasing")
         for k in range(1, len(self.kinds)):
             if self.kinds[k] is self.kinds[k - 1]:
@@ -77,10 +77,10 @@ class CriticalRadii:
                 )
 
     def __len__(self) -> int:
-        return int(self.radii.size)
+        return len(self.radii)
 
     def __getitem__(self, i: int) -> float:
-        return float(self.radii[i])
+        return self.radii[i]
 
 
 def _critical_radii_from(traj: RadialTrajectory, require_first_min: bool) -> CriticalRadii:
@@ -109,21 +109,23 @@ class SingularSolution:
     r_p: float | None
     critical_radii: CriticalRadii
 
-    def sample(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u') at the requested radii: the origin series the run was
-        seeded from below the seed radius, the trajectory's dense output
-        from there on."""
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if radii.size and not radii.min() > 0.0:
-            raise CoverageError(f"the singular solution covers r > 0, not r = {radii.min()}")
-        inner = radii < self.seed_radius
-        u, du = self.trajectory.sample(np.where(inner, self.seed_radius, radii))
-        if inner.any():
-            r = radii[inner]
-            c = self.constants
-            t, dt = origin_profile(c, r)
-            u[inner] = t * r**-c.theta
-            du[inner] = dt * r ** (-c.theta - 1.0)
+    def sample(self, radii) -> tuple[Column, Column]:
+        """(u, u') at the requested radii (a float or floats): the origin
+        series the run was seeded from below the seed radius, the
+        trajectory's dense output from there on."""
+        radii = [radii] if isinstance(radii, (int, float)) else list(radii)
+        if radii and not min(radii) > 0.0:
+            raise CoverageError(f"the singular solution covers r > 0, not r = {min(radii)}")
+        r0, theta = self.seed_radius, self.constants.theta
+        below = [r for r in radii if r < r0]
+        inner = iter([(t * r**-theta, dt * r ** (-theta - 1.0))
+                      for t, dt, r in zip(*origin_profile(self.constants, below), below)])
+        outer = zip(*self.trajectory.sample([r for r in radii if r >= r0]))
+        u, du = Column(), Column()
+        for r in radii:
+            a, b = next(inner) if r < r0 else next(outer)
+            u.append(a)
+            du.append(b)
         return u, du
 
 
@@ -155,20 +157,25 @@ def origin_series(c: DerivedConstants) -> tuple[float, ...]:
     return tuple(coef)
 
 
-def origin_profile(c: DerivedConstants, r):
+def origin_profile(c: DerivedConstants, radii) -> tuple[list[float], list[float]]:
     """Scaled values (u r**theta, u' r**(theta+1)) of the origin series
-    summed through c_K, at a radius or an array of radii.
+    summed through c_K, at the radii.
 
     They tend to (A, -theta A) at the origin, where u itself overflows once
     theta is large.
     """
     coef = origin_series(c)
-    s = np.square(r)
-    t = dt = 0.0
-    for k in range(SERIES_ORDER, -1, -1):
-        t = t * s + coef[k]
-        dt = dt * s + coef[k] * (2.0 * k - c.theta)
-    return c.A * t, c.A * dt
+    terms = [(coef[k], coef[k] * (2.0 * k - c.theta)) for k in range(SERIES_ORDER, -1, -1)]
+    ts, dts = [], []
+    for r in radii:
+        s = r * r
+        t = dt = 0.0
+        for a, b in terms:
+            t = t * s + a
+            dt = dt * s + b
+        ts.append(c.A * t)
+        dts.append(c.A * dt)
+    return ts, dts
 
 
 @dataclass(frozen=True)
@@ -211,9 +218,9 @@ def seed_at_origin(window: SeedWindow, r0: float) -> RadialState:
     rtilde_p = window.lemma.rtilde_p
     if not (0.0 < r0 <= rtilde_p):
         raise ParameterError(f"seed radius must lie in (0, rtilde_p={rtilde_p}], got r0={r0}")
-    t, dt = origin_profile(window.constants, r0)
+    (t,), (dt,) = origin_profile(window.constants, [r0])
     theta = window.constants.theta
-    return RadialState(r=r0, u=float(t) * r0**-theta, du=float(dt) * r0 ** (-theta - 1.0))
+    return RadialState(r=r0, u=t * r0**-theta, du=dt * r0 ** (-theta - 1.0))
 
 
 def solve_singular(
@@ -267,7 +274,7 @@ def solve_singular(
             "singular solution lost positivity; decrease tolerances", partial=traj
         )
 
-    r_p = float(traj.unit_crossings[0]) if traj.unit_crossings.size else None
+    r_p = traj.unit_crossings[0] if traj.unit_crossings else None
     return SingularSolution(
         params=params,
         constants=c,
@@ -312,11 +319,11 @@ def solve_with_criticals(
     return sol
 
 
-def _window(sol: SingularSolution) -> np.ndarray:
+def _window(sol: SingularSolution) -> list[float]:
     """64 log-spaced radii spanning [rtilde_p / WINDOW_SHRINK, rtilde_p],
     wherever the seed lies."""
     rtilde_p = sol.lemma.rtilde_p
-    return np.geomspace(rtilde_p / WINDOW_SHRINK, rtilde_p, 64)
+    return [rtilde_p * WINDOW_SHRINK ** (k / 63 - 1) for k in range(64)]
 
 
 @dataclass(frozen=True)
@@ -341,10 +348,10 @@ def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> Ori
         tol = 10.0 * max(sol.trajectory.rtol, sol.trajectory.atol)
     radii = _window(sol)
     u, _ = sol.sample(radii)
-    lower = c.A * radii**-c.theta
-    upper = lower * (1.0 + c.Dp * radii * radii)
-    lower_margin = float(np.min((u - lower) / lower))
-    upper_margin = float(np.max((u - upper) / upper))
+    lower = [c.A * r**-c.theta for r in radii]
+    upper = [lo * (1.0 + c.Dp * r * r) for lo, r in zip(lower, radii)]
+    lower_margin = min((v - lo) / lo for v, lo in zip(u, lower))
+    upper_margin = max((v - up) / up for v, up in zip(u, upper))
     passed = lower_margin >= -tol and upper_margin <= tol
     return OriginBoundsReport(
         lower_margin=lower_margin,
@@ -369,14 +376,13 @@ def derivative_bound_check(sol: SingularSolution) -> DerivativeBoundReport:
     [rtilde_p / WINDOW_SHRINK, rtilde_p]."""
     c = sol.constants
     radii = _window(sol)
-    u, du = sol.sample(radii)
-    remainder = np.abs(du + c.theta * c.A * radii ** (-1.0 - c.theta))
-    ratio = remainder / radii ** (1.0 - c.theta)
+    _, du = sol.sample(radii)
+    ratio = max(abs(d + c.theta * c.A * r ** (-1.0 - c.theta)) / r ** (1.0 - c.theta)
+                for d, r in zip(du, radii))
     u_rt, du_rt = sol.sample(sol.lemma.rtilde_p)
-    du_rt = float(du_rt[0])
     return DerivativeBoundReport(
-        du_at_rtilde=du_rt,
-        du_scaled=abs(du_rt) * math.sqrt(sol.params.p),
-        u_at_rtilde=float(u_rt[0]),
-        sup_remainder_ratio=float(np.max(ratio)),
+        du_at_rtilde=du_rt[0],
+        du_scaled=abs(du_rt[0]) * math.sqrt(sol.params.p),
+        u_at_rtilde=u_rt[0],
+        sup_remainder_ratio=ratio,
     )

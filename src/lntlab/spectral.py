@@ -26,8 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._dp45 import Column, linspace
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
 from .params import DerivedConstants, ProblemParams
 from .singular import WINDOW_SHRINK, SingularSolution, origin_profile
@@ -70,29 +69,29 @@ class TailClass(Enum):
 class EigenProblemSpec:
     """Discretization metadata of one eigenvalue problem instance."""
 
-    grid: np.ndarray  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
-    potential: np.ndarray  # q(r) = p u**(p-1) - 1 at the nodes
+    grid: Column  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
+    potential: Column  # q(r) = p u**(p-1) - 1 at the nodes
 
 
 @dataclass(frozen=True)
 class TridiagonalForm:
     """Symmetric tridiagonal pencil (A, B) with diagonal positive mass B."""
 
-    diag: np.ndarray
-    offdiag: np.ndarray
-    mass: np.ndarray | None = None
+    diag: Column
+    offdiag: Column
+    mass: Column | None = None
 
     def __post_init__(self):
         for name in ("diag", "offdiag", "mass"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
-        if self.offdiag.size != max(self.diag.size - 1, 0):
+                object.__setattr__(self, name, Column(value))
+        if len(self.offdiag) != max(len(self.diag) - 1, 0):
             raise ParameterError("offdiagonal must be one shorter than the diagonal")
         if self.mass is not None:
-            if self.mass.size != self.diag.size:
+            if len(self.mass) != len(self.diag):
                 raise ParameterError("mass must match the diagonal size")
-            if not np.all((self.mass > 0.0) & np.isfinite(self.mass)):
+            if not all(0.0 < m < math.inf for m in self.mass):
                 raise ParameterError("mass must be positive and finite")
 
 
@@ -130,28 +129,28 @@ def _scaled_profile(u, p: float):
     constant.
 
     The scaled profile tends to A at the origin, where u itself overflows
-    once theta is large.
+    once theta is large. It maps a list of radii to a list of values.
     """
     theta = 2.0 / (p - 1.0)
     if isinstance(u, DerivedConstants):
-        return lambda r: origin_profile(u, r)[0], None
+        return lambda radii: origin_profile(u, radii)[0], None
     if isinstance(u, SingularSolution):
         # below the seed radius the solution is the origin series the run
         # was seeded from
         traj = u.trajectory
         r0 = u.seed_radius
 
-        def scaled(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r < r0, origin_profile(u.constants, r)[0],
-                            traj.sample(np.maximum(r, r0))[0] * r**theta)
+        def scaled(radii):
+            inner = iter(origin_profile(u.constants, [r for r in radii if r < r0])[0])
+            outer = iter(traj.sample([r for r in radii if r >= r0])[0])
+            return [next(inner) if r < r0 else next(outer) * r**theta for r in radii]
 
         return scaled, (0.0, traj.r_end)
     if isinstance(u, (int, float)):
         val = float(u)
         if val <= 0:
             raise PositivityError("constant solution must be positive")
-        return lambda r: val * np.asarray(r, dtype=float) ** theta, None
+        return lambda radii: [val * r**theta for r in radii], None
     raise ParameterError(f"unsupported solution object {type(u)!r}")
 
 
@@ -189,41 +188,37 @@ def assemble_operator(
             f"eigenproblem needs [{delta}, {R}]"
         )
     M = int(grid_size)
-    s = np.linspace(math.log(delta), math.log(R), M + 1)
+    s = linspace(math.log(delta), math.log(R), M + 1)
     h = s[1] - s[0]
-    nodes = np.exp(s)
-    nodes[0], nodes[-1] = delta, R
+    nodes = [delta, *map(math.exp, s[1:-1]), R]
     tvals = scaled(nodes)
-    if np.any(tvals <= 0.0):
+    if any(t <= 0.0 for t in tvals):
         raise PositivityError("solution must be positive on the eigenproblem domain")
-    qr2 = _q_r2(tvals, nodes, params.p)
+    qr2 = [_q_r2(t, r, params.p) for t, r in zip(tvals, nodes)]
 
     nu = 0.5 * (params.N - 2.0)
-    cell = np.full(M, h)
-    cell[-1] *= 0.5  # half cell at the Neumann end
-    diag = np.full(M, 2.0 / h)
-    diag[-1] = 1.0 / h - nu
-    diag += cell * (nu * nu - qr2[1:])
-    off = np.full(M - 1, -1.0 / h)
-    mass = cell * nodes[1:] ** 2
-
+    # the node at R carries a half cell and the boundary term (Neumann end)
+    cell = [h] * (M - 1) + [h * 0.5]
+    stiffness = [2.0 / h] * (M - 1) + [1.0 / h - nu]
+    diag = [a + c * (nu * nu - q) for a, c, q in zip(stiffness, cell, qr2[1:])]
+    mass = [c * (r * r) for c, r in zip(cell, nodes[1:])]
+    form = TridiagonalForm(diag=diag, offdiag=[-1.0 / h] * (M - 1), mass=mass)
     # q itself overflows where r**2 underflows; the form only uses q r**2
-    with np.errstate(over="ignore", divide="ignore"):
-        spec = EigenProblemSpec(grid=nodes, potential=qr2 / nodes**2)
-    return AssembledOperator(spec=spec, form=TridiagonalForm(diag=diag, offdiag=off, mass=mass))
+    potential = [q / (r * r) if r * r else math.copysign(math.inf, q) for q, r in zip(qr2, nodes)]
+    spec = EigenProblemSpec(grid=Column(nodes), potential=Column(potential))
+    return AssembledOperator(spec=spec, form=form)
 
 
 def _pencil(form: TridiagonalForm) -> tuple[list, list, list] | None:
     """The pencil as Python float lists (diag, mass, off2) for the pivot
-    recurrence, taken once per operator: indexing numpy scalars would cost
-    most of a pass. off2 holds the squared off-diagonal behind a leading 0.0,
-    so the first pivot is diag[0] - shift*mass[0] with no special case.
-    None if an entry is not finite."""
-    diag, off = form.diag, form.offdiag
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+    recurrence, taken once per operator. off2 holds the squared off-diagonal
+    behind a leading 0.0, so the first pivot is diag[0] - shift*mass[0] with
+    no special case. None if an entry is not finite."""
+    diag, off = form.diag.tolist(), form.offdiag.tolist()
+    if not all(map(math.isfinite, diag + off)):
         return None
-    mass = [1.0] * diag.size if form.mass is None else form.mass.tolist()
-    return diag.tolist(), mass, [0.0] + (off * off).tolist()
+    mass = [1.0] * len(diag) if form.mass is None else form.mass.tolist()
+    return diag, mass, [0.0] + [o * o for o in off]
 
 
 def _pivot_count(diag: list, mass: list, off2: list, shift: float) -> int:
@@ -302,15 +297,12 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
         raise ParameterError("form entries must be finite")
     if not pencil[0]:
         raise ParameterError("the form has no unknowns")
-    diag = form.diag
-    off = np.abs(form.offdiag)
-    mass = np.ones_like(diag) if form.mass is None else form.mass
-    radius = np.zeros_like(diag)
-    radius[:-1] += off
-    radius[1:] += off
-    with np.errstate(over="ignore"):
-        lo = float(np.min((diag - radius) / mass))
-        hi = float(np.max((diag + radius) / mass))
+    diag, mass, _ = pencil
+    # |o_{i-1}| + |o_i| per row, with 0.0 past either end
+    off = [0.0, *map(abs, form.offdiag), 0.0]
+    radius = [a + b for a, b in zip(off, off[1:])]
+    lo = min((d - g) / m for d, g, m in zip(diag, radius, mass))
+    hi = max((d + g) / m for d, g, m in zip(diag, radius, mass))
     # rounding may leave an extreme eigenvalue just outside the computed
     # bounds; any bracket inside double range costs at most 64 passes
     pad = 2.0**-40 * max(abs(lo), abs(hi))
@@ -318,7 +310,7 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     key_lo, key_top = _order(max(lo - pad, -big)), _order(min(hi + pad, big))
 
     vals = []
-    for j in range(min(k, diag.size)):
+    for j in range(min(k, len(diag))):
         key_hi = key_top
         while key_hi - key_lo > 1:
             key = (key_lo + key_hi) // 2
@@ -402,12 +394,14 @@ class SampledRadialFunction:
     """
 
     N: int
-    log_r: np.ndarray
-    scaled: np.ndarray
-    scaled_d: np.ndarray
+    log_r: Column
+    scaled: Column
+    scaled_d: Column
 
     def __post_init__(self):
-        if np.any(np.diff(self.log_r) <= 0):
+        for name in ("log_r", "scaled", "scaled_d"):
+            object.__setattr__(self, name, Column(getattr(self, name)))
+        if not self.log_r.increasing():
             raise ParameterError("log-radius samples must be strictly increasing")
 
     @property
@@ -415,11 +409,11 @@ class SampledRadialFunction:
         return 0.5 * (self.N - 2.0)
 
     @property
-    def radii(self) -> np.ndarray:
-        return np.exp(self.log_r)
+    def radii(self) -> Column:
+        return Column(map(math.exp, self.log_r))
 
 
-def _q_r2(t: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+def _q_r2(t: float, r: float, p: float) -> float:
     """r**2 (p u**(p-1) - 1) from the scaled profile t = u r**theta at r;
     theta (p-1) = 2, so r**2 u**(p-1) = t**(p-1)."""
     return p * t ** (p - 1.0) - r * r
@@ -446,9 +440,11 @@ def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> f
             f"solution covers [{coverage[0]}, {coverage[1]}] but the test "
             f"function is supported on [{r[0]}, {r[-1]}]"
         )
-    grad = (phi.scaled_d - phi.nu * phi.scaled) ** 2
-    pot = _q_r2(scaled(r), r, params.p) * phi.scaled**2
-    return float(np.trapezoid(grad - pot, phi.log_r))
+    nu = phi.nu
+    f = [(dy - nu * y) * (dy - nu * y) - _q_r2(t, x, params.p) * (y * y)
+         for y, dy, t, x in zip(phi.scaled, phi.scaled_d, scaled(r), r)]
+    s = phi.log_r
+    return math.fsum((b - a) * (fa + fb) / 2.0 for a, b, fa, fb in zip(s, s[1:], f, f[1:]))
 
 
 def hardy_test_function(
@@ -475,12 +471,10 @@ def hardy_test_function(
             "below the smallest normal double"
         )
     n_points = max(int(n_points), 256)
-    s = np.linspace(s_in, -2.0 * math.pi * j / eps0, n_points)
-    y = np.sin(0.5 * eps0 * s)
-    dy = 0.5 * eps0 * np.cos(0.5 * eps0 * s)
+    s = linspace(s_in, -2.0 * math.pi * j / eps0, n_points)
     # the sine vanishes at both endpoints by construction; make it exact
-    y[0] = 0.0
-    y[-1] = 0.0
+    y = [0.0, *(math.sin(0.5 * eps0 * x) for x in s[1:-1]), 0.0]
+    dy = [0.5 * eps0 * math.cos(0.5 * eps0 * x) for x in s]
     return SampledRadialFunction(N=N, log_r=s, scaled=y, scaled_d=dy)
 
 
@@ -509,8 +503,8 @@ def potential_threshold_check(sol: SingularSolution) -> ThresholdReport:
     """
     params = sol.params
     c = sol.constants
-    r = np.array([sol.lemma.rtilde_p / WINDOW_SHRINK])
-    limit_computed = float(_q_r2(sol.sample(r)[0] * r**c.theta, r, params.p)[0])
+    r = sol.lemma.rtilde_p / WINDOW_SHRINK
+    limit_computed = _q_r2(sol.sample(r)[0][0] * r**c.theta, r, params.p)
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)
     hardy = 0.25 * (params.N - 2.0) ** 2
     margin = limit_closed - hardy

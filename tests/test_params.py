@@ -42,6 +42,14 @@ def test_joseph_lundgren_sentinel_and_values():
     assert 1e300 < joseph_lundgren(5)
 
 
+def test_problem_params_dimension_types():
+    # any integral type is a dimension, numpy's included; a float is not
+    params = ProblemParams(np.int64(5), 20.0)
+    assert params.N == 5 and derive_constants(params) == derive_constants(ProblemParams(5, 20.0))
+    with pytest.raises(ParameterError, match="integer"):
+        ProblemParams(5.0, 20.0)
+
+
 def test_problem_params_validation():
     with pytest.raises(ParameterError):
         ProblemParams(2, 10.0)
@@ -140,13 +148,13 @@ def test_phi_zero_at_origin_and_hand_value():
 def test_phi_negative_away_from_origin():
     rng = np.random.default_rng(11)
     eta = np.concatenate([rng.uniform(-0.99, -1e-3, 200), rng.uniform(1e-3, 5.0, 200)])
-    vals = phi_nonlinearity(eta, 4.7)
+    vals = np.asarray([phi_nonlinearity(e, 4.7) for e in eta])
     assert np.all(vals < 0.0)
 
 
 def test_phi_over_eta_squared_decreasing():
     eta = np.geomspace(1e-4, 10.0, 200)
-    ratio = phi_nonlinearity(eta, 6.0) / eta**2
+    ratio = np.asarray([phi_nonlinearity(e, 6.0) for e in eta]) / eta**2
     assert np.all(np.diff(ratio) < 0.0)
 
 

@@ -9,10 +9,14 @@ and so is the solution: states, dense output and event radii agree far
 below the tolerance when compared at the same radius.
 """
 
+import ast
 import math
 import os
+import random
 import subprocess
 import sys
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +84,8 @@ def test_singular_solve_matches_rk45():
     np.testing.assert_allclose(traj.r, ref.t, rtol=STEP_RTOL, atol=0.0)
     # states at this run's step radii, on scipy's dense output
     assert np.all(_scaled_gap(np.vstack([traj.u, traj.du]), ref.sol(traj.r)) < STATE_RTOL)
-    mid = 0.5 * (traj.r[1:] + traj.r[:-1])
+    r = np.asarray(traj.r)
+    mid = 0.5 * (r[1:] + r[:-1])
     assert np.all(_scaled_gap(np.vstack(traj.sample(mid)), ref.sol(mid)) < STATE_RTOL)
     assert traj.critical_points.size == 3
     np.testing.assert_allclose(traj.critical_points, ref.t_events[1], rtol=EVENT_RTOL, atol=0)
@@ -105,8 +110,9 @@ def test_difference_run_matches_rk45():
     # the difference decays by orders of magnitude and oscillates, so it is
     # compared relative to its local size hypot(d, r d'); r d' has the size
     # of d however close to the origin, where d' alone runs like d / r
-    mid = 0.5 * (path.r[1:] + path.r[:-1])
-    got, want = path.dense(mid), ref.sol(mid)
+    r = np.asarray(path.r)
+    mid = 0.5 * (r[1:] + r[:-1])
+    got, want = np.asarray(path.dense(mid)), ref.sol(mid)
     assert np.all(_scaled_gap(got[:2], want[:2]) < STATE_RTOL)
     gap = np.hypot(got[2] - want[2], mid * (got[3] - want[3]))
     assert np.max(gap / np.hypot(want[2], mid * want[3])) < STATE_RTOL
@@ -162,19 +168,48 @@ def test_step_budget_fails_with_partial_trajectory(monkeypatch):
     assert partial.r[-1] < 5.0
 
 
-def test_import_leaves_scipy_integrate_out():
-    # nor scipy.optimize and scipy.linalg, which take most of a second to
-    # load and which no path of the package imports; the process pool
+def test_import_leaves_scipy_integrate_out(tmp_path):
+    # nor numpy, scipy.optimize and scipy.linalg: no path of the package
+    # imports them, not even a command that runs the stepper, the seed
+    # checks, the Morse scan and the Hardy quadratic forms, and numpy alone
+    # would cost a CLI call about 0.15 s of CPU; the process pool
     # (multiprocessing) is imported by a sweep with workers alone
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, lntlab, lntlab.cli; print([m for m in sys.modules if m.startswith("
-            "('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+    commands = [["singular", "--N", "5", "--p", "20", "--r-end", "5", "--check-bounds",
+                 "--emit", "csv,json"],
+                ["morse", "--N", "12", "--p", "5", "--R", "1", "--deltas", "1e-2,1e-3,1e-4"],
+                ["hardy", "--N", "5", "--p", "10", "--eps0", "1.0", "--j-max", "5"]]
+    code = ("import sys, lntlab, lntlab.cli\n"
+            "for argv in sys.argv[2:]:\n"
+            "    assert lntlab.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0\n"
+            "print([m for m in sys.modules if m == 'numpy' or m.startswith("
+            "('numpy.', 'scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
             "'concurrent.futures.process'))])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                          *(" ".join(argv) for argv in commands)],
+                         capture_output=True, text=True, check=True, timeout=300, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("run-*/report.json"))) == len(commands)
+
+
+def test_package_source_imports_no_numpy_or_scipy():
+    # at any level, in any function: numpy and scipy serve the tests only
+    package = Path(lntlab.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("numpy", "scipy")]
+    assert len(list(package.glob("*.py"))) >= 12
+    assert found == []
 
 
 # The trial step as the stepper once wrote it, one generator per stage sum,
@@ -226,6 +261,20 @@ def _reference_event(field, consts, expr):
         return eval(code, {**vars(math), **consts, field.t: t, **dict(zip(field.state, y))})
 
     return g
+
+
+def _reference_interpolant(t0, h, y0, K):
+    """The quartic interpolant of one step from its stages K (stage by
+    stage), per component on the coefficients of _dp45._quartic."""
+    n = len(y0)
+    Q = [_dp45._quartic(*K[i::n]) for i in range(n)]
+
+    def y(t):
+        x = (t - t0) / h
+        return tuple(v + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
+                     for v, (q0, q1, q2, q3) in zip(y0, Q))
+
+    return y
 
 
 def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
@@ -293,7 +342,7 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
                 before[j] = old
         if before:
             active = list(before)
-            interp = _dp45._interpolant(t_old, h, y_old, _dp45._quartic(K))
+            interp = _reference_interpolant(t_old, h, y_old, K)
             roots = {}
             for j in active:
                 counts[j] += 1
@@ -324,12 +373,59 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
         else:
             ts.append(t)
             ys.extend(y)
-    ys = np.array(ys).reshape(-1, n)
-    Q = np.tensordot(np.array(stages).reshape(-1, 7, n), _dp45._P, axes=([1], [0]))
-    return _dp45.Run(t=np.array(ts), y=ys.T, t_events=[np.array(te) for te in t_events],
-                     rises=[np.array(up, dtype=bool) for up in rises], status=status,
-                     message=message, dense=_dp45.Dense(ts, hs, ys[:-1], Q), nfev=nfev,
+    ts, ys, hs, stages = (array("d", a) for a in (ts, ys, hs, stages))
+    return _dp45.Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status,
+                     message=message, dense=_dp45.Dense(n, ts, hs, ys, stages), nfev=nfev,
                      n_accepted=n_accepted, n_rejected=n_rejected)
+
+
+# the dense-output matrix of Dormand and Prince's 5(4) pair as exact
+# rationals, stage by stage
+_P_EXACT = (
+    (1, Fraction(-8048581381, 2820520608), Fraction(8663915743, 2820520608),
+     Fraction(-12715105075, 11282082432)),
+    (0, 0, 0, 0),
+    (0, Fraction(131558114200, 32700410799), Fraction(-68118460800, 10900136933),
+     Fraction(87487479700, 32700410799)),
+    (0, Fraction(-1754552775, 470086768), Fraction(14199869525, 1410260304),
+     Fraction(-10690763975, 1880347072)),
+    (0, Fraction(127303824393, 49829197408), Fraction(-318862633887, 49829197408),
+     Fraction(701980252875, 199316789632)),
+    (0, Fraction(-282668133, 205662961), Fraction(2019193451, 616988883),
+     Fraction(-1453857185, 822651844)),
+    (0, Fraction(40617522, 29380423), Fraction(-110615467, 29380423),
+     Fraction(69997945, 29380423)))
+
+
+def test_quartic_coefficients_match_exact_tableau_sums():
+    # each coefficient of each component, from 1,000 random stage tuples of
+    # 2 and 4 components with magnitudes from 1e-5 to 1e5, lies within 4 eps
+    # of the sum of its terms' absolute values from the exact sum
+    assert [[float(q) for q in row] for row in _P_EXACT] == [list(row) for row in _dp45._P]
+    rng = random.Random(19)
+    for case in range(1000):
+        n = 2 if case % 2 else 4
+        K = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(7 * n)]
+        for i in range(n):
+            stages = K[i::n]
+            got = _dp45._quartic(*stages)
+            for j in range(4):
+                terms = [row[j] * Fraction(k) for row, k in zip(_P_EXACT, stages)]
+                bound = 4 * _dp45._EPS * sum(abs(t) for t in terms)
+                assert abs(Fraction(got[j]) - sum(terms)) <= bound, (case, i, j)
+
+
+def test_dense_grid_matches_single_point_queries(sing_5_20):
+    # one walk over the steps for an increasing grid, a search per point
+    # otherwise: the same floats either way
+    dense, traj = sing_5_20.trajectory.dense, sing_5_20.trajectory
+    grid = np.linspace(traj.r_start, traj.r_end, 999).tolist()
+    walked = dense(grid)
+    assert len(walked) == 2 and all(len(col) == 999 for col in walked)
+    single = list(zip(*(dense([t]) for t in grid)))
+    backward = dense(grid[::-1])
+    for col, one, back in zip(walked, single, backward):
+        assert _hex(col) == _hex([c[0] for c in one]) == _hex(back[::-1])
 
 
 def _hex(values):
@@ -343,8 +439,8 @@ def _assert_same_run(got, want):
     assert _hex(got.t) == _hex(want.t)
     assert _hex(got.y) == _hex(want.y)
     assert [_hex(te) for te in got.t_events] == [_hex(te) for te in want.t_events]
-    assert [up.tolist() for up in got.rises] == [up.tolist() for up in want.rises]
-    if got.t.size > 1:
+    assert got.rises == want.rises
+    if len(got.t) > 1:
         grid = np.linspace(got.t[0], got.t[-1], 999)
         assert _hex(got.dense(grid)) == _hex(want.dense(grid))
 
@@ -483,7 +579,7 @@ def test_overflowing_stage_rejects_the_step():
     assert run.status == "finished"
     assert run.n_rejected == clean.n_rejected + 1
     assert run.nfev == 6 * (run.n_accepted + run.n_rejected) + 2
-    assert run.y[0, -1] == pytest.approx(math.exp(-1.0), rel=1e-7)
+    assert run.y[-1] == pytest.approx(math.exp(-1.0), rel=1e-7)
     # a stage that overflows on every trial ends the run at the minimum step
     always = _hooked_decay(range(2, 10**6))
     assert always.status == "failed" and always.n_accepted == 0

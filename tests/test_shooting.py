@@ -31,14 +31,14 @@ def test_equilibrium_shot():
     traj = result.trajectory
     assert traj.unit_crossings.size == 0
     assert traj.critical_points.size == 0
-    assert np.all(traj.u == 1.0)
+    assert np.all(np.asarray(traj.u) == 1.0)
 
 
 def test_large_gamma_initially_decreasing():
     result = shoot(10.0, ProblemParams(5, 20.0), r_end=0.5)
     traj = result.trajectory
-    small = traj.r < 1e-6
-    assert np.all(traj.du[small] <= 0.0)
+    small = np.asarray(traj.r) < 1e-6
+    assert np.all(np.asarray(traj.du)[small] <= 0.0)
     assert traj.du[1] < 0.0
 
 
@@ -156,7 +156,7 @@ def test_convergence_distance_matches_direct_subtraction(gamma):
     grid = np.linspace(0.5, 2.0, 2048)
     u_sing, _ = solve_singular(params, r_end=2.1, rtol=1e-13, atol=1e-15).sample(grid)
     u_shot, _ = shoot(gamma, params, r_end=2.1, rtol=1e-13, atol=1e-15).trajectory.sample(grid)
-    direct = float(np.max(np.abs(u_shot - u_sing)))
+    direct = float(np.max(np.abs(np.asarray(u_shot) - np.asarray(u_sing))))
     rep = convergence_to_singular(params, [gamma], (0.5, 2.0))
     assert rep.distances[0] == pytest.approx(direct, rel=1e-3)
 

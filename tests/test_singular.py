@@ -1,4 +1,6 @@
 
+from array import array
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -84,9 +86,9 @@ def test_origin_sandwich(sing_5_20):
 def test_monotone_before_first_critical(sing_5_20):
     traj = sing_5_20.trajectory
     r1 = sing_5_20.critical_radii[0]
-    inside = (traj.r < r1 * 0.999)
-    _, du = traj.sample(traj.r[inside])
-    assert np.all(du < 0.0)
+    r = np.asarray(traj.r)
+    _, du = traj.sample(r[r < r1 * 0.999])
+    assert np.all(np.asarray(du) < 0.0)
     assert sing_5_20.critical_radii.kinds[0] is PointKind.MIN
     # the first minimum dips below the equilibrium
     u_min, _ = traj.sample(r1)
@@ -100,8 +102,7 @@ def test_uniqueness_proxy_two_seeds():
     a = solve_singular(params, r_end=3.0, seed_radius=r0)
     b = solve_singular(params, r_end=3.0, seed_radius=r0 / 2.0)
     grid = np.linspace(lem.rtilde_p, 3.0, 800)
-    ua, _ = a.sample(grid)
-    ub, _ = b.sample(grid)
+    ua, ub = (np.asarray(sol.sample(grid)[0]) for sol in (a, b))
     assert np.max(np.abs(ua - ub)) < 10.0 * (1e-12 + 1e-10 * np.max(np.abs(ua)))
 
 
@@ -334,9 +335,9 @@ def test_kinds_from_crossing_direction(rises, kinds):
     # a critical point is a minimum where u' rises through zero, whatever u
     # is there; two of one kind in a row mean u' touched zero without
     # crossing, which the critical radii reject
-    run = _dp45.Run(t=np.array([0.1, 1.0]), y=np.array([[2.0, 0.5], [-1.0, 0.1]]),
-                    t_events=[np.array([]), np.array([0.4, 0.7]), np.array([])],
-                    rises=[np.array([], bool), np.array(rises), np.array([], bool)],
+    # (u, u') = (2.0, -1.0) at r = 0.1 and (0.5, 0.1) at r = 1.0
+    run = _dp45.Run(t=array("d", [0.1, 1.0]), y=array("d", [2.0, -1.0, 0.5, 0.1]),
+                    t_events=[[], [0.4, 0.7], []], rises=[[], list(rises), []],
                     status="finished", message="", dense=None,
                     nfev=0, n_accepted=1, n_rejected=0)
     traj = ode._build_trajectory(ProblemParams(5, 20.0), run, 1e-10, 1e-12,
