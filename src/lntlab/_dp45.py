@@ -22,7 +22,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from ._brent import brentq
@@ -181,8 +180,7 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A vector field y' = f(t, y), declared in the names of its variables:
     ``t`` the independent one, ``state`` the components of y, ``consts`` the
     per-run constants; one-line statements ``body`` run before the
@@ -239,6 +237,12 @@ def _function_factory(field: Field) -> Callable:
                      *(f"        {s}" for s in field.body),
                      f"        return {_tuple(field.rates)}",
                      "    return _f"], f"field {field.state}")["_bind"]
+
+
+@functools.lru_cache(maxsize=None)
+def _event_factory(field: Field, expr: str) -> Callable:
+    # an event's g(t, y), as the one-component field of its expression
+    return _function_factory(field._replace(body=(), rates=(expr,)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,22 +351,18 @@ class Event(NamedTuple):
     terminal: int = 0
 
 
-@dataclass
 class Run:
     """Output of :func:`solve`: the step ends ``t`` and, n per step end, the
     states ``y``, event roots per event with whether g rose across each, the
     dense output and the solver counters."""
 
-    t: array
-    y: array
-    t_events: list[list[float]]
-    rises: list[list[bool]]
-    status: str  # "finished", "event" (terminal event) or "failed"
-    message: str
-    dense: Dense
-    nfev: int
-    n_accepted: int
-    n_rejected: int
+    def __init__(self, t: array, y: array, t_events: list[list[float]],
+                 rises: list[list[bool]], status: str, message: str, dense: Dense,
+                 nfev: int, n_accepted: int, n_rejected: int):
+        self.t, self.y, self.t_events, self.rises = t, y, t_events, rises
+        # status: "finished", "event" (terminal event) or "failed"
+        self.status, self.message, self.dense = status, message, dense
+        self.nfev, self.n_accepted, self.n_rejected = nfev, n_accepted, n_rejected
 
 
 _FAILURES = {"min_step": "Required step size is less than spacing between numbers.",
@@ -400,10 +400,9 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     # per event: whether it may rise and whether it may fall through zero
     scan = tuple((ev.direction >= 0, ev.direction <= 0) for ev in events)
     advance = _loop(field, tuple(ev.expr for ev in events), scan)
-    # each event's g(t, y), as the one-component field of its expression
-    gs = [replace(field, body=(), rates=(ev.expr,)).function(consts) for ev in events]
-    g = tuple(gj(t0, y)[0] for gj in gs)
     max_steps, values = MAX_STEPS, [consts[name] for name in field.consts]
+    gs = [_event_factory(field, ev.expr)(*values) for ev in events]
+    g = tuple(gj(t0, y)[0] for gj in gs)
     t, n_accepted, n_rejected = t0, 0, 0
     # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
     ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")

@@ -16,8 +16,7 @@ the critical radii of a shot.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._brent import brentq
 from ._dp45 import Column
@@ -38,8 +37,7 @@ RESIDUAL_RTOL = 1e-6
 XTOL = 5e-12  # width of the final bracket in x = log(p - 1)
 
 
-@dataclass(frozen=True)
-class ExponentSolution:
+class ExponentSolution(NamedTuple):
     """Power p_i at which the i-th critical radius equals the target R."""
 
     i: int
@@ -193,8 +191,7 @@ def find_exponent(
                             solves=len(memo), bracket=bracket)
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     """Refinement study of the modulus of continuity of p -> R_p_i."""
 
     refined_grid: Column
@@ -239,7 +236,8 @@ def continuity_scan(
     inc_fine = sorted(abs(b - a) for a, b in zip(refined_values, refined_values[1:]))
     modulus_fine = inc_fine[-1]
     ratio = modulus_fine / modulus_coarse if modulus_coarse > 0 else 0.0
-    med = statistics.median(inc_fine)
+    half = len(inc_fine) // 2  # the median: the middle one, or the mean of the two
+    med = inc_fine[half] if len(inc_fine) % 2 else (inc_fine[half - 1] + inc_fine[half]) / 2
     max_jump_factor = modulus_fine / med if med > 0 else 0.0
     if modulus_coarse == 0.0:
         # degenerate constant grid: continuity holds with zero modulus

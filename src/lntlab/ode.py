@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import _dp45
 from ._dp45 import Column
+from ._record import Frozen
 from .errors import CoverageError, IntegrationError, ParameterError
 from .params import ProblemParams
 
@@ -44,19 +44,17 @@ class PointKind(Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
-class RadialState:
+class RadialState(Frozen):
     """Point state (r, u, u') of the radial equation."""
 
-    r: float
-    u: float
-    du: float
+    __slots__ = ("r", "u", "du")
 
-    def __post_init__(self):
-        if not (self.r > 0):
-            raise ParameterError(f"radius must be positive, got r={self.r}")
-        if not (math.isfinite(self.u) and math.isfinite(self.du)):
+    def __init__(self, r: float, u: float, du: float):
+        if not (r > 0):
+            raise ParameterError(f"radius must be positive, got r={r}")
+        if not (math.isfinite(u) and math.isfinite(du)):
             raise ParameterError("state values must be finite")
+        self._set(r=r, u=u, du=du)
 
 
 def energy_values(u, du, p: float) -> Column:
@@ -95,7 +93,6 @@ def energy_rate_deviation(traj: "RadialTrajectory") -> float:
                default=0.0)
 
 
-@dataclass
 class RadialTrajectory:
     """Sampled radial solution path with located events and energy trace.
 
@@ -105,30 +102,24 @@ class RadialTrajectory:
     truncated there. The energy trace is computed when first read.
     """
 
-    params: ProblemParams
-    r: Column
-    u: Column
-    du: Column
-    unit_crossings: Column
-    critical_points: Column
-    critical_kinds: tuple[PointKind, ...]
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    status: str = "ok"
-    message: str = ""
-    dense: object | None = field(default=None, repr=False)
-    # solver counters: right-hand-side evaluations, accepted and rejected steps
-    nfev: int = 0
-    n_accepted: int = 0
-    n_rejected: int = 0
-
-    def __post_init__(self):
-        if len(self.r) < 2:
+    def __init__(self, params: ProblemParams, r: Column, u: Column, du: Column,
+                 unit_crossings: Column, critical_points: Column,
+                 critical_kinds: tuple[PointKind, ...], rtol: float = 1e-10,
+                 atol: float = 1e-12, status: str = "ok", message: str = "",
+                 dense: object | None = None, nfev: int = 0, n_accepted: int = 0,
+                 n_rejected: int = 0):
+        if len(r) < 2:
             raise IntegrationError("trajectory must contain at least two samples")
-        if not self.r.increasing():
+        if not r.increasing():
             raise IntegrationError("trajectory samples must be strictly increasing in r")
-        if not (self.unit_crossings.increasing() and self.critical_points.increasing()):
+        if not (unit_crossings.increasing() and critical_points.increasing()):
             raise IntegrationError("event radii must be strictly increasing")
+        self.params, self.r, self.u, self.du = params, r, u, du
+        self.unit_crossings, self.critical_points = unit_crossings, critical_points
+        self.critical_kinds, self.rtol, self.atol = critical_kinds, rtol, atol
+        self.status, self.message, self.dense = status, message, dense
+        # solver counters: right-hand-side evaluations, accepted and rejected steps
+        self.nfev, self.n_accepted, self.n_rejected = nfev, n_accepted, n_rejected
 
     @functools.cached_property
     def energy(self) -> Column:
@@ -347,7 +338,6 @@ _DIFFERENCE = _dp45.Field(
     rates=(*_RADIAL.rates, "dd", "-(N - 1.0) / r * dd + d - jump"))
 
 
-@dataclass
 class DifferencePath:
     """Joint path of a solution u* and the difference d = u - u* of a second
     one.
@@ -359,9 +349,8 @@ class DifferencePath:
     run.
     """
 
-    r: Column
-    status: str
-    dense: object | None = field(default=None, repr=False)
+    def __init__(self, r: Column, status: str, dense: object | None = None):
+        self.r, self.status, self.dense = r, status, dense
 
     def sample(self, radii) -> tuple[Column, Column]:
         """Dense-output values (u*, d) at the requested radii."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from ._record import Frozen
 from .errors import FeasibilityError, ParameterError
 
 __all__ = [
@@ -66,8 +67,7 @@ def joseph_lundgren(N: int) -> float:
     return 1.0 + 4.0 / (N - 4 - 2.0 * math.sqrt(N - 1.0))
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(Frozen):
     """One instance of -u'' - (N-1)/r u' + u = u**p on a ball of radius R.
 
     R may be omitted for operations that only use the equation on a ray.
@@ -76,28 +76,26 @@ class ProblemParams:
     finite there (it is the alpha = 0 case).
     """
 
-    N: int
-    p: float
-    R: float | None = None
+    __slots__ = ("N", "p", "R")
 
-    def __post_init__(self):
-        _check_dimension(self.N)
-        if not math.isfinite(self.p):
-            raise ParameterError(f"power must be finite, got p={self.p}")
-        ps = critical_exponent(self.N)
-        if not (self.p >= ps):
+    def __init__(self, N: int, p: float, R: float | None = None):
+        _check_dimension(N)
+        if not math.isfinite(p):
+            raise ParameterError(f"power must be finite, got p={p}")
+        ps = critical_exponent(N)
+        if not (p >= ps):
             raise ParameterError(
-                f"supercritical power required: p={self.p} < (N+2)/(N-2)={ps} at N={self.N}"
+                f"supercritical power required: p={p} < (N+2)/(N-2)={ps} at N={N}"
             )
-        if self.R is not None and not (math.isfinite(self.R) and self.R > 0):
-            raise ParameterError(f"ball radius must be positive and finite, got R={self.R}")
+        if R is not None and not (math.isfinite(R) and R > 0):
+            raise ParameterError(f"ball radius must be positive and finite, got R={R}")
+        self._set(N=N, p=p, R=R)
 
     def as_dict(self) -> dict:
         return {"N": self.N, "p": self.p, "R": self.R}
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Closed-form constants of one (N, p) instance.
 
     ``A * r**(-theta)`` is the leading singular profile, ``m`` the slope of
@@ -171,8 +169,7 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticLimits:
+class AsymptoticLimits(NamedTuple):
     """Limits of the derived constants as p -> infinity at fixed N."""
 
     N: int
@@ -249,8 +246,7 @@ def compute_PN(c: DerivedConstants, ctilde: float) -> tuple[float, float]:
 _CTILDE_GRID = [2.0**-k for k in range(1, 21)]
 
 
-@dataclass(frozen=True)
-class LemmaConstants:
+class LemmaConstants(NamedTuple):
     """Seed-window constants of one instance: ctilde and its radius.
 
     ``ctilde`` is the largest grid value admissible at this p, ``rtilde_p =

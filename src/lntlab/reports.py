@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "ReportBundle", "config_hash", "write_artifact"]
 
@@ -73,16 +72,14 @@ def write_artifact(path, content) -> None:
         raise
 
 
-@dataclass
 class CheckRecord:
     """One verdict: a named check, its status, and its numeric margins."""
 
-    name: str
-    status: str
-    claim: str
-    margins: dict = field(default_factory=dict)
-    fixtures: dict = field(default_factory=dict)
-    message: str = ""
+    def __init__(self, name: str, status: str, claim: str, margins: dict | None = None,
+                 fixtures: dict | None = None, message: str = ""):
+        self.name, self.status, self.claim, self.message = name, status, claim, message
+        self.margins = {} if margins is None else margins
+        self.fixtures = {} if fixtures is None else fixtures
 
     def as_dict(self) -> dict:
         return {
@@ -95,16 +92,15 @@ class CheckRecord:
         }
 
 
-@dataclass
 class ReportBundle:
     """All checks and artifacts of one harness invocation."""
 
-    command: str
-    config: dict
-    tolerances: dict
-    checks: list = field(default_factory=list)
-    artifacts: list = field(default_factory=list)
-    timestamp: float = field(default_factory=time.time)
+    def __init__(self, command: str, config: dict, tolerances: dict, checks: list | None = None,
+                 artifacts: list | None = None, timestamp: float | None = None):
+        self.command, self.config, self.tolerances = command, config, tolerances
+        self.checks = [] if checks is None else checks
+        self.artifacts = [] if artifacts is None else artifacts
+        self.timestamp = time.time() if timestamp is None else timestamp
 
     @property
     def hash(self) -> str:

@@ -13,7 +13,7 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._dp45 import linspace
 from .errors import BracketError, EventError, IntegrationError, ParameterError
@@ -41,8 +41,7 @@ __all__ = [
 BRANCH_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+class ShootingResult(NamedTuple):
     """One regular solution, its trajectory, and its critical radii."""
 
     gamma: float
@@ -125,8 +124,7 @@ def shoot(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Sup-distances between regular shots and the singular solution."""
 
     gammas: tuple[float, ...]

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._dp45 import Column
+from ._record import Frozen
 from .errors import (
     CoverageError,
     DegenerateEventError,
@@ -56,25 +57,24 @@ WINDOW_SHRINK = 16.0  # the origin checks sample [rtilde_p / WINDOW_SHRINK, rtil
 R_END_EXTENSION_CAP = 2**10  # critical-radius search may extend r_end this far
 
 
-@dataclass(frozen=True)
-class CriticalRadii:
+class CriticalRadii(Frozen):
     """Increasing critical radii with alternating min/max kinds."""
 
-    radii: Column
-    kinds: tuple[PointKind, ...]
+    __slots__ = ("radii", "kinds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "radii", Column(self.radii))
-        if len(self.kinds) != len(self.radii):
+    def __init__(self, radii: Column, kinds: tuple[PointKind, ...]):
+        radii = Column(radii)
+        if len(kinds) != len(radii):
             raise ParameterError("one kind per critical radius required")
-        if not self.radii.increasing():
+        if not radii.increasing():
             raise ParameterError("critical radii must be strictly increasing")
-        for k in range(1, len(self.kinds)):
-            if self.kinds[k] is self.kinds[k - 1]:
+        for k in range(1, len(kinds)):
+            if kinds[k] is kinds[k - 1]:
                 raise DegenerateEventError(
-                    f"critical points at r={self.radii[k - 1]} and r={self.radii[k]} are "
-                    f"both of kind {self.kinds[k].value}: u' touched zero without crossing"
+                    f"critical points at r={radii[k - 1]} and r={radii[k]} are "
+                    f"both of kind {kinds[k].value}: u' touched zero without crossing"
                 )
+        self._set(radii=radii, kinds=kinds)
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -94,8 +94,7 @@ def _critical_radii_from(traj: RadialTrajectory, require_first_min: bool) -> Cri
     return CriticalRadii(radii=radii, kinds=kinds)
 
 
-@dataclass(frozen=True)
-class SingularSolution:
+class SingularSolution(NamedTuple):
     """Singular solution on (0, r_end]: the origin series below the seed
     radius, the integrated trajectory above it, with its events and seed
     metadata."""
@@ -178,8 +177,7 @@ def origin_profile(c: DerivedConstants, radii) -> tuple[list[float], list[float]
     return ts, dts
 
 
-@dataclass(frozen=True)
-class SeedWindow:
+class SeedWindow(NamedTuple):
     """Where the singular run of one instance starts, at one tolerance.
 
     ``lemma`` holds ctilde and the window edge rtilde_p; the origin series
@@ -326,8 +324,7 @@ def _window(sol: SingularSolution) -> list[float]:
     return [rtilde_p * WINDOW_SHRINK ** (k / 63 - 1) for k in range(64)]
 
 
-@dataclass(frozen=True)
-class OriginBoundsReport:
+class OriginBoundsReport(NamedTuple):
     """Signed worst-case margins of the two-sided origin envelope."""
 
     lower_margin: float  # min of (u - A r**-theta) / bound; >= -tol required
@@ -361,8 +358,7 @@ def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> Ori
     )
 
 
-@dataclass(frozen=True)
-class DerivativeBoundReport:
+class DerivativeBoundReport(NamedTuple):
     """Derivative size at the window edge and the power-law remainder ratio."""
 
     du_at_rtilde: float

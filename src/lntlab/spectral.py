@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._dp45 import Column, linspace
+from ._record import Frozen
 from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
 from .params import DerivedConstants, ProblemParams
 from .singular import WINDOW_SHRINK, SingularSolution, origin_profile
@@ -65,44 +66,37 @@ class TailClass(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class EigenProblemSpec:
+class EigenProblemSpec(NamedTuple):
     """Discretization metadata of one eigenvalue problem instance."""
 
     grid: Column  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
     potential: Column  # q(r) = p u**(p-1) - 1 at the nodes
 
 
-@dataclass(frozen=True)
-class TridiagonalForm:
+class TridiagonalForm(Frozen):
     """Symmetric tridiagonal pencil (A, B) with diagonal positive mass B."""
 
-    diag: Column
-    offdiag: Column
-    mass: Column | None = None
+    __slots__ = ("diag", "offdiag", "mass")
 
-    def __post_init__(self):
-        for name in ("diag", "offdiag", "mass"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, Column(value))
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
+    def __init__(self, diag: Column, offdiag: Column, mass: Column | None = None):
+        diag, offdiag = Column(diag), Column(offdiag)
+        mass = None if mass is None else Column(mass)
+        if len(offdiag) != max(len(diag) - 1, 0):
             raise ParameterError("offdiagonal must be one shorter than the diagonal")
-        if self.mass is not None:
-            if len(self.mass) != len(self.diag):
+        if mass is not None:
+            if len(mass) != len(diag):
                 raise ParameterError("mass must match the diagonal size")
-            if not all(0.0 < m < math.inf for m in self.mass):
+            if not all(0.0 < m < math.inf for m in mass):
                 raise ParameterError("mass must be positive and finite")
+        self._set(diag=diag, offdiag=offdiag, mass=mass)
 
 
-@dataclass(frozen=True)
-class AssembledOperator:
+class AssembledOperator(NamedTuple):
     spec: EigenProblemSpec
     form: TridiagonalForm
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Negative-eigenvalue count at one (cutoff, grid) pair."""
 
     negative_count: int
@@ -111,8 +105,7 @@ class SpectrumReport:
     grid_size: int
 
 
-@dataclass(frozen=True)
-class MorseScanResult:
+class MorseScanResult(NamedTuple):
     reports: tuple[SpectrumReport, ...]
     classification: TailClass
 
@@ -384,8 +377,7 @@ def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
     return MorseScanResult(reports=tuple(reports), classification=classification)
 
 
-@dataclass(frozen=True)
-class SampledRadialFunction:
+class SampledRadialFunction(Frozen):
     """Radial function carried in log-radius with the r**(-(N-2)/2) factor split off.
 
     The stored samples are y(s) = phi(e**s) * e**(nu*s) with nu = (N-2)/2 and
@@ -393,16 +385,13 @@ class SampledRadialFunction:
     of steeply singular functions inside double-precision range.
     """
 
-    N: int
-    log_r: Column
-    scaled: Column
-    scaled_d: Column
+    __slots__ = ("N", "log_r", "scaled", "scaled_d")
 
-    def __post_init__(self):
-        for name in ("log_r", "scaled", "scaled_d"):
-            object.__setattr__(self, name, Column(getattr(self, name)))
-        if not self.log_r.increasing():
+    def __init__(self, N: int, log_r: Column, scaled: Column, scaled_d: Column):
+        log_r, scaled, scaled_d = Column(log_r), Column(scaled), Column(scaled_d)
+        if not log_r.increasing():
             raise ParameterError("log-radius samples must be strictly increasing")
+        self._set(N=N, log_r=log_r, scaled=scaled, scaled_d=scaled_d)
 
     @property
     def nu(self) -> float:
@@ -478,8 +467,7 @@ def hardy_test_function(
     return SampledRadialFunction(N=N, log_r=s, scaled=y, scaled_d=dy)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Comparison of the linearized potential against the Hardy constant."""
 
     limit_computed: float  # r**2 (p u**(p-1) - 1) at the smallest covered radius

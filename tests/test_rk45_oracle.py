@@ -172,8 +172,9 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
     # nor numpy, scipy.optimize and scipy.linalg: no path of the package
     # imports them, not even a command that runs the stepper, the seed
     # checks, the Morse scan and the Hardy quadratic forms, and numpy alone
-    # would cost a CLI call about 0.15 s of CPU; the process pool
-    # (multiprocessing) is imported by a sweep with workers alone
+    # would cost a CLI call about 0.15 s of CPU; nor dataclasses (with
+    # inspect) and statistics, which cost a call about 45 ms more; the
+    # process pool (multiprocessing) is imported by a sweep with workers alone
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -184,7 +185,8 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
     code = ("import sys, lntlab, lntlab.cli\n"
             "for argv in sys.argv[2:]:\n"
             "    assert lntlab.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0\n"
-            "print([m for m in sys.modules if m == 'numpy' or m.startswith("
+            "print([m for m in sys.modules if m in ('numpy', 'dataclasses', 'inspect', "
+            "'statistics') or m.startswith("
             "('numpy.', 'scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
             "'concurrent.futures.process'))])")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path),
@@ -194,8 +196,9 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
     assert len(list(tmp_path.glob("run-*/report.json"))) == len(commands)
 
 
-def test_package_source_imports_no_numpy_or_scipy():
-    # at any level, in any function: numpy and scipy serve the tests only
+def test_package_source_imports_no_numpy_scipy_dataclasses_or_statistics():
+    # at any level, in any function: numpy and scipy serve the tests only,
+    # and records are built without dataclasses
     package = Path(lntlab.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -207,7 +210,7 @@ def test_package_source_imports_no_numpy_or_scipy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] in ("numpy", "scipy")]
+                      if name.split(".")[0] in ("numpy", "scipy", "dataclasses", "statistics")]
     assert len(list(package.glob("*.py"))) >= 12
     assert found == []
 
@@ -513,6 +516,17 @@ def test_generated_loop_matches_reference(case, checked_solves, monkeypatch):
     run_case, solves = _CASES[case]
     run_case(monkeypatch)
     assert len(checked_solves) == solves
+
+
+def test_event_functions_are_built_once_per_field_and_expression():
+    # each event's g(t, y) comes from one factory per field and expression:
+    # a second solve of equal declarations builds no new one
+    params, start = ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0)
+    integrate_adaptive(params, start, 2.0)
+    before = _dp45._event_factory.cache_info()
+    integrate_adaptive(params, start, 3.0)
+    after = _dp45._event_factory.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 # states drawn where each field is tame: u > 0 for the radial field, and
