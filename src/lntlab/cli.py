@@ -9,9 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -112,7 +110,7 @@ def build_parser(file_values: dict | None = None) -> argparse.ArgumentParser:
             p.add_argument("--full", action="store_true",
                            help="do not thin trajectories on serialization")
         if jobs:
-            setting(p, "--jobs", os.cpu_count() or 1, type=int)
+            setting(p, "--jobs", 1, type=int, help="accepted and ignored: points run in order")
         return p
 
     p = command("singular", "construct the singular solution", emit=True)
@@ -460,74 +458,34 @@ def cmd_verify_all(args, bundle, outdir: Path):
     _verification_checks(bundle, sol)
 
 
-def _sweep_point(payload):
-    N, i, p, rtol, atol = payload
-    try:
-        params = ProblemParams(N, p)
-        sol = solve_with_criticals(params, i, rtol=rtol, atol=atol)
-        return {"p": p, "status": "ok",
-                "r_p": sol.r_p,
-                "R_i": sol.critical_radii[i - 1]}
-    except _RUNTIME_ERRORS as exc:
-        return {"p": p, "status": "error", "error": str(exc)}
-
-
-def _read_point(path: Path) -> dict | None:
-    """A cached sweep point, or None when it is missing or unreadable."""
-    try:
-        point = json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
-        return None
-    return point if isinstance(point, dict) and "status" in point else None
-
-
 def cmd_sweep(args, bundle, outdir: Path):
     if not args.p_list:
         raise ParameterError("sweep needs at least one power in --p-list")
     _reject_repeats(args.p_list, "--p-list")
     _check_powers(args.N, args.p_list)
-    points_dir = outdir / "points"
-    points_dir.mkdir(exist_ok=True)
-    payloads = [(args.N, args.i, p, args.tol_rel, args.tol_abs)
-                for p in args.p_list]
-    results = [None] * len(payloads)
-    pending = []
-    n_cached = 0
-    for k, payload in enumerate(payloads):
-        cached = _read_point(points_dir / f"point-{k:03d}.json")
-        if cached is not None:
-            results[k] = cached
-            n_cached += 1
-        else:
-            pending.append((k, payload))
-    if pending:
-        # the pool forks all its workers at the first submit, so never more
-        # than there are points to compute or cores to run them
-        workers = min(args.jobs, len(pending), os.cpu_count() or 1)
-        if workers > 1:
-            # imported here, so that no other command loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(_sweep_point, [pl for _, pl in pending]))
-        else:
-            computed = [_sweep_point(pl) for _, pl in pending]
-        for (k, _), res in zip(pending, computed):
-            results[k] = res
-            bundle.add_artifact(points_dir / f"point-{k:03d}.json", res)
+    radii, scaled, rows = [], [], []
+    for p in args.p_list:
+        try:
+            sol = solve_with_criticals(ProblemParams(args.N, p), args.i,
+                                       rtol=args.tol_rel, atol=args.tol_abs)
+        except _RUNTIME_ERRORS as exc:
+            bundle.add(CheckRecord(
+                name=f"sweep-point-p{p:.17g}",
+                status=FAIL,
+                claim="singular-solve-at-sweep-point",
+                message=str(exc),
+            ))
+            rows.append((p, "", "", "error"))
+            continue
+        R_i = sol.critical_radii[args.i - 1]
+        radii.append(R_i)
+        if sol.r_p is not None:
+            scaled.append(sol.r_p * math.sqrt(p))
+        rows.append((p, "" if sol.r_p is None else sol.r_p, R_i, "ok"))
 
-    ok = [res for res in results if res["status"] == "ok"]
-    failed = [res for res in results if res["status"] != "ok"]
-    for res in failed:
-        bundle.add(CheckRecord(
-            name=f"sweep-point-p{res['p']:.17g}",
-            status=FAIL,
-            claim="singular-solve-at-sweep-point",
-            message=res.get("error", ""),
-        ))
-    radii = [res["R_i"] for res in ok]
     decreasing = all(a > b for a, b in zip(radii, radii[1:]))
     # a trend needs two points, and a failed point leaves a gap in the grid
-    judged = not failed and len(radii) >= 2
+    judged = len(radii) >= 2 and len(radii) == len(rows)
     bundle.add(CheckRecord(
         name="critical-radius-decay-trend",
         status=(PASS if decreasing else FAIL) if judged else INFO,
@@ -535,21 +493,12 @@ def cmd_sweep(args, bundle, outdir: Path):
         margins={"R_i": radii},
         message="" if judged else "incomplete grid: trend reported as INFO",
     ))
-    scaled = [res["r_p"] * math.sqrt(res["p"]) for res in ok if res["r_p"] is not None]
     bundle.add(CheckRecord(
         name="first-crossing-scaling",
         status=INFO,
         claim="first-unit-crossing-times-sqrt-p-stays-banded",
         margins={"r_p_sqrt_p": scaled},
     ))
-    bundle.add(CheckRecord(
-        name="sweep-resume",
-        status=INFO,
-        claim="sweep-point-cache",
-        margins={"cached": n_cached, "computed": len(pending)},
-    ))
-    rows = [(res["p"], "" if res["r_p"] is None else res["r_p"], res["R_i"], "ok")
-            if res["status"] == "ok" else (res["p"], "", "", "error") for res in results]
     bundle.add_artifact(outdir / "sweep.csv", (("p", "r_p", "R_i", "status"), rows))
 
 

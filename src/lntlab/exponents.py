@@ -222,6 +222,8 @@ def continuity_scan(
         raise ParameterError("continuity scan needs at least three grid points")
     if grid[0] <= critical_exponent(N):
         raise ParameterError("grid extends below the supercritical range")
+    if any(a == b for a, b in zip(grid, grid[1:])):
+        raise ParameterError(f"continuity scan repeats a power: {grid}")
 
     def radius_at(p: float) -> float:
         return _critical_radius_and_crossings(ProblemParams(N, p), i, rtol, atol)[0]
@@ -240,7 +242,7 @@ def continuity_scan(
     med = inc_fine[half] if len(inc_fine) % 2 else (inc_fine[half - 1] + inc_fine[half]) / 2
     max_jump_factor = modulus_fine / med if med > 0 else 0.0
     if modulus_coarse == 0.0:
-        # degenerate constant grid: continuity holds with zero modulus
+        # powers too close for their radii to differ: zero modulus
         passed = modulus_fine == 0.0
     else:
         passed = (1.0 / 3.0 <= ratio <= 2.0 / 3.0) and max_jump_factor <= 10.0

@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import json
 import os
 import shlex
@@ -113,25 +112,16 @@ def test_config_file_settings_resolve_like_flags(tmp_path):
 
 
 def test_sweep_fresh_resume_and_failure_demotion(tmp_path):
-    base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
-            "--jobs", 1, "--out-dir", tmp_path]
-    assert run_cli(base) == 0
+    assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
+                    "--out-dir", tmp_path]) == 0
     rep = read_report(tmp_path)
-    resume = next(c for c in rep["checks"] if c["name"] == "sweep-resume")
-    assert resume["margins"] == {"cached": 0, "computed": 2}
     trend = next(c for c in rep["checks"] if c["name"] == "critical-radius-decay-trend")
     assert trend["status"] == "PASS"
-
-    # identical rerun resumes every point
-    assert run_cli(base) == 0
-    rep = read_report(tmp_path)
-    resume = next(c for c in rep["checks"] if c["name"] == "sweep-resume")
-    assert resume["margins"] == {"cached": 2, "computed": 0}
 
     # a point that fails at runtime (p = p_S at N = 23 has no admissible
     # smallness constant) demotes the trend check to INFO
     code = run_cli(["sweep", "--N", 23, "--i", 1, "--p-list", "1.1904761904761905,2,3",
-                    "--jobs", 1, "--out-dir", tmp_path / "mixed"])
+                    "--out-dir", tmp_path / "mixed"])
     assert code == 1
     rep = read_report(tmp_path / "mixed")
     checks = {c["name"]: c for c in rep["checks"]}
@@ -143,49 +133,10 @@ def test_sweep_fresh_resume_and_failure_demotion(tmp_path):
 
     # one point shows no trend either
     assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10",
-                    "--jobs", 1, "--out-dir", tmp_path / "one"]) == 0
+                    "--out-dir", tmp_path / "one"]) == 0
     rep = read_report(tmp_path / "one")
     trend = next(c for c in rep["checks"] if c["name"] == "critical-radius-decay-trend")
     assert trend["status"] == "INFO"
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_sweep_workers_capped_by_pending_points(tmp_path, monkeypatch):
-    # the pool forks all its workers at once: never more than points to compute
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _SerialPool(sizes, max_workers))
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
-                    "--jobs", 100000, "--out-dir", tmp_path]) == 0
-    assert sizes == [2]
-
-
-@pytest.mark.parametrize("cores, sizes", [(3, [3]), (1, []), (None, [])])
-def test_sweep_workers_capped_by_cpu_count(tmp_path, monkeypatch, cores, sizes):
-    # nor more than there are cores; one core, or an unknown count, is serial
-    seen = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _SerialPool(seen, max_workers))
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    assert run_cli(["sweep", "--N", 5, "--i", 1, "--p-list", "10,20,40,80,160",
-                    "--jobs", 100000, "--out-dir", tmp_path]) == 0
-    assert seen == sizes
 
 
 def test_sweep_rejects_jobs_below_one(tmp_path):
@@ -399,6 +350,8 @@ def test_non_finite_input_exits_2(tmp_path, flags):
     ["branch", "--i", "1", "--R", "1", "--N", "5", "--gamma-list", "5,5",
      "--p-bracket", "10,40"],
     ["sweep", "--N", "5", "--p-list", "2,2"],
+    *[["continuity", "--i", "1", "--N", "5", "--p-grid", grid]
+      for grid in ("10,10,20", "10,10,10")],
     # a format with no writer, or none at all
     *[["singular", "--N", "5", "--p", "20", "--r-end", "1", "--emit", emit]
       for emit in ("xml", "csv,xml", ",")],
@@ -538,24 +491,14 @@ def test_large_power_singular_exits_0(tmp_path):
 
 
 def test_sweep_recomputes_truncated_point(tmp_path, monkeypatch):
-    base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20",
-            "--jobs", 1, "--out-dir", tmp_path]
+    base = ["sweep", "--N", 5, "--i", 1, "--p-list", "10,20", "--out-dir", tmp_path]
     assert run_cli(base) == 0
-    points = sorted(tmp_path.glob("run-*/points/point-*.json"))
-    assert len(points) == 2
-    assert not list(tmp_path.glob("run-*/points/*.tmp"))
-    good = points[0].read_bytes()
-    points[0].write_bytes(good[: len(good) // 2])
-    assert run_cli(base) == 0
-    rep = read_report(tmp_path)
-    resume = next(c for c in rep["checks"] if c["name"] == "sweep-resume")
-    assert resume["margins"] == {"cached": 1, "computed": 1}
-    assert points[0].read_bytes() == good
+    (run_dir,) = tmp_path.glob("run-*")
 
     # a rerun interrupted before its first rename (of sweep.csv) leaves every
     # previous file whole and no .tmp behind
-    run_dir = points[0].parents[1]
     before = {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()}
+    assert {f.name for f in before} == {"sweep.csv", "report.json"}
 
     def interrupted(src, dst):
         raise KeyboardInterrupt
@@ -580,12 +523,16 @@ def test_readme_morse_example_loads_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
-def test_readme_example_writes_only_its_artifacts(tmp_path, monkeypatch, argv):
-    # every file of a run is report.json or a listed artifact, none a leftover .tmp
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _SerialPool([], max_workers))
-    assert run_cli([*argv, "--out-dir", tmp_path]) == 0
-    (run_dir,) = tmp_path.glob("run-*")
-    written = {f for f in run_dir.rglob("*") if f.is_file()}
-    listed = {Path(a) for a in read_report(tmp_path)["artifacts"]}
-    assert written == {run_dir / "report.json"} | listed
+def test_readme_example_writes_only_its_artifacts(tmp_path, argv):
+    # every file of a run is report.json or a listed artifact, none a leftover
+    # .tmp, also after a rerun into the same directory, which rewrites every
+    # artifact byte for byte
+    artifacts = []
+    for _ in range(2):
+        assert run_cli([*argv, "--out-dir", tmp_path]) == 0
+        (run_dir,) = tmp_path.glob("run-*")
+        written = {f for f in run_dir.rglob("*") if f.is_file()}
+        listed = {Path(a) for a in read_report(tmp_path)["artifacts"]}
+        assert written == {run_dir / "report.json"} | listed
+        artifacts.append({f: f.read_bytes() for f in listed})
+    assert artifacts[0] == artifacts[1]

@@ -168,11 +168,17 @@ def test_continuity_scan_small_grid():
     assert np.all(np.diff(rep.refined_grid) > 0)
 
 
-def test_continuity_scan_constant_grid_degenerate():
-    rep = continuity_scan(1, 5, [20.0, 20.0, 20.0])
-    assert rep.modulus_coarse == 0.0
-    assert rep.modulus_fine == 0.0
-    assert rep.passed
+def test_continuity_scan_constant_grid_degenerate(monkeypatch):
+    # a repeated power is solved twice and adds a zero increment; a constant
+    # grid would pass with a vacuous zero modulus. Both are rejected before
+    # the first solve.
+    def no_solve(*args):
+        raise AssertionError("radius evaluated")
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", no_solve)
+    for grid in ([20.0, 20.0, 20.0], [10.0, 10.0, 20.0]):
+        with pytest.raises(ParameterError, match="repeats a power"):
+            continuity_scan(1, 5, grid)
 
 
 def test_continuity_scan_validation():

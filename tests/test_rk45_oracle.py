@@ -173,22 +173,23 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
     # imports them, not even a command that runs the stepper, the seed
     # checks, the Morse scan and the Hardy quadratic forms, and numpy alone
     # would cost a CLI call about 0.15 s of CPU; nor dataclasses (with
-    # inspect) and statistics, which cost a call about 45 ms more; the
-    # process pool (multiprocessing) is imported by a sweep with workers alone
+    # inspect) and statistics, which cost a call about 45 ms more; nor a
+    # process pool, since a sweep runs its points in process, whatever --jobs
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     commands = [["singular", "--N", "5", "--p", "20", "--r-end", "5", "--check-bounds",
                  "--emit", "csv,json"],
                 ["morse", "--N", "12", "--p", "5", "--R", "1", "--deltas", "1e-2,1e-3,1e-4"],
-                ["hardy", "--N", "5", "--p", "10", "--eps0", "1.0", "--j-max", "5"]]
+                ["hardy", "--N", "5", "--p", "10", "--eps0", "1.0", "--j-max", "5"],
+                ["sweep", "--N", "5", "--i", "1", "--p-list", "10,20,40,80", "--jobs", "2"]]
     code = ("import sys, lntlab, lntlab.cli\n"
             "for argv in sys.argv[2:]:\n"
             "    assert lntlab.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0\n"
             "print([m for m in sys.modules if m in ('numpy', 'dataclasses', 'inspect', "
-            "'statistics') or m.startswith("
+            "'statistics', 'multiprocessing', 'concurrent.futures') or m.startswith("
             "('numpy.', 'scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
-            "'concurrent.futures.process'))])")
+            "'multiprocessing.', 'concurrent.futures.'))])")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path),
                           *(" ".join(argv) for argv in commands)],
                          capture_output=True, text=True, check=True, timeout=300, env=env)
@@ -198,7 +199,8 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
 
 def test_package_source_imports_no_numpy_scipy_dataclasses_or_statistics():
     # at any level, in any function: numpy and scipy serve the tests only,
-    # and records are built without dataclasses
+    # records are built without dataclasses, and nothing runs in a worker
+    # process
     package = Path(lntlab.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -210,7 +212,8 @@ def test_package_source_imports_no_numpy_scipy_dataclasses_or_statistics():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] in ("numpy", "scipy", "dataclasses", "statistics")]
+                      if name.split(".")[0] in ("numpy", "scipy", "dataclasses", "statistics",
+                                                "concurrent", "multiprocessing")]
     assert len(list(package.glob("*.py"))) >= 12
     assert found == []
 
