@@ -37,7 +37,6 @@ from .params import (
     ProblemParams,
     Regime,
     asymptotic_limits,
-    choose_ctilde,
     compute_PN,
     critical_exponent,
     derive_constants,
@@ -59,7 +58,6 @@ from .singular import (
 )
 from .spectral import (
     AssembledOperator,
-    EigenProblemSpec,
     MorseScanResult,
     SampledRadialFunction,
     SpectrumReport,

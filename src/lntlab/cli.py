@@ -39,6 +39,7 @@ from .singular import (
     verify_origin_bounds,
 )
 from .spectral import (
+    DEFAULT_EPS0,
     TailClass,
     assemble_operator,
     check_cutoffs,
@@ -156,7 +157,7 @@ def build_parser(file_values: dict | None = None) -> argparse.ArgumentParser:
     p = command("hardy", "negativity certificates from Hardy test functions", tol=False)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eps0", type=float, default=0.35)
+    p.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
     p.add_argument("--j-max", dest="j_max", type=int, default=5)
 
     p = command("verify-all", "run the verification checks on one instance", emit=True)

@@ -229,6 +229,11 @@ def continuity_scan(
         return _critical_radius_and_crossings(ProblemParams(N, p), i, rtol, atol)[0]
 
     mids = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+    # powers a few ulps apart have a midpoint that rounds onto one of them,
+    # which would be solved twice and add a zero increment
+    for a, m, b in zip(grid, mids, grid[1:]):
+        if not a < m < b:
+            raise ParameterError(f"no double lies strictly between the powers {a!r} and {b!r}")
     # grid points and midpoints interleaved: the grid's values are every other one
     refined = Column([*(x for pair in zip(grid, mids) for x in pair), grid[-1]])
     refined_values = Column(radius_at(p) for p in refined)

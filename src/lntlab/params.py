@@ -29,7 +29,6 @@ __all__ = [
     "asymptotic_limits",
     "phi_nonlinearity",
     "compute_PN",
-    "choose_ctilde",
     "lemma_constants",
 ]
 
@@ -112,25 +111,8 @@ class DerivedConstants(NamedTuple):
     alpha: float
     beta: float
     Dp: float
-    pS: float
     pJL: float
     regime: Regime
-
-    def as_dict(self) -> dict:
-        d = {
-            "N": self.N,
-            "p": self.p,
-            "theta": self.theta,
-            "A": self.A,
-            "m": self.m,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "Dp": self.Dp,
-            "pS": self.pS,
-            "pJL": "inf" if math.isinf(self.pJL) else self.pJL,
-            "regime": self.regime.name,
-        }
-        return d
 
 
 def derive_constants(params: ProblemParams) -> DerivedConstants:
@@ -163,7 +145,6 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
         alpha=alpha,
         beta=beta,
         Dp=Dp,
-        pS=critical_exponent(N),
         pJL=joseph_lundgren(N),
         regime=regime,
     )
@@ -282,11 +263,3 @@ def lemma_constants(c: DerivedConstants) -> LemmaConstants:
                 PN_threshold=threshold,
             )
     raise FeasibilityError(f"no admissible ctilde on the search grid at N={c.N}, p={c.p}")
-
-
-def choose_ctilde(c: DerivedConstants) -> float:
-    """Largest ctilde of {2**-1, ..., 2**-20} admissible at the power ``c.p``.
-
-    Raises :class:`FeasibilityError` when no grid value is admissible.
-    """
-    return lemma_constants(c).ctilde

@@ -35,10 +35,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):
-        return _jsonable(value.tolist())
-    if hasattr(value, "item"):
-        return _jsonable(value.item())
     return value
 
 
@@ -95,12 +91,10 @@ class CheckRecord:
 class ReportBundle:
     """All checks and artifacts of one harness invocation."""
 
-    def __init__(self, command: str, config: dict, tolerances: dict, checks: list | None = None,
-                 artifacts: list | None = None, timestamp: float | None = None):
+    def __init__(self, command: str, config: dict, tolerances: dict):
         self.command, self.config, self.tolerances = command, config, tolerances
-        self.checks = [] if checks is None else checks
-        self.artifacts = [] if artifacts is None else artifacts
-        self.timestamp = time.time() if timestamp is None else timestamp
+        self.checks, self.artifacts = [], []
+        self.timestamp = time.time()
 
     @property
     def hash(self) -> str:

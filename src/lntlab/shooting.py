@@ -129,7 +129,6 @@ class ConvergenceReport(NamedTuple):
 
     gammas: tuple[float, ...]
     distances: tuple[float, ...]
-    interval: tuple[float, float]
     statuses: tuple[str, ...]
     passed: bool  # distances strictly decreasing over the usable shots
     complete: bool  # every requested shot was usable
@@ -210,7 +209,6 @@ def convergence_to_singular(
     return ConvergenceReport(
         gammas=tuple(gammas),
         distances=tuple(distances),
-        interval=(a, b),
         statuses=tuple(statuses),
         passed=passed,
         complete=all(s == "ok" for s in statuses),

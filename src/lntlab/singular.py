@@ -296,7 +296,6 @@ def solve_with_criticals(
     r_end: float | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    **kwargs,
 ) -> SingularSolution:
     """Singular solution up to its i-th critical radius.
 
@@ -308,7 +307,7 @@ def solve_with_criticals(
         raise ParameterError(f"critical index must be >= 1, got {i}")
     r_end = r_end if r_end is not None else _initial_r_end(params, i)
     r_cap = r_end * R_END_EXTENSION_CAP
-    sol = solve_singular(params, r_cap, rtol, atol, stop_at_critical=i, **kwargs)
+    sol = solve_singular(params, r_cap, rtol, atol, stop_at_critical=i)
     if len(sol.critical_radii) < i:
         raise EventError(
             f"critical point {i} not found up to r_end={r_cap} (cap reached); "

@@ -33,7 +33,6 @@ from .params import DerivedConstants, ProblemParams
 from .singular import WINDOW_SHRINK, SingularSolution, origin_profile
 
 __all__ = [
-    "EigenProblemSpec",
     "TridiagonalForm",
     "AssembledOperator",
     "SpectrumReport",
@@ -66,13 +65,6 @@ class TailClass(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class EigenProblemSpec(NamedTuple):
-    """Discretization metadata of one eigenvalue problem instance."""
-
-    grid: Column  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
-    potential: Column  # q(r) = p u**(p-1) - 1 at the nodes
-
-
 class TridiagonalForm(Frozen):
     """Symmetric tridiagonal pencil (A, B) with diagonal positive mass B."""
 
@@ -92,7 +84,9 @@ class TridiagonalForm(Frozen):
 
 
 class AssembledOperator(NamedTuple):
-    spec: EigenProblemSpec
+    """The pencil of one (cutoff, grid) pair and the nodes it lives on."""
+
+    grid: Column  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
     form: TridiagonalForm
 
 
@@ -196,10 +190,7 @@ def assemble_operator(
     diag = [a + c * (nu * nu - q) for a, c, q in zip(stiffness, cell, qr2[1:])]
     mass = [c * (r * r) for c, r in zip(cell, nodes[1:])]
     form = TridiagonalForm(diag=diag, offdiag=[-1.0 / h] * (M - 1), mass=mass)
-    # q itself overflows where r**2 underflows; the form only uses q r**2
-    potential = [q / (r * r) if r * r else math.copysign(math.inf, q) for q, r in zip(qr2, nodes)]
-    spec = EigenProblemSpec(grid=Column(nodes), potential=Column(potential))
-    return AssembledOperator(spec=spec, form=form)
+    return AssembledOperator(grid=Column(nodes), form=form)
 
 
 def _pencil(form: TridiagonalForm) -> tuple[list, list, list] | None:
@@ -237,17 +228,13 @@ def _pivot_count(diag: list, mass: list, off2: list, shift: float) -> int:
     return count
 
 
-def _form(system) -> TridiagonalForm:
-    return system.form if isinstance(system, AssembledOperator) else system
-
-
-def negative_count(system, shift: float = 0.0) -> int:
+def negative_count(form: TridiagonalForm, shift: float = 0.0) -> int:
     """Number of pencil eigenvalues below ``shift`` via a Sturm/inertia pass.
 
     Exact for the discrete system up to floating-point sign evaluation at the
     shift; an eigenvalue on which the pass lands exactly is counted.
     """
-    pencil = _pencil(_form(system))
+    pencil = _pencil(form)
     if pencil is None:
         raise ConvergenceFailure("inertia pass over non-finite form entries")
     return _pivot_count(*pencil, shift)
@@ -268,7 +255,7 @@ def _from_order(key: int) -> float:
     return _DOUBLE.unpack(_INT.pack(key if key >= 0 else -key - _SIGN))[0]
 
 
-def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
+def smallest_eigenvalues(form: TridiagonalForm, k: int = 4) -> tuple[float, ...]:
     """The k smallest pencil eigenvalues (all of them if there are fewer), by
     Sturm bisection on the pivot count of A - shift*B (Barth, Martin and
     Wilkinson, Numer. Math. 9, 1967).
@@ -284,7 +271,6 @@ def smallest_eigenvalues(system, k: int = 4) -> tuple[float, ...]:
     """
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
-    form = _form(system)
     pencil = _pencil(form)
     if pencil is None:
         raise ParameterError("form entries must be finite")
@@ -354,15 +340,15 @@ def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
                 raise ConvergenceFailure(
                     f"negative count did not stabilize under grid refinement at delta={delta}"
                 )
-            op = assemble_operator(sol, params, delta, size)
-            count = negative_count(op)
+            form = assemble_operator(sol, params, delta, size).form
+            count = negative_count(form)
             if count == prev_count:
                 break
             size, prev_count = 2 * size, count
         reports.append(
             SpectrumReport(
                 negative_count=count,
-                smallest_eigenvalues=smallest_eigenvalues(op, 3),
+                smallest_eigenvalues=smallest_eigenvalues(form, 3),
                 cutoff=delta,
                 grid_size=size,
             )
@@ -436,12 +422,8 @@ def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> f
     return math.fsum((b - a) * (fa + fb) / 2.0 for a, b, fa, fb in zip(s, s[1:], f, f[1:]))
 
 
-def hardy_test_function(
-    j: int,
-    eps0: float = DEFAULT_EPS0,
-    N: int = 3,
-    n_points: int = 1024,
-) -> SampledRadialFunction:
+def hardy_test_function(j: int, eps0: float, N: int,
+                        n_points: int = 1024) -> SampledRadialFunction:
     """The j-th logarithmically oscillating test function with Hardy-critical decay.
 
     f_j(r) = r**(-(N-2)/2) sin(eps0 ln(r) / 2) restricted to the annulus

@@ -251,7 +251,7 @@ def test_c10_hardy_certificates():
         r = fj.radii
         sub = ProblemParams(5, 10.0, R=float(r[-1]))
         op = assemble_operator(prof, sub, float(r[0]), 16384)
-        y = np.interp(np.log(op.spec.grid[1:]), fj.log_r, fj.scaled)
+        y = np.interp(np.log(op.grid[1:]), fj.log_r, fj.scaled)
         quad = float(np.sum(op.form.diag * y**2)
                      + 2.0 * np.sum(op.form.offdiag * y[:-1] * y[1:]))
         ok = ok and quad < 0.0
@@ -282,13 +282,13 @@ def test_c11_inertia_oracle():
 def test_c12_constant_solution_morse_oracle():
     t0 = time.time()
     params = ProblemParams(3, 5.0, R=1.0)
-    op = assemble_operator(1.0, params, delta=1e-3, grid_size=4096)
-    count = negative_count(op)
+    form = assemble_operator(1.0, params, delta=1e-3, grid_size=4096).form
+    count = negative_count(form)
     # first nonzero radial Neumann eigenvalue on the unit ball: tan k = k
     k1 = brentq(lambda k: math.tan(k) - k, math.pi + 0.1, 1.5 * math.pi - 1e-9,
                 xtol=1e-14)
     mu1 = k1 * k1
-    evs = smallest_eigenvalues(op, 2)
+    evs = smallest_eigenvalues(form, 2)
     ok = (
         count == 1
         and mu1 > params.p - 1.0  # the oracle predicts exactly one negative mode

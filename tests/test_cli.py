@@ -351,7 +351,7 @@ def test_non_finite_input_exits_2(tmp_path, flags):
      "--p-bracket", "10,40"],
     ["sweep", "--N", "5", "--p-list", "2,2"],
     *[["continuity", "--i", "1", "--N", "5", "--p-grid", grid]
-      for grid in ("10,10,20", "10,10,10")],
+      for grid in ("10,10,20", "10,10,10", "20,20.000000000000004,20.000000000000014")],
     # a format with no writer, or none at all
     *[["singular", "--N", "5", "--p", "20", "--r-end", "1", "--emit", emit]
       for emit in ("xml", "csv,xml", ",")],

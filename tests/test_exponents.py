@@ -169,15 +169,18 @@ def test_continuity_scan_small_grid():
 
 
 def test_continuity_scan_constant_grid_degenerate(monkeypatch):
-    # a repeated power is solved twice and adds a zero increment; a constant
-    # grid would pass with a vacuous zero modulus. Both are rejected before
-    # the first solve.
+    # a repeated power is solved twice and adds a zero increment, and so is a
+    # grid power that its midpoint with a neighbour rounds onto (20 and the
+    # next double have none between them); a constant grid would pass with a
+    # vacuous zero modulus. All are rejected before the first solve.
     def no_solve(*args):
         raise AssertionError("radius evaluated")
 
     monkeypatch.setattr(exponents, "_critical_radius_and_crossings", no_solve)
-    for grid in ([20.0, 20.0, 20.0], [10.0, 10.0, 20.0]):
-        with pytest.raises(ParameterError, match="repeats a power"):
+    for grid, match in (([20.0, 20.0, 20.0], "repeats a power"),
+                        ([10.0, 10.0, 20.0], "repeats a power"),
+                        ([20.0, 20.000000000000004, 20.000000000000014], "strictly between")):
+        with pytest.raises(ParameterError, match=match):
             continuity_scan(1, 5, grid)
 
 

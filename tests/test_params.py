@@ -9,7 +9,6 @@ from lntlab import (
     ProblemParams,
     Regime,
     asymptotic_limits,
-    choose_ctilde,
     compute_PN,
     critical_exponent,
     derive_constants,
@@ -218,13 +217,12 @@ def test_compute_PN_superlinear_in_ctilde():
 
 def test_compute_PN_margin_positive_at_instance():
     c = derive_constants(ProblemParams(5, 50.0))
-    ct = choose_ctilde(c)
-    pn, threshold = compute_PN(c, ct)
+    lem = lemma_constants(c)
+    pn, threshold = compute_PN(c, lem.ctilde)
     assert pn < threshold
     assert threshold - pn > 0.01  # recorded margin is far from tight
     # the lemma records the margin of its own search
-    lem = lemma_constants(c)
-    assert (lem.ctilde, lem.PN, lem.PN_threshold) == (ct, pn, threshold)
+    assert (lem.PN, lem.PN_threshold) == (pn, threshold)
 
 
 def test_compute_PN_rejects_bad_ctilde():
@@ -241,7 +239,7 @@ def test_choose_ctilde_contract():
     grid = [2.0**-k for k in range(1, 21)]
     for N, p in [(5, 20.0), (10, 3.5e5), (10, 1e7), (18, 1.2500013)]:
         c = derive_constants(ProblemParams(N, p))
-        ct = choose_ctilde(c)
+        ct = lemma_constants(c).ctilde
         assert ct in grid
         pn, threshold = compute_PN(c, ct)
         assert pn < threshold
@@ -251,7 +249,7 @@ def test_choose_ctilde_contract():
 
 
 # (N, p, ctilde) of the search over the power range (min(p, 10), max(p, 1e4))
-# that choose_ctilde replaced; None where that search found no admissible
+# that the search at the power itself replaced; None where that search found no admissible
 # ctilde. The search at the power itself must reproduce every entry.
 RANGE_SEARCH_CTILDE = [
     (3, 5.0, 0.5),
@@ -292,35 +290,24 @@ def test_choose_ctilde_matches_range_search(N, p, want):
     c = derive_constants(ProblemParams(N, p))
     if want is None:
         with pytest.raises(FeasibilityError, match="no admissible"):
-            choose_ctilde(c)
+            lemma_constants(c)
     else:
-        assert choose_ctilde(c) == want
+        assert lemma_constants(c).ctilde == want
 
 
 def test_choose_ctilde_rejects_subcritical_range():
     # a power below the critical exponent never reaches the search, and one
     # at it is infeasible from N = 10 on
     with pytest.raises(ParameterError):
-        choose_ctilde(derive_constants(ProblemParams(5, 1.0)))
+        lemma_constants(derive_constants(ProblemParams(5, 1.0)))
     with pytest.raises(FeasibilityError, match="no admissible"):
-        choose_ctilde(derive_constants(ProblemParams(18, critical_exponent(18))))
+        lemma_constants(derive_constants(ProblemParams(18, critical_exponent(18))))
 
 
 def test_lemma_constants_relations():
     lem = lemma_constants(derive_constants(ProblemParams(5, 50.0)))
     assert lem.rtilde_p == pytest.approx(lem.ctilde / math.sqrt(50.0), rel=1e-15)
     assert lem.PN < lem.PN_threshold
-
-
-def test_constants_json_round_trip():
-    c = derive_constants(ProblemParams(5, 20.0))
-    d = c.as_dict()
-    for key in ("theta", "A", "m", "alpha", "beta", "Dp", "pS", "pJL", "regime"):
-        assert key in d
-    assert d["pJL"] == "inf"
-    assert d["regime"] == "OSCILLATORY"
-    d11 = derive_constants(ProblemParams(11, 10.0)).as_dict()
-    assert isinstance(d11["pJL"], float)
 
 
 @pytest.mark.parametrize("p, R", [(math.inf, None), (math.nan, None),

@@ -48,32 +48,31 @@ def test_single_node_form_is_diagonal():
 
 def test_constant_solution_potential_and_lowest_mode():
     params = ProblemParams(3, 5.0, R=1.0)
-    op = assemble_operator(1.0, params, delta=1e-3, grid_size=2048)
-    assert np.allclose(op.spec.potential, 4.0)  # p - 1 everywhere
-    evs = smallest_eigenvalues(op, 2)
+    form = assemble_operator(1.0, params, delta=1e-3, grid_size=2048).form
+    evs = smallest_eigenvalues(form, 2)
     assert evs[0] == pytest.approx(1.0 - 5.0, abs=5e-3)
     mu1 = radial_neumann_mu1()
     assert evs[1] == pytest.approx(mu1 + 1.0 - 5.0, rel=5e-2)
-    assert negative_count(op) == 1
+    assert negative_count(form) == 1
 
 
 def test_constant_solution_count_at_least_one():
     for p in (2.5, 5.0, 11.0):
         params = ProblemParams(3, max(p, 5.0), R=1.0)
         op = assemble_operator(1.0, params, delta=1e-3, grid_size=512)
-        assert negative_count(op) >= 1
+        assert negative_count(op.form) >= 1
 
 
 def test_negative_potential_makes_form_positive():
     # q = -1 turns the operator into -Lap + 1, whose form is positive
     params = ProblemParams(3, 5.0, R=1.0)
-    op = assemble_operator(1.0, params, delta=1e-2, grid_size=256)
+    form = assemble_operator(1.0, params, delta=1e-2, grid_size=256).form
     # replace q = p - 1 by q = -1: the diagonal gains (q_old + 1) * mass
+    q_old = params.p - 1.0
     lifted = TridiagonalForm(
-        diag=(np.asarray(op.form.diag)
-              + (np.asarray(op.spec.potential[1:]) + 1.0) * np.asarray(op.form.mass)),
-        offdiag=op.form.offdiag,
-        mass=op.form.mass,
+        diag=np.asarray(form.diag) + (q_old + 1.0) * np.asarray(form.mass),
+        offdiag=form.offdiag,
+        mass=form.mass,
     )
     assert negative_count(lifted) == 0
 
@@ -114,7 +113,7 @@ def test_eigenvalue_grid_convergence_second_order():
     vals = {}
     for M in (256, 512, 1024, 2048):
         op = assemble_operator(1.0, params, delta=1e-2, grid_size=M)
-        vals[M] = smallest_eigenvalues(op, 2)[1]
+        vals[M] = smallest_eigenvalues(op.form, 2)[1]
     d1 = abs(vals[256] - vals[512])
     d2 = abs(vals[512] - vals[1024])
     d3 = abs(vals[1024] - vals[2048])
@@ -409,7 +408,7 @@ def test_discrete_projection_stays_negative():
     sub = ProblemParams(5, 10.0, R=float(r[-1]))
     op = assemble_operator(prof, sub, float(r[0]), 8192)
     # the unknowns are y = r**nu phi, the test function's scaled samples
-    y = np.interp(np.log(op.spec.grid[1:]), fj.log_r, fj.scaled)
+    y = np.interp(np.log(op.grid[1:]), fj.log_r, fj.scaled)
     quad = float(np.sum(op.form.diag * y**2)
                  + 2.0 * np.sum(op.form.offdiag * y[:-1] * y[1:]))
     assert quad < 0.0
