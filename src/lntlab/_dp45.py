@@ -7,10 +7,13 @@ A vector field is a :class:`Field` declaration, and an event an expression
 in its names. One stepping loop is generated from the tableau per field and
 event set, and compiled on its first solve (:func:`_loop`): it writes the
 field's rates into every stage and the events after every step, so an
-accepted step makes no Python function call, and it returns to
-:func:`solve` only at an event's sign change, at the end, or on failure. A
-step of the radial equation costs about 6 us in the loop on a 2-vCPU VM,
-the right-hand side and events included.
+accepted step makes no Python function call. After a step over which an
+event changes sign it hands the step to :func:`solve`'s polishing routine,
+which finds the zero by Brent's method on the event written out on the
+step's quartic (:func:`_event_factory`); the loop returns only at a
+terminal event, at the end, or on failure. On a 2-vCPU VM a step of the
+radial equation costs about 3.6 us in the loop, and 5 us with three events
+and their zeros, one per ten steps.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ _EPS = sys.float_info.epsilon
 # Accepted steps allowed per run. The largest runs of the test suite and of
 # the README examples take 17k and 20k steps; a run that needs more fails
 # rather than growing without bound. A radial run that uses up the budget
-# takes about 7 s and peaks at 120 MiB on a 2-vCPU VM.
+# takes about 3 s and peaks at about 60 MiB on a 2-vCPU VM.
 MAX_STEPS = 200_000
 
 
@@ -241,22 +244,42 @@ def _function_factory(field: Field) -> Callable:
 
 @functools.lru_cache(maxsize=None)
 def _event_factory(field: Field, expr: str) -> Callable:
-    # an event's g(t, y), as the one-component field of its expression
-    return _function_factory(field._replace(body=(), rates=(expr,)))
+    """``_bind(*consts)`` of the event ``expr`` on one step: it returns
+    ``at(t0, h, y0, K)``, which gives the event's g(t) on the quartic
+    interpolant of the step from t0 of length h, start state y0 and stages K
+    (stage by stage). Only the components the expression names are
+    interpolated, each as :func:`_quartic_value` does."""
+    n, names = len(field.state), compile(expr, "<event>", "eval").co_names
+    used = [(i, v) for i, v in enumerate(field.state) if v in names]
+    namespace = _compile([
+        f"def _bind({', '.join(field.consts)}):",
+        "    def _at(_t0, _h, _y, _K):",
+        *(f"        _v{i}, (_a{i}, _b{i}, _c{i}, _d{i}) = _y[{i}], _quartic(*_K[{i}::{n}])"
+          for i, _ in used),
+        f"        def _g({field.t}):",
+        f"            _x = ({field.t} - _t0) / _h",
+        *(f"            {v} = _v{i} + _h * _x * (_a{i} + _x * (_b{i} + _x * (_c{i} + _x * _d{i})))"
+          for i, v in used),
+        f"            return {expr}",
+        "        return _g",
+        "    return _at"], f"event {expr}")
+    namespace["_quartic"] = _quartic
+    return namespace["_bind"]
 
 
 @functools.lru_cache(maxsize=None)
 def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], ...]):
-    """``advance(t, y, f, h_abs, g, t_end, rtol, atol, max_steps, n_accepted,
-    n_rejected, ts, ys, hs, stages, *consts)``: the stepping loop of
-    ``field`` with the events ``exprs``, which may rise and fall through zero
-    as ``scan`` says. It steps on from state y at t with slope f and event
-    values g, appends each accepted step to the arrays, and returns at an
-    event's sign change ("event"), at t_end ("finished"), below the minimum
-    step ("min_step") or after max_steps steps ("budget"): the reason, t, y,
-    f, h_abs, the counters, and the event values before and after the last
-    step. Each component's stage sums are written out term by term in
-    tableau order, so they round as ``v + (A21 a + ...) h`` would.
+    """``advance(t, y, f, h_abs, t_end, rtol, atol, max_steps, ts, ys, hs,
+    stages, polish, *consts)``: the stepping loop of ``field`` with the events
+    ``exprs``, which may rise and fall through zero as ``scan`` says. It steps
+    from state y at t with slope f and appends each accepted step to the
+    arrays. After a step over which an event changed sign it calls
+    ``polish(before, after)`` with the event values at the step's ends, and
+    returns if that is true ("event"); it also returns at t_end
+    ("finished"), below the minimum step ("min_step") or after max_steps
+    steps ("budget"): the reason and the accepted and rejected steps. Each
+    component's stage sums are written out term by term in tableau order, so
+    they round as ``v + (A21 a + ...) h`` would.
     """
     n, m = len(field.state), len(exprs)
     y, z, tol = ([f"_{c}{i}" for i in range(n)] for c in ("y", "z", "tol"))
@@ -289,21 +312,25 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     crossed = " or ".join(
         c for j, (rise, fall) in enumerate(scan)
         for c, on in ((f"_o{j} <= 0.0 <= _e{j}", rise), (f"_o{j} >= 0.0 >= _e{j}", fall)) if on)
-    state = f"_t, {_tuple(y)}, {_tuple(k[0])}, _h_abs, _n_accepted, _n_rejected"
+    # the event values at the current state
+    events = [f"{field.t} = _t", *_assign(field.state, y),
+              *(f"_e{j} = {expr}" for j, expr in enumerate(exprs))]
     lines = [
-        "def advance(_t, _y, _f, _h_abs, _g, _t_end, _rtol, _atol, _max_steps, _n_accepted,"
-        f" _n_rejected, _ts, _ys, _hs, _stages, {', '.join(field.consts)}):",
-        f"    {_tuple(y)}, {_tuple(k[0])}, {_tuple(tol)}, {old} = _y, _f, _atol, _g",
+        "def advance(_t, _y, _f, _h_abs, _t_end, _rtol, _atol, _max_steps, _ts, _ys, _hs,"
+        f" _stages, _polish, {', '.join(field.consts)}):",
+        f"    {_tuple(y)}, {_tuple(k[0])}, {_tuple(tol)} = _y, _f, _atol",
+        *(f"    {s}" for s in events),
+        f"    {old}, _n_accepted, _n_rejected = {new}, 0, 0",
         "    while True:",
         "        if _n_accepted >= _max_steps:",
-        f"            return 'budget', {state}, {old}, {old}",
+        "            return 'budget', _n_accepted, _n_rejected",
         "        _min_step = 10.0 * (_nextafter(_t, _inf) - _t)",
         "        if _min_step > _h_abs:",
         "            _h_abs = _min_step",
         "        _rejected = False",
         "        while True:",
         "            if _h_abs < _min_step:",
-        f"                return 'min_step', {state}, {old}, {old}",
+        "                return 'min_step', _n_accepted, _n_rejected",
         "            _t_new = _t + _h_abs",
         "            if _t_end < _t_new:",
         "                _t_new = _t_end",
@@ -325,19 +352,19 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         "        _h_abs *= _factor",
         "        _n_accepted += 1",
         "        _hs.append(_h)",
-        f"        _stages.extend({_tuple(name for row in k for name in row)})",
+        # fromlist takes a list in one resize, where extend grows the array
+        # by one value at a time
+        f"        _stages.fromlist([{', '.join(name for row in k for name in row)}])",
         "        _t = _t_new",
         *(f"        {s}" for s in _assign(y, z) + _assign(k[0], k[6])),
         "        _ts.append(_t)",
-        f"        _ys.extend({_tuple(y)})",
-        f"        {field.t} = _t",
-        *(f"        {s}" for s in _assign(field.state, y)),
-        *(f"        _e{j} = {expr}" for j, expr in enumerate(exprs)),
-        *([f"        if {crossed}:", f"            return 'event', {state}, {old}, {new}"]
-          if crossed else []),
+        f"        _ys.fromlist([{', '.join(y)}])",
+        *(f"        {s}" for s in events),
+        *([f"        if ({crossed}) and _polish({old}, {new}):",
+           "            return 'event', _n_accepted, _n_rejected"] if crossed else []),
         f"        {old} = {new}",
         "        if _t >= _t_end:",
-        f"            return 'finished', {state}, {old}, {old}"]
+        "            return 'finished', _n_accepted, _n_rejected"]
     return _compile(lines, f"loop {field.state} {exprs}")["advance"]
 
 
@@ -382,11 +409,14 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     raised to at least 100 eps. A trial step whose stages raise
     ``OverflowError`` is rejected as one with an infinite error norm, as
     scipy's overflowing stages are. A run also fails once it has taken
-    ``MAX_STEPS`` steps without reaching t_end. Event zeros are located by
-    Brent's method on each step's quartic interpolant, and each records
-    whether g rose across its step; where the interpolant's end values miss
-    the sign change that g shows at the accepted states, the search takes
-    those values at the step's ends.
+    ``MAX_STEPS`` steps without reaching t_end. The generated loop runs the
+    whole integration: after a step over which an event changes sign it
+    calls ``polish``, which locates each zero by Brent's method on the
+    step's quartic interpolant and records whether g rose across the step;
+    where the interpolant's end values miss the sign change that g shows at
+    the accepted states, the search takes those values at the step's ends.
+    At the zero that ends the run, ``polish`` cuts the last step there and
+    the loop returns.
     """
     if not t_end > t0:
         raise ParameterError(f"integration runs forward: t_end={t_end} must exceed t0={t0}")
@@ -401,64 +431,51 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     scan = tuple((ev.direction >= 0, ev.direction <= 0) for ev in events)
     advance = _loop(field, tuple(ev.expr for ev in events), scan)
     max_steps, values = MAX_STEPS, [consts[name] for name in field.consts]
-    gs = [_event_factory(field, ev.expr)(*values) for ev in events]
-    g = tuple(gj(t0, y)[0] for gj in gs)
-    t, n_accepted, n_rejected = t0, 0, 0
+    at = [_event_factory(field, ev.expr)(*values) for ev in events]
     # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
-    ts, ys, hs, stages = array("d", [t]), array("d", y), array("d"), array("d")
+    ts, ys, hs, stages = array("d", [t0]), array("d", y), array("d"), array("d")
     dense = Dense(n, ts, hs, ys, stages)
     t_events, rises = [[] for _ in events], [[] for _ in events]
-    status, message = None, ""
-    while status is None:
-        why, t, y, f, h_abs, n_accepted, n_rejected, before, g = advance(
-            t, y, f, h_abs, g, t_end, rtol, atol, max_steps, n_accepted, n_rejected,
-            ts, ys, hs, stages, *values)
-        if why in _FAILURES:
-            status, message = "failed", _FAILURES[why].format(max_steps)
-            break
-        if t >= t_end:
-            status = "finished"
-        if why == "finished":
-            break
-        # an event changed sign over the last step, which the arrays end with
+
+    def polish(before, after):
+        # the zeros of the events that changed sign over the last step, which
+        # the arrays end with; true if one of them ends the run
         active = [j for j, (rise, fall) in enumerate(scan)
-                  if (rise and before[j] <= 0 <= g[j]) or (fall and before[j] >= 0 >= g[j])]
-        t_old, h, y_old, Q = dense.step(len(hs) - 1)
-
-        def interp(s):
-            x = (s - t_old) / h
-            return [_quartic_value(v, h, x, *q) for v, q in zip(y_old, Q)]
-
-        roots = {}
+                  if (rise and before[j] <= 0 <= after[j])
+                  or (fall and before[j] >= 0 >= after[j])]
+        t_old, t, roots = ts[-2], ts[-1], {}
         for j in active:
-
-            def on_step(s, gj=gs[j]):
-                return gj(s, interp(s))[0]
-
+            g = at[j](t_old, hs[-1], ys[-2 * n:-n], stages[-7 * n:])
             try:
-                roots[j] = brentq(on_step, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                roots[j] = brentq(g, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
             except ValueError:
                 # the interpolant's ends miss the sign change of the
                 # accepted states: take those at the ends, it inside
-                ends = {t_old: before[j], t: g[j]}
-                roots[j] = brentq(lambda s: ends[s] if s in ends else on_step(s),
+                ends = {t_old: before[j], t: after[j]}
+                roots[j] = brentq(lambda s: ends[s] if s in ends else g(s),
                                   t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
         done = {j for j in active if 0 < events[j].terminal <= len(t_events[j]) + 1}
         if done:
             # keep the zeros up to the first one that ends the run
             active.sort(key=roots.get)
             active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
-            status = "event"
             t = roots[active[-1]]
             if len(ts) > 2 and t == t_old:
                 # a terminal zero on the step's start: the step adds nothing
                 del ts[-1], ys[-n:], hs[-1], stages[-7 * n:]
             else:
                 ts[-1] = t
-                ys[-n:] = array("d", interp(t))
+                ys[-n:] = array("d", [column[0] for column in dense([t])])
         for j in active:
             t_events[j].append(roots[j])
-            rises[j].append(g[j] > before[j])
+            rises[j].append(after[j] > before[j])
+        return bool(done)
+
+    why, n_accepted, n_rejected = advance(t0, y, f, h_abs, t_end, rtol, atol, max_steps,
+                                          ts, ys, hs, stages, polish, *values)
+    status, message = why, ""
+    if why in _FAILURES:
+        status, message = "failed", _FAILURES[why].format(max_steps)
     return Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status, message=message,
                dense=dense, nfev=2 + 6 * (n_accepted + n_rejected), n_accepted=n_accepted,
                n_rejected=n_rejected)

@@ -66,7 +66,8 @@ def energy_values(u, du, p: float) -> Column:
 
 def energy_rate(r, u, du, N: int) -> Column:
     """Exact energy derivative -(N-1) u'**2 / r along solutions."""
-    return Column([-(N - 1.0) * d * d / s for s, d in zip(r, du)])
+    nm1 = -(N - 1.0)
+    return Column([nm1 * d * d / s for s, d in zip(r, du)])
 
 
 def energy_rate_deviation(traj: "RadialTrajectory") -> float:
@@ -209,14 +210,15 @@ class RadialTrajectory:
 # terminal event truncates the run; u**p is extended oddly so the field stays
 # defined there.
 _RADIAL = _dp45.Field(
-    t="r", state=("u", "du"), consts=("N", "p", "odd"),
+    t="r", state=("u", "du"), consts=("nm1", "p", "odd"),
     body=("up = -((-u) ** p) if odd and u < 0.0 else u ** p",),
-    rates=("du", "-(N - 1.0) / r * du + u - up"))
+    rates=("du", "nm1 / r * du + u - up"))
 
 
 def _constants(params: ProblemParams, rtol: float) -> dict:
-    """The constants of ``_RADIAL`` and ``_DIFFERENCE`` at tolerance rtol."""
-    return {"N": params.N, "p": params.p, "odd": not float(params.p).is_integer(),
+    """The constants of ``_RADIAL`` and ``_DIFFERENCE`` at tolerance rtol;
+    ``nm1`` is -(N - 1), taken once per run rather than at every stage."""
+    return {"nm1": -(params.N - 1.0), "p": params.p, "odd": not float(params.p).is_integer(),
             "floor": sys.float_info.min / rtol}
 
 
@@ -331,11 +333,11 @@ def _build_trajectory(params, run, rtol, atol, status, message):
 # is. Past u* + d = 0 (trial steps beyond a terminal event) the power is
 # extended oddly so the field stays defined.
 _DIFFERENCE = _dp45.Field(
-    t="r", state=("u", "du", "d", "dd"), consts=("N", "p", "odd", "floor"),
+    t="r", state=("u", "du", "d", "dd"), consts=("nm1", "p", "odd", "floor"),
     body=("q = d / u",
           "jump = u ** p * expm1(p * log1p(q)) if q > -1.0 else -((-(u + d)) ** p) - u ** p",
           *_RADIAL.body),
-    rates=(*_RADIAL.rates, "dd", "-(N - 1.0) / r * dd + d - jump"))
+    rates=(*_RADIAL.rates, "dd", "nm1 / r * dd + d - jump"))
 
 
 class DifferencePath:

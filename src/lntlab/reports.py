@@ -107,10 +107,12 @@ class ReportBundle:
         return record
 
     def add_artifact(self, path, content=None) -> None:
-        """Register ``path``, writing ``content`` to it first when given."""
+        """Register ``path``, a file in the run directory, by its name there,
+        so the report does not depend on where the run directory lies;
+        ``content`` is written to it first when given."""
         if content is not None:
             write_artifact(path, content)
-        self.artifacts.append(str(path))
+        self.artifacts.append(os.path.basename(path))
 
     def worst_status(self) -> str:
         return max((c.status for c in self.checks), key=_STATUS_ORDER.__getitem__, default=PASS)

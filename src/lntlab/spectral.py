@@ -84,9 +84,9 @@ class TridiagonalForm(Frozen):
 
 
 class AssembledOperator(NamedTuple):
-    """The pencil of one (cutoff, grid) pair and the nodes it lives on."""
+    """The pencil of one (cutoff, grid) pair, on the nodes
+    delta = r_0 < ... < r_M = R, uniform in ln r."""
 
-    grid: Column  # nodes delta = r_0 < ... < r_M = R, uniform in ln r
     form: TridiagonalForm
 
 
@@ -190,7 +190,7 @@ def assemble_operator(
     diag = [a + c * (nu * nu - q) for a, c, q in zip(stiffness, cell, qr2[1:])]
     mass = [c * (r * r) for c, r in zip(cell, nodes[1:])]
     form = TridiagonalForm(diag=diag, offdiag=[-1.0 / h] * (M - 1), mass=mass)
-    return AssembledOperator(grid=Column(nodes), form=form)
+    return AssembledOperator(form=form)
 
 
 def _pencil(form: TridiagonalForm) -> tuple[list, list, list] | None:

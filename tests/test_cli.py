@@ -532,7 +532,22 @@ def test_readme_example_writes_only_its_artifacts(tmp_path, argv):
         assert run_cli([*argv, "--out-dir", tmp_path]) == 0
         (run_dir,) = tmp_path.glob("run-*")
         written = {f for f in run_dir.rglob("*") if f.is_file()}
-        listed = {Path(a) for a in read_report(tmp_path)["artifacts"]}
+        listed = {run_dir / a for a in read_report(tmp_path)["artifacts"]}
         assert written == {run_dir / "report.json"} | listed
         artifacts.append({f: f.read_bytes() for f in listed})
     assert artifacts[0] == artifacts[1]
+
+
+def test_report_does_not_depend_on_the_out_dir(tmp_path):
+    # artifacts are listed by their names in the run directory, so the same
+    # run under two --out-dirs writes the same report.json but for its time
+    reports = []
+    for out in ("a", "deeper/b"):
+        assert run_cli(["singular", "--N", 5, "--p", 20, "--r-end", 3, "--emit", "csv,json",
+                        "--out-dir", tmp_path / out]) == 0
+        (path,) = (tmp_path / out).glob("run-*/report.json")
+        reports.append(path.read_text().splitlines())
+    assert read_report(tmp_path / "a")["artifacts"] == ["trajectory.csv", "trajectory.json"]
+    changed = [(a, b) for a, b in zip(*reports) if a != b]
+    assert len(reports[0]) == len(reports[1])
+    assert all(line.lstrip().startswith('"timestamp"') for pair in changed for line in pair)

@@ -40,7 +40,7 @@ SIGNATURES = {
     exponents.ContinuityReport: ("refined_grid", "refined_values", "modulus_coarse",
                                  "modulus_fine", "ratio", "max_jump_factor", "passed"),
     spectral.TridiagonalForm: ("diag", "offdiag", ("mass", None)),
-    spectral.AssembledOperator: ("grid", "form"),
+    spectral.AssembledOperator: ("form",),
     spectral.SpectrumReport: ("negative_count", "smallest_eigenvalues", "cutoff",
                               "grid_size"),
     spectral.MorseScanResult: ("reports", "classification"),

@@ -29,6 +29,7 @@ from lntlab import (
     ParameterError,
     ProblemParams,
     RadialState,
+    convergence_to_singular,
     integrate_adaptive,
     integrate_difference,
     solve_singular,
@@ -481,7 +482,22 @@ def _exponent_round(monkeypatch):
 
 
 def _huge_power(monkeypatch):
-    solve_singular(ProblemParams(5, 1e6), 1.0)
+    # oscillations dense enough that most steps hold a zero of an event
+    traj = solve_singular(ProblemParams(5, 1e6), 1.0).trajectory
+    assert (len(traj.unit_crossings), len(traj.critical_points)) == (318, 317)
+
+
+def _c08_differences(monkeypatch):
+    # one singular solve and three difference runs
+    rep = convergence_to_singular(ProblemParams(5, 20.0), [10.0, 100.0, 1000.0], (0.5, 2.0))
+    assert [d.hex() for d in rep.distances] == [
+        "0x1.620915ed4de82p-50", "0x1.4ba16abb38a74p-95", "0x1.a129b182dcfe3p-138"]
+
+
+def _difference_underflow(monkeypatch):
+    # a difference run that ends at its terminal floor event
+    params, ref = _difference_start()
+    assert integrate_difference(params, ref, (1e-296, 0.0), 2.0).status == "underflow"
 
 
 def _shot_to_zero(monkeypatch):
@@ -508,6 +524,8 @@ def _step_budget(monkeypatch):
 _CASES = {
     "exponent-round": (_exponent_round, 25),
     "p=1e6": (_huge_power, 1),
+    "c08-differences": (_c08_differences, 4),
+    "difference-underflow": (_difference_underflow, 1),
     "shot-to-zero": (_shot_to_zero, 1),
     "difference-zero-component": (_difference_with_zero_component, 2),
     "step-budget": (_step_budget, 1),
@@ -521,9 +539,32 @@ def test_generated_loop_matches_reference(case, checked_solves, monkeypatch):
     assert len(checked_solves) == solves
 
 
+def test_generated_loop_is_entered_once_per_solve(monkeypatch):
+    # the loop polishes the zeros of events inside it and returns only at a
+    # terminal event, at the end or on failure
+    loop, entries = _dp45._loop, []
+
+    def counted(*key):
+        advance = loop(*key)
+
+        def entered(*args):
+            entries.append(key)
+            return advance(*args)
+
+        return entered
+
+    monkeypatch.setattr(_dp45, "_loop", counted)
+    traj = solve_singular(ProblemParams(5, 1e6), 1.0).trajectory
+    assert len(entries) == 1
+    assert len(traj.unit_crossings) + len(traj.critical_points) == 635
+    entries.clear()
+    exponents.find_exponent(1, 1.0, 5, 6.0)
+    assert len(entries) == 7
+
+
 def test_event_functions_are_built_once_per_field_and_expression():
-    # each event's g(t, y) comes from one factory per field and expression:
-    # a second solve of equal declarations builds no new one
+    # each event's g on a step's interpolant comes from one factory per field
+    # and expression: a second solve of equal declarations builds no new one
     params, start = ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0)
     integrate_adaptive(params, start, 2.0)
     before = _dp45._event_factory.cache_info()
