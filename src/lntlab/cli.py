@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import shutil
 import sys
@@ -34,6 +35,7 @@ from .reports import FAIL, INFO, PASS, CheckRecord, ReportBundle
 from .shooting import branch_sample, shoot
 from .singular import (
     derivative_bound_check,
+    origin_scaled,
     solve_singular,
     solve_with_criticals,
     verify_origin_bounds,
@@ -422,11 +424,11 @@ def cmd_hardy(args, bundle, outdir: Path):
         )
     # built before any work: they check that every support is representable
     fjs = [hardy_test_function(j, args.eps0, args.N) for j in range(1, args.j_max + 1)]
+    # the origin series of c, in scaled form: no overflow at large theta
+    scaled = functools.partial(origin_scaled, c)
     rows = []
     for j, fj in enumerate(fjs, start=1):
-        # the solution is the origin series of c, which the
-        # spectral code evaluates in scaled form: no overflow at large theta
-        value = rayleigh_quotient(fj, c, params)
+        value = rayleigh_quotient(fj, scaled, params)
         rows.append((j, value))
         bundle.add(CheckRecord(
             name=f"hardy-negativity-j{j}",
@@ -437,7 +439,7 @@ def cmd_hardy(args, bundle, outdir: Path):
         # the operator's grid is the test function's own log-radius grid, and
         # its unknowns are the scaled samples y = r**nu phi
         sub = ProblemParams(args.N, args.p, R=fj.radii[-1])
-        op = assemble_operator(c, sub, fj.radii[0], len(fj.log_r) - 1)
+        op = assemble_operator(scaled, sub, fj.radii[0], len(fj.log_r) - 1)
         y = fj.scaled[1:]
         quad = (math.fsum(d * v * v for d, v in zip(op.form.diag, y))
                 + 2.0 * math.fsum(o * a * b for o, a, b in zip(op.form.offdiag, y, y[1:])))

@@ -41,6 +41,7 @@ __all__ = [
     "SeedWindow",
     "origin_series",
     "origin_profile",
+    "origin_scaled",
     "seed_window",
     "seed_at_origin",
     "solve_singular",
@@ -127,6 +128,17 @@ class SingularSolution(NamedTuple):
             du.append(b)
         return u, du
 
+    def scaled(self, radii) -> list[float]:
+        """u r**theta at a list of radii: :func:`origin_scaled` below the seed
+        radius, the trajectory's dense output times r**theta from there on."""
+        radii = list(radii)
+        if radii and not min(radii) > 0.0:
+            raise CoverageError(f"the singular solution covers r > 0, not r = {min(radii)}")
+        r0, theta = self.seed_radius, self.constants.theta
+        inner = iter(origin_scaled(self.constants, [r for r in radii if r < r0]))
+        outer = iter(self.trajectory.sample([r for r in radii if r >= r0])[0])
+        return [next(inner) if r < r0 else next(outer) * r**theta for r in radii]
+
 
 @functools.lru_cache(maxsize=64)
 def origin_series(c: DerivedConstants) -> tuple[float, ...]:
@@ -156,25 +168,33 @@ def origin_series(c: DerivedConstants) -> tuple[float, ...]:
     return tuple(coef)
 
 
-def origin_profile(c: DerivedConstants, radii) -> tuple[list[float], list[float]]:
-    """Scaled values (u r**theta, u' r**(theta+1)) of the origin series
-    summed through c_K, at the radii.
-
-    They tend to (A, -theta A) at the origin, where u itself overflows once
-    theta is large.
-    """
-    coef = origin_series(c)
-    terms = [(coef[k], coef[k] * (2.0 * k - c.theta)) for k in range(SERIES_ORDER, -1, -1)]
-    ts, dts = [], []
+def origin_scaled(c: DerivedConstants, radii) -> list[float]:
+    """u r**theta of the origin series summed through c_K at a list of radii:
+    it tends to A at the origin, where u overflows once theta is large."""
+    coef = origin_series(c)[SERIES_ORDER::-1]
+    ts = []
     for r in radii:
         s = r * r
-        t = dt = 0.0
-        for a, b in terms:
+        t = 0.0
+        for a in coef:
             t = t * s + a
-            dt = dt * s + b
         ts.append(c.A * t)
+    return ts
+
+
+def origin_profile(c: DerivedConstants, radii) -> tuple[list[float], list[float]]:
+    """(u r**theta, u' r**(theta+1)) of the origin series summed through c_K
+    at a list of radii, tending to (A, -theta A) at the origin."""
+    coef = origin_series(c)
+    terms = [coef[k] * (2.0 * k - c.theta) for k in range(SERIES_ORDER, -1, -1)]
+    dts = []
+    for r in radii:
+        s = r * r
+        dt = 0.0
+        for b in terms:
+            dt = dt * s + b
         dts.append(c.A * dt)
-    return ts, dts
+    return origin_scaled(c, radii), dts
 
 
 class SeedWindow(NamedTuple):

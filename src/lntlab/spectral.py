@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 from ._dp45 import Column, linspace
 from ._record import Frozen
-from .errors import ConvergenceFailure, CoverageError, ParameterError, PositivityError
-from .params import DerivedConstants, ProblemParams
-from .singular import WINDOW_SHRINK, SingularSolution, origin_profile
+from .errors import ConvergenceFailure, ParameterError, PositivityError
+from .params import ProblemParams
+from .singular import WINDOW_SHRINK, SingularSolution
 
 __all__ = [
     "TridiagonalForm",
@@ -108,41 +108,8 @@ class MorseScanResult(NamedTuple):
         return tuple(rep.negative_count for rep in self.reports)
 
 
-def _scaled_profile(u, p: float):
-    """Normalize the solution argument to a vectorized callable for the
-    scaled profile r -> u(r) r**theta, theta = 2/(p-1), and the radii it
-    covers (None: all). The solution is a ``SingularSolution``, the
-    ``DerivedConstants`` standing for their origin series, or a positive
-    constant.
-
-    The scaled profile tends to A at the origin, where u itself overflows
-    once theta is large. It maps a list of radii to a list of values.
-    """
-    theta = 2.0 / (p - 1.0)
-    if isinstance(u, DerivedConstants):
-        return lambda radii: origin_profile(u, radii)[0], None
-    if isinstance(u, SingularSolution):
-        # below the seed radius the solution is the origin series the run
-        # was seeded from
-        traj = u.trajectory
-        r0 = u.seed_radius
-
-        def scaled(radii):
-            inner = iter(origin_profile(u.constants, [r for r in radii if r < r0])[0])
-            outer = iter(traj.sample([r for r in radii if r >= r0])[0])
-            return [next(inner) if r < r0 else next(outer) * r**theta for r in radii]
-
-        return scaled, (0.0, traj.r_end)
-    if isinstance(u, (int, float)):
-        val = float(u)
-        if val <= 0:
-            raise PositivityError("constant solution must be positive")
-        return lambda radii: [val * r**theta for r in radii], None
-    raise ParameterError(f"unsupported solution object {type(u)!r}")
-
-
 def assemble_operator(
-    u,
+    scaled,
     params: ProblemParams,
     delta: float,
     grid_size: int,
@@ -160,6 +127,8 @@ def assemble_operator(
     stiffness; the node at delta is eliminated (Dirichlet) and the node at R
     carries a half cell (natural Neumann condition). ``grid_size`` counts
     intervals; unknowns are the ``grid_size`` nodes strictly above delta.
+    ``scaled`` maps a list of radii to the solution's u r**theta, theta =
+    2/(p-1), and raises CoverageError where the solution is not known.
     """
     if params.R is None:
         raise ParameterError("params.R is required to assemble the operator")
@@ -168,12 +137,6 @@ def assemble_operator(
         raise ParameterError(f"cutoff must satisfy 0 < delta < R, got {delta}")
     if grid_size < MIN_GRID_SIZE:
         raise ParameterError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
-    scaled, coverage = _scaled_profile(u, params.p)
-    if coverage is not None and not (coverage[0] <= delta and R <= coverage[1]):
-        raise CoverageError(
-            f"solution covers [{coverage[0]}, {coverage[1]}] but the "
-            f"eigenproblem needs [{delta}, {R}]"
-        )
     M = int(grid_size)
     s = linspace(math.log(delta), math.log(R), M + 1)
     h = s[1] - s[0]
@@ -340,7 +303,7 @@ def morse_scan(params: ProblemParams, sol, deltas) -> MorseScanResult:
                 raise ConvergenceFailure(
                     f"negative count did not stabilize under grid refinement at delta={delta}"
                 )
-            form = assemble_operator(sol, params, delta, size).form
+            form = assemble_operator(sol.scaled, params, delta, size).form
             count = negative_count(form)
             if count == prev_count:
                 break
@@ -394,7 +357,7 @@ def _q_r2(t: float, r: float, p: float) -> float:
     return p * t ** (p - 1.0) - r * r
 
 
-def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> float:
+def rayleigh_quotient(phi: SampledRadialFunction, scaled, params: ProblemParams) -> float:
     """Quadratic-form value integral of (phi'**2 - q phi**2) r**(N-1) dr.
 
     Composite trapezoid on the sample grid in log-radius; the surface-area
@@ -404,17 +367,11 @@ def rayleigh_quotient(phi: SampledRadialFunction, u, params: ProblemParams) -> f
         (dy/ds - nu y)**2 - (q r**2) y**2,
 
     which stays order one even when the support sits at radii where phi
-    itself would overflow.
+    itself would overflow; ``scaled`` is as for :func:`assemble_operator`.
     """
     if phi.N != params.N:
         raise ParameterError("test function and problem dimension disagree")
-    scaled, coverage = _scaled_profile(u, params.p)
     r = phi.radii
-    if coverage is not None and not (coverage[0] <= r[0] and r[-1] <= coverage[1]):
-        raise CoverageError(
-            f"solution covers [{coverage[0]}, {coverage[1]}] but the test "
-            f"function is supported on [{r[0]}, {r[-1]}]"
-        )
     nu = phi.nu
     f = [(dy - nu * y) * (dy - nu * y) - _q_r2(t, x, params.p) * (y * y)
          for y, dy, t, x in zip(phi.scaled, phi.scaled_d, scaled(r), r)]
@@ -474,7 +431,8 @@ def potential_threshold_check(sol: SingularSolution) -> ThresholdReport:
     params = sol.params
     c = sol.constants
     r = sol.lemma.rtilde_p / WINDOW_SHRINK
-    limit_computed = _q_r2(sol.sample(r)[0][0] * r**c.theta, r, params.p)
+    # from the scaled profile: u itself overflows at large theta
+    limit_computed = _q_r2(sol.scaled([r])[0], r, params.p)
     limit_closed = params.p * c.theta * (params.N - 2.0 - c.theta)
     hardy = 0.25 * (params.N - 2.0) ** 2
     margin = limit_closed - hardy

@@ -15,6 +15,11 @@ def record_verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def constant_profile(v: float, p: float):
+    """Scaled profile of the constant solution u = v: r -> v r**theta."""
+    return lambda radii: [v * r ** (2.0 / (p - 1.0)) for r in radii]
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")

@@ -12,13 +12,14 @@ refinement, direct subtraction where that resolves, and the decay rate.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from conftest import record_verdict
+from conftest import constant_profile, record_verdict
 from lntlab import (
     ProblemParams,
     asymptotic_limits,
@@ -38,6 +39,7 @@ from lntlab import (
     solve_singular,
     verify_origin_bounds,
 )
+from lntlab.singular import origin_scaled
 from lntlab.spectral import TailClass, TridiagonalForm, assemble_operator
 
 # r_p * sqrt(p) at N=5 recorded from the first reference run (rtol=1e-12)
@@ -242,7 +244,7 @@ def test_c09_morse_dichotomy():
 def test_c10_hardy_certificates():
     t0 = time.time()
     params = ProblemParams(5, 10.0)
-    prof = derive_constants(params)  # stands for its origin series
+    prof = partial(origin_scaled, derive_constants(params))
     eps0 = 1.0
     ok = True
     for j in range(1, 6):
@@ -283,7 +285,8 @@ def test_c11_inertia_oracle():
 def test_c12_constant_solution_morse_oracle():
     t0 = time.time()
     params = ProblemParams(3, 5.0, R=1.0)
-    form = assemble_operator(1.0, params, delta=1e-3, grid_size=4096).form
+    form = assemble_operator(constant_profile(1.0, params.p), params, delta=1e-3,
+                             grid_size=4096).form
     count = negative_count(form)
     # first nonzero radial Neumann eigenvalue on the unit ball: tan k = k
     k1 = brentq(lambda k: math.tan(k) - k, math.pi + 0.1, 1.5 * math.pi - 1e-9,

@@ -1,4 +1,5 @@
 
+import math
 from array import array
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from lntlab import (
+    CoverageError,
     DegenerateEventError,
     EventError,
     IntegrationError,
@@ -211,6 +213,29 @@ def test_series_state_at_window_edge_matches_dop853(N, p):
     seed = seed_at_origin(window, rtilde_p)
     assert seed.u == pytest.approx(ref.y[0, -1], rel=1e-11)
     assert seed.du == pytest.approx(ref.y[1, -1], rel=1e-11)
+
+
+@pytest.mark.parametrize("N, p", _SERIES_GRID)
+def test_origin_profile_values_are_origin_scaled(N, p):
+    c = derive_constants(ProblemParams(N, p))
+    radii = [lemma_constants(c).rtilde_p * 2.0**-k for k in range(8)]
+    assert singular.origin_profile(c, radii)[0] == singular.origin_scaled(c, radii)
+
+
+def test_scaled_profile_straddles_the_seed(sing_5_20):
+    # the origin series below the seed radius, the trajectory from the seed
+    # on, in the order the radii come
+    sol = sing_5_20
+    c, r0, r_end = sol.constants, sol.seed_radius, sol.trajectory.r_end
+    radii = [r0 / 2.0, r0, r0 / 8.0, 3.0, r_end, r0 * (1.0 - 1e-12), 1.0]
+    for r, t in zip(radii, sol.scaled(radii)):
+        if r < r0:
+            assert t == singular.origin_scaled(c, [r])[0]
+        else:
+            assert t == sol.trajectory.sample([r])[0][0] * r**c.theta
+    for bad in (math.nextafter(r_end * (1.0 + 1e-14), math.inf), 0.0, -1.0):
+        with pytest.raises(CoverageError):
+            sol.scaled([1.0, bad])
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 1e-13])

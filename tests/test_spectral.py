@@ -1,6 +1,7 @@
 import math
 import sys
 from array import array
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
+from conftest import constant_profile
 from lntlab import (
     ConvergenceFailure,
     CoverageError,
@@ -26,6 +28,7 @@ from lntlab import (
 from lntlab import spectral
 from lntlab.spectral import SampledRadialFunction, TailClass, TridiagonalForm
 from lntlab.params import derive_constants
+from lntlab.singular import origin_scaled
 
 
 def radial_neumann_mu1():
@@ -48,7 +51,8 @@ def test_single_node_form_is_diagonal():
 
 def test_constant_solution_potential_and_lowest_mode():
     params = ProblemParams(3, 5.0, R=1.0)
-    form = assemble_operator(1.0, params, delta=1e-3, grid_size=2048).form
+    form = assemble_operator(constant_profile(1.0, params.p), params, delta=1e-3,
+                             grid_size=2048).form
     evs = smallest_eigenvalues(form, 2)
     assert evs[0] == pytest.approx(1.0 - 5.0, abs=5e-3)
     mu1 = radial_neumann_mu1()
@@ -59,14 +63,16 @@ def test_constant_solution_potential_and_lowest_mode():
 def test_constant_solution_count_at_least_one():
     for p in (2.5, 5.0, 11.0):
         params = ProblemParams(3, max(p, 5.0), R=1.0)
-        op = assemble_operator(1.0, params, delta=1e-3, grid_size=512)
+        op = assemble_operator(constant_profile(1.0, params.p), params, delta=1e-3,
+                               grid_size=512)
         assert negative_count(op.form) >= 1
 
 
 def test_negative_potential_makes_form_positive():
     # q = -1 turns the operator into -Lap + 1, whose form is positive
     params = ProblemParams(3, 5.0, R=1.0)
-    form = assemble_operator(1.0, params, delta=1e-2, grid_size=256).form
+    form = assemble_operator(constant_profile(1.0, params.p), params, delta=1e-2,
+                             grid_size=256).form
     # replace q = p - 1 by q = -1: the diagonal gains (q_old + 1) * mass
     q_old = params.p - 1.0
     lifted = TridiagonalForm(
@@ -112,7 +118,8 @@ def test_eigenvalue_grid_convergence_second_order():
     params = ProblemParams(3, 5.0, R=1.0)
     vals = {}
     for M in (256, 512, 1024, 2048):
-        op = assemble_operator(1.0, params, delta=1e-2, grid_size=M)
+        op = assemble_operator(constant_profile(1.0, params.p), params, delta=1e-2,
+                               grid_size=M)
         vals[M] = smallest_eigenvalues(op.form, 2)[1]
     d1 = abs(vals[256] - vals[512])
     d2 = abs(vals[512] - vals[1024])
@@ -139,7 +146,7 @@ def _oracle_forms():
         params = ProblemParams(N, p, R=1.0)
         sol = solve_singular(params, r_end=1.05)
         for delta in deltas:
-            yield assemble_operator(sol, params, delta, 2048).form, 3
+            yield assemble_operator(sol.scaled, params, delta, 2048).form, 3
     rng = np.random.default_rng(1312)  # the random tridiagonals of C11
     for _ in range(50):
         n = int(rng.integers(2, 201))
@@ -187,7 +194,7 @@ def test_eigenvalues_certified_at_deepest_cutoff(N, p):
     # which a pivot floor scaled by them turns into wrong eigenvalues
     params = ProblemParams(N, p, R=1.0)
     sol = solve_singular(params, r_end=1.05)
-    form = assemble_operator(sol, params, spectral.MIN_CUTOFF, 2048).form
+    form = assemble_operator(sol.scaled, params, spectral.MIN_CUTOFF, 2048).form
     for j, lam in enumerate(smallest_eigenvalues(form, 3)):
         assert _mp_count_below(form, lam - 1e-9 * abs(lam)) == j
         assert _mp_count_below(form, lam + 1e-9 * abs(lam)) == j + 1
@@ -232,18 +239,19 @@ def test_form_from_lists_validates_like_arrays():
 
 def test_assemble_validation():
     params = ProblemParams(3, 5.0, R=1.0)
+    one = constant_profile(1.0, 5.0)
     with pytest.raises(ParameterError):
-        assemble_operator(1.0, params, delta=2.0, grid_size=256)
+        assemble_operator(one, params, delta=2.0, grid_size=256)
     with pytest.raises(ParameterError):
-        assemble_operator(1.0, params, delta=1e-2, grid_size=16)
+        assemble_operator(one, params, delta=1e-2, grid_size=16)
     with pytest.raises(ParameterError):
-        assemble_operator(1.0, ProblemParams(3, 5.0), delta=1e-2, grid_size=256)
+        assemble_operator(one, ProblemParams(3, 5.0), delta=1e-2, grid_size=256)
 
 
 def test_assemble_coverage_error(sing_5_20):
     params = ProblemParams(5, 20.0, R=10.0)
     with pytest.raises(CoverageError):
-        assemble_operator(sing_5_20, params, delta=1e-2, grid_size=256)
+        assemble_operator(sing_5_20.scaled, params, delta=1e-2, grid_size=256)
 
 
 def test_courant_monotonicity_in_cutoff():
@@ -343,7 +351,7 @@ def test_rayleigh_zero_function():
     s = np.linspace(-3.0, -1.0, 300)
     zero = SampledRadialFunction(N=5, log_r=s, scaled=np.zeros_like(s),
                                  scaled_d=np.zeros_like(s))
-    assert rayleigh_quotient(zero, 1.0, ProblemParams(5, 10.0)) == 0.0
+    assert rayleigh_quotient(zero, constant_profile(1.0, 10.0), ProblemParams(5, 10.0)) == 0.0
 
 
 def test_rayleigh_constant_function_on_constant_solution():
@@ -356,14 +364,14 @@ def test_rayleigh_constant_function_on_constant_solution():
     nu = 0.5 * (N - 2.0)
     y = 2.0 * np.exp(nu * s)
     phi = SampledRadialFunction(N=N, log_r=s, scaled=y, scaled_d=nu * y)
-    got = rayleigh_quotient(phi, 1.0, params)
+    got = rayleigh_quotient(phi, constant_profile(1.0, p), params)
     want = -(p - 1.0) * 4.0 * (R**N - delta**N) / N
     assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_rayleigh_negative_on_hardy_functions():
     params = ProblemParams(5, 10.0)
-    prof = derive_constants(params)  # stands for its origin series
+    prof = partial(origin_scaled, derive_constants(params))
     vals = [rayleigh_quotient(hardy_test_function(j, 0.35, 5), prof, params)
             for j in (1, 3, 5)]
     assert all(v < 0.0 for v in vals)
@@ -378,31 +386,28 @@ def test_rayleigh_coverage_error(sing_5_20):
     s = np.linspace(math.log(4.0), math.log(6.0), 300)
     beyond = SampledRadialFunction(N=5, log_r=s, scaled=np.sin(s), scaled_d=np.cos(s))
     with pytest.raises(CoverageError):
-        rayleigh_quotient(beyond, sing_5_20, params)
-    # a bare trajectory is not a solution the spectral code takes
-    fj = hardy_test_function(1, 0.35, 5)
-    with pytest.raises(ParameterError):
-        rayleigh_quotient(fj, sing_5_20.trajectory, params)
+        rayleigh_quotient(beyond, sing_5_20.scaled, params)
     # below the seed radius the solution is its origin series
+    fj = hardy_test_function(1, 0.35, 5)
     assert fj.radii[-1] < sing_5_20.seed_radius
-    assert (rayleigh_quotient(fj, sing_5_20, params)
-            == rayleigh_quotient(fj, sing_5_20.constants, params))
+    assert (rayleigh_quotient(fj, sing_5_20.scaled, params)
+            == rayleigh_quotient(fj, partial(origin_scaled, sing_5_20.constants), params))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_origin_expansion_at_large_theta():
     # theta = 6.7, so A r**(-theta) overflows on the support of f_5 (r ~ 1e-47);
-    # constants stand for their origin expansion, evaluated in scaled form,
-    # and the scale-invariant value is the same on every support
+    # the origin expansion is evaluated in scaled form, and the
+    # scale-invariant value is the same on every support
     params = ProblemParams(30, 1.3)
-    c = derive_constants(params)
-    vals = [rayleigh_quotient(hardy_test_function(j, 0.35, 30), c, params) for j in (1, 5)]
+    prof = partial(origin_scaled, derive_constants(params))
+    vals = [rayleigh_quotient(hardy_test_function(j, 0.35, 30), prof, params) for j in (1, 5)]
     assert vals[1] == pytest.approx(vals[0], rel=1e-6)
 
 
 def test_discrete_projection_stays_negative():
     params = ProblemParams(5, 10.0)
-    prof = derive_constants(params)  # stands for its origin series
+    prof = partial(origin_scaled, derive_constants(params))
     fj = hardy_test_function(1, 1.0, 5)
     r = fj.radii
     sub = ProblemParams(5, 10.0, R=float(r[-1]))
@@ -442,3 +447,13 @@ def test_potential_threshold_sides():
     assert rep.limit_closed_form == pytest.approx(27.0, rel=1e-12)
     assert rep.side == "above" and rep.passed
     assert rep.limit_computed == pytest.approx(rep.limit_closed_form, rel=1e-3)
+
+
+def test_potential_threshold_at_large_theta():
+    # theta = 100: u = t r**(-theta) overflows at the inner window edge, so
+    # the limit is read from the scaled profile
+    sol = solve_singular(ProblemParams(300, 1.02), 5.0)
+    rep = potential_threshold_check(sol)
+    assert rep.limit_closed_form == pytest.approx(20196.0, rel=1e-12)
+    assert rep.limit_computed == pytest.approx(rep.limit_closed_form, rel=1e-6)
+    assert rep.side == "below" and rep.passed

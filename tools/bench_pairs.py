@@ -15,8 +15,10 @@ median and quartiles, the pairs each side won (ties count for neither), and
 the verdict of the paired rule: the change is ``better`` when it wins at
 least nine tenths of the pairs and the medians differ by more than the
 distance between the parent's quartiles, ``worse`` when the parent does, and
-``level`` otherwise. Progress goes to standard error. Only the standard
-library is used.
+``level`` otherwise; and the no-regression rule: the metric's ``bound`` from
+BENCHMARK.json and ``within_bound``, true when the change's median is worse
+than the parent's by no more than that fraction of the parent's median.
+Progress goes to standard error. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ def _side(runs: list[float]) -> dict:
     return {"median": statistics.median(runs), "q1": q1, "q3": q3}
 
 
-def compare(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
-    """The paired rule on one metric, from the two sides' runs in pair order."""
+def compare(parent: list[float], change: list[float], lower_is_better: bool,
+            bound: float) -> dict:
+    """The paired rule and the no-regression rule on one metric, from the two
+    sides' runs in pair order; ``bound`` is the fraction of the parent's
+    median by which the change's median may be worse."""
     sign = 1.0 if lower_is_better else -1.0
     gains = [sign * (a - b) for a, b in zip(parent, change)]
     won = sum(g > 0 for g in gains)
@@ -68,7 +73,9 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool) -> 
         verdict = "better"
     elif 10 * lost >= 9 * len(gains) and -gap > spread:
         verdict = "worse"
-    return {**sides, "ratio": sides["change"]["median"] / sides["parent"]["median"],
+    ratio = sides["change"]["median"] / sides["parent"]["median"]
+    within = ratio <= 1.0 + bound if lower_is_better else ratio >= 1.0 - bound
+    return {**sides, "ratio": ratio, "bound": bound, "within_bound": within,
             "change_won": won, "parent_won": lost, "pairs": len(gains),
             "parent_quartile_distance": spread, "verdict": verdict,
             "parent_runs": parent, "change_runs": change}
@@ -106,7 +113,7 @@ def main(argv=None) -> int:
                 values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
                           for side in runs}
                 metrics[m["name"]] = compare(values["parent"], values["change"],
-                                             m["better"] == "lower")
+                                             m["better"] == "lower", m["bound"])
             result["workloads"][workload] = {
                 "seeds": list(range(args.seed, args.seed + args.pairs)),
                 "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
