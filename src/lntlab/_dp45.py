@@ -8,12 +8,12 @@ in its names. One stepping loop is generated from the tableau per field and
 event set, and compiled on its first solve (:func:`_loop`): it writes the
 field's rates into every stage and the events after every step, so an
 accepted step makes no Python function call. After a step over which an
-event changes sign it hands the step to :func:`solve`'s polishing routine,
-which finds the zero by Brent's method on the event written out on the
-step's quartic (:func:`_event_factory`); the loop returns only at a
-terminal event, at the end, or on failure. On a 2-vCPU VM a step of the
-radial equation costs about 3.6 us in the loop, and 5 us with three events
-and their zeros, one per ten steps.
+event crosses zero (:class:`Event`) it hands the step to :func:`solve`'s
+polishing routine, which finds the zero by Brent's method on the event
+written out on the step's quartic (:func:`_event_factory`); the loop
+returns only at a terminal event, at the end, or on failure. On a 2-vCPU VM
+a step of the radial equation costs about 3.6 us in the loop, and 5 us with
+three events and their zeros, one per ten steps.
 """
 
 from __future__ import annotations
@@ -273,11 +273,12 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     stages, polish, *consts)``: the stepping loop of ``field`` with the events
     ``exprs``, which may rise and fall through zero as ``scan`` says. It steps
     from state y at t with slope f and appends each accepted step to the
-    arrays. After a step over which an event changed sign it calls
-    ``polish(before, after)`` with the event values at the step's ends, and
-    returns if that is true ("event"); it also returns at t_end
-    ("finished"), below the minimum step ("min_step") or after max_steps
-    steps ("budget"): the reason and the accepted and rejected steps. Each
+    arrays. After a step over which an event crossed zero it calls
+    ``polish(before, after, crossed)`` with the event values at the step's
+    ends and, per event, whether it crossed, and returns if that is true
+    ("event"); it also returns at t_end ("finished"), below the minimum step
+    ("min_step") or after max_steps steps ("budget"): the reason and the
+    accepted and rejected steps. Each
     component's stage sums are written out term by term in tableau order, so
     they round as ``v + (A21 a + ...) h`` would.
     """
@@ -309,9 +310,11 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     trial += ["try:", f"    _err = _sqrt({terms}) / {math.sqrt(n)!r}",
               "except ZeroDivisionError:  # zero scale: the error cannot be controlled",
               "    _err = _inf"]
-    crossed = " or ".join(
-        c for j, (rise, fall) in enumerate(scan)
-        for c, on in ((f"_o{j} <= 0.0 <= _e{j}", rise), (f"_o{j} >= 0.0 >= _e{j}", fall)) if on)
+    # the crossing rule (see Event), per event
+    flags = [" or ".join(c for c, on in ((f"_o{j} < 0.0 <= _e{j}", rise),
+                                         (f"_o{j} > 0.0 >= _e{j}", fall)) if on)
+             for j, (rise, fall) in enumerate(scan)]
+    crossed = " or ".join(flags)
     # the event values at the current state
     events = [f"{field.t} = _t", *_assign(field.state, y),
               *(f"_e{j} = {expr}" for j, expr in enumerate(exprs))]
@@ -360,7 +363,7 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         "        _ts.append(_t)",
         f"        _ys.fromlist([{', '.join(y)}])",
         *(f"        {s}" for s in events),
-        *([f"        if ({crossed}) and _polish({old}, {new}):",
+        *([f"        if ({crossed}) and _polish({old}, {new}, {_tuple(flags)}):",
            "            return 'event', _n_accepted, _n_rejected"] if crossed else []),
         f"        {old} = {new}",
         "        if _t >= _t_end:",
@@ -370,8 +373,13 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
 
 class Event(NamedTuple):
     """Event expression g in the names of a :class:`Field`; a zero of g is
-    recorded when g changes sign over a step in ``direction`` (0: either
-    way), and the run stops at the ``terminal``-th such zero (0: never)."""
+    recorded when g crosses zero over a step in ``direction`` (0: either
+    way), and the run stops at the ``terminal``-th such zero (0: never).
+
+    g crosses zero over a step if it is nonzero at the step's start and zero
+    or past zero at its end: a zero on a step end is recorded once, by the
+    step that reaches it, and a g that sits at zero never crosses. Only the
+    generated loop applies this rule (:func:`_loop`)."""
 
     expr: str
     direction: float = 0.0
@@ -410,13 +418,14 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     ``OverflowError`` is rejected as one with an infinite error norm, as
     scipy's overflowing stages are. A run also fails once it has taken
     ``MAX_STEPS`` steps without reaching t_end. The generated loop runs the
-    whole integration: after a step over which an event changes sign it
-    calls ``polish``, which locates each zero by Brent's method on the
-    step's quartic interpolant and records whether g rose across the step;
-    where the interpolant's end values miss the sign change that g shows at
-    the accepted states, the search takes those values at the step's ends.
-    At the zero that ends the run, ``polish`` cuts the last step there and
-    the loop returns.
+    whole integration: after a step over which an event crosses zero (as
+    :class:`Event` says; scipy's rule differs only at an exact zero) it
+    calls ``polish`` with the events that crossed, which locates each zero
+    by Brent's method on the step's quartic interpolant and records whether
+    g rose across the step; where the interpolant's end values miss the sign
+    change that g shows at the accepted states, the search takes those
+    values at the step's ends. At the zero that ends the run, ``polish``
+    cuts the last step there and the loop returns.
     """
     if not t_end > t0:
         raise ParameterError(f"integration runs forward: t_end={t_end} must exceed t0={t0}")
@@ -437,12 +446,10 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     dense = Dense(n, ts, hs, ys, stages)
     t_events, rises = [[] for _ in events], [[] for _ in events]
 
-    def polish(before, after):
-        # the zeros of the events that changed sign over the last step, which
+    def polish(before, after, crossed):
+        # the zeros of the events that crossed zero over the last step, which
         # the arrays end with; true if one of them ends the run
-        active = [j for j, (rise, fall) in enumerate(scan)
-                  if (rise and before[j] <= 0 <= after[j])
-                  or (fall and before[j] >= 0 >= after[j])]
+        active = [j for j, x in enumerate(crossed) if x]
         t_old, t, roots = ts[-2], ts[-1], {}
         for j in active:
             g = at[j](t_old, hs[-1], ys[-2 * n:-n], stages[-7 * n:])

@@ -7,7 +7,7 @@ integrations run the in-house Dormand-Prince 5(4) stepper of
 :mod:`lntlab._dp45` on tuples of floats, which follows the step rules of
 scipy's RK45 and so takes the same steps; its dense output is one piecewise
 quartic. Unit crossings (u = 1) and critical points (u' = 0) are located by
-Brent's method on the interpolant of the step where they change sign and
+Brent's method on the interpolant of the step that reaches them and
 recorded on the trajectory together with the energy trace and the solver
 counters; a critical point is a minimum where u' rises through zero, and a
 run can stop at the i-th critical point.
@@ -138,11 +138,9 @@ class RadialTrajectory:
         return self.r_start <= lo and hi <= self.r_end
 
     def sample(self, radii) -> tuple[Column, Column]:
-        """Dense-output values (u, u') at the requested radii (a float or
-        floats)."""
-        radii = [radii] if isinstance(radii, (int, float)) else list(radii)
+        """Dense-output values (u, u') at a list of radii."""
         lo, hi = self.r_start, self.r_end
-        if radii and (min(radii) < lo - 1e-14 * lo or max(radii) > hi * (1 + 1e-14)):
+        if len(radii) and (min(radii) < lo - 1e-14 * lo or max(radii) > hi * (1 + 1e-14)):
             raise CoverageError(
                 f"requested radii [{min(radii)}, {max(radii)}] outside "
                 f"trajectory range [{lo}, {hi}]"
@@ -222,12 +220,6 @@ def _constants(params: ProblemParams, rtol: float) -> dict:
             "floor": sys.float_info.min / rtol}
 
 
-def _distinct(values: list[float]) -> list[bool]:
-    """Which increasing event radii to keep: not one that repeats the
-    previous one (a zero on a step end is found by both steps)."""
-    return [True] + [b - a > 1e-13 * abs(b) for a, b in zip(values, values[1:])]
-
-
 def integrate_adaptive(
     params: ProblemParams,
     start: RadialState,
@@ -241,9 +233,11 @@ def integrate_adaptive(
 
     Uses the Dormand-Prince 5(4) pair with adaptive error control and dense
     output. Unit crossings and critical points are root-polished on each
-    step's interpolant and recorded in increasing order, and
+    step's interpolant and recorded in increasing order, each once, and
     ``stop_at_critical = i`` ends the run at the i-th critical point;
     reaching u = 0 truncates the run and marks the trajectory nonpositive.
+    The equilibrium u = 1 needs no special case: its field is 0, so each
+    step is ten times the last and every sample is exactly (1, 0).
 
     Raises
     ------
@@ -258,22 +252,6 @@ def integrate_adaptive(
         raise ParameterError(f"r_end={r_end} must exceed the start radius {start.r}")
     if stop_at_critical is not None and not stop_at_critical >= 1:
         raise ParameterError(f"stop_at_critical={stop_at_critical} needs an index >= 1")
-
-    if start.u == 1.0 and start.du == 0.0:
-        # constant equilibrium: nothing to integrate
-        r = Column([start.r, r_end])
-        return RadialTrajectory(
-            params=params,
-            r=r,
-            u=Column([1.0, 1.0]),
-            du=Column([0.0, 0.0]),
-            unit_crossings=Column(),
-            critical_points=Column(),
-            critical_kinds=(),
-            rtol=rtol,
-            atol=atol,
-            dense=_dp45.Dense(2, r, [r_end - start.r], [1.0, 0.0], [0.0] * 14),
-        )
 
     events = (
         _dp45.Event("u - 1.0"),
@@ -298,11 +276,6 @@ def integrate_adaptive(
 
 
 def _build_trajectory(params, run, rtol, atol, status, message):
-    unit = run.t_events[0]
-    keep = _distinct(run.t_events[1])
-    crit = [t for t, k in zip(run.t_events[1], keep) if k]
-    kinds = tuple(PointKind.MIN if up else PointKind.MAX
-                  for up, k in zip(run.rises[1], keep) if k)
     tr, u, du = run.t, run.y[0::2], run.y[1::2]
     # the terminal floor event can leave a final sample with u <= 0; clip it
     if u and u[-1] <= 0.0:
@@ -313,9 +286,9 @@ def _build_trajectory(params, run, rtol, atol, status, message):
         r=Column(tr),
         u=Column(u),
         du=Column(du),
-        unit_crossings=Column(t for t, k in zip(unit, _distinct(unit)) if k),
-        critical_points=Column(crit),
-        critical_kinds=kinds,
+        unit_crossings=Column(run.t_events[0]),
+        critical_points=Column(run.t_events[1]),
+        critical_kinds=tuple(PointKind.MIN if up else PointKind.MAX for up in run.rises[1]),
         rtol=rtol,
         atol=atol,
         status=status,

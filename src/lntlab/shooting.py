@@ -103,17 +103,15 @@ def shoot(
 ) -> ShootingResult:
     """Integrate the regular initial-value problem out to r_end.
 
-    gamma = 1 returns the constant equilibrium. A shot that reaches u = 0 is
-    returned with its trajectory marked nonpositive rather than raised, since
-    some (gamma, p) genuinely leave the positive cone. ``stop_at_critical = i``
-    ends the shot at its i-th critical point if that comes before r_end.
+    gamma = 1, the constant equilibrium, starts like any shot and stays at
+    (1, 0). A shot that reaches u = 0 is returned with its trajectory marked
+    nonpositive rather than raised, since some (gamma, p) genuinely leave the
+    positive cone. ``stop_at_critical = i`` ends the shot at its i-th
+    critical point if that comes before r_end.
     """
     if not (gamma > 0):
         raise ParameterError(f"initial value must be positive, got gamma={gamma}")
-    if gamma == 1.0:
-        start = RadialState(r=1e-6 * r_end, u=1.0, du=0.0)
-    else:
-        start = _taylor_start(gamma, params, r_end, rtol, atol)
+    start = _taylor_start(gamma, params, r_end, rtol, atol)
     traj = integrate_adaptive(params, start, r_end, rtol, atol,
                               stop_at_critical=stop_at_critical)
     return ShootingResult(
@@ -178,7 +176,7 @@ def convergence_to_singular(
     if not singular.trajectory.covers(a, b):
         raise ParameterError("singular solution does not cover the interval")
     grid = linspace(a, b, 2048)
-    u_ref, _ = singular.sample(grid)
+    u_ref, _ = singular.trajectory.sample(grid)
     atol_ref = max(atol, singular.trajectory.atol)
     rtol_ref = max(rtol, singular.trajectory.rtol)
     budget = [10.0 * (atol_ref + rtol_ref * abs(v)) for v in u_ref]

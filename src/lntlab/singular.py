@@ -109,24 +109,20 @@ class SingularSolution(NamedTuple):
     r_p: float | None
     critical_radii: CriticalRadii
 
-    def sample(self, radii) -> tuple[Column, Column]:
-        """(u, u') at the requested radii (a float or floats): the origin
-        series the run was seeded from below the seed radius, the
-        trajectory's dense output from there on."""
-        radii = [radii] if isinstance(radii, (int, float)) else list(radii)
+    def profile(self, radii) -> tuple[list[float], list[float]]:
+        """(u r**theta, u' r**(theta+1)) at a list of radii, finite where u
+        overflows: :func:`origin_profile` below the seed radius, the
+        trajectory's dense output times (r**theta, r**(theta+1)) from there on."""
+        radii = list(radii)
         if radii and not min(radii) > 0.0:
             raise CoverageError(f"the singular solution covers r > 0, not r = {min(radii)}")
         r0, theta = self.seed_radius, self.constants.theta
-        below = [r for r in radii if r < r0]
-        inner = iter([(t * r**-theta, dt * r ** (-theta - 1.0))
-                      for t, dt, r in zip(*origin_profile(self.constants, below), below)])
-        outer = zip(*self.trajectory.sample([r for r in radii if r >= r0]))
-        u, du = Column(), Column()
-        for r in radii:
-            a, b = next(inner) if r < r0 else next(outer)
-            u.append(a)
-            du.append(b)
-        return u, du
+        inner = zip(*origin_profile(self.constants, [r for r in radii if r < r0]))
+        above = [r for r in radii if r >= r0]
+        outer = ((u * r**theta, du * r ** (theta + 1.0))
+                 for r, u, du in zip(above, *self.trajectory.sample(above)))
+        pairs = [next(inner) if r < r0 else next(outer) for r in radii]
+        return [t for t, _ in pairs], [dt for _, dt in pairs]
 
     def scaled(self, radii) -> list[float]:
         """u r**theta at a list of radii: :func:`origin_scaled` below the seed
@@ -356,18 +352,16 @@ def verify_origin_bounds(sol: SingularSolution, tol: float | None = None) -> Ori
     """Check A r**(-theta) <= u <= A r**(-theta)(1 + Dp r**2) on the window.
 
     Margins are relative and evaluated at 64 log-spaced radii of
-    [rtilde_p / WINDOW_SHRINK, rtilde_p]. The default tolerance is 10x the
-    integrator tolerance.
+    [rtilde_p / WINDOW_SHRINK, rtilde_p], on the profile u r**theta. The
+    default tolerance is 10x the integrator tolerance.
     """
     c = sol.constants
     if tol is None:
         tol = 10.0 * max(sol.trajectory.rtol, sol.trajectory.atol)
     radii = _window(sol)
-    u, _ = sol.sample(radii)
-    lower = [c.A * r**-c.theta for r in radii]
-    upper = [lo * (1.0 + c.Dp * r * r) for lo, r in zip(lower, radii)]
-    lower_margin = min((v - lo) / lo for v, lo in zip(u, lower))
-    upper_margin = max((v - up) / up for v, up in zip(u, upper))
+    ts, _ = sol.profile(radii)
+    lower_margin = min(t / c.A - 1.0 for t in ts)
+    upper_margin = max(t / (c.A * (1.0 + c.Dp * r * r)) - 1.0 for t, r in zip(ts, radii))
     passed = lower_margin >= -tol and upper_margin <= tol
     return OriginBoundsReport(
         lower_margin=lower_margin,
@@ -388,13 +382,13 @@ class DerivativeBoundReport(NamedTuple):
 
 def derivative_bound_check(sol: SingularSolution) -> DerivativeBoundReport:
     """Evaluate the derivative-decay quantities at 64 log-spaced radii of
-    [rtilde_p / WINDOW_SHRINK, rtilde_p]."""
+    [rtilde_p / WINDOW_SHRINK, rtilde_p], the ratio on the profile
+    u' r**(theta+1)."""
     c = sol.constants
     radii = _window(sol)
-    _, du = sol.sample(radii)
-    ratio = max(abs(d + c.theta * c.A * r ** (-1.0 - c.theta)) / r ** (1.0 - c.theta)
-                for d, r in zip(du, radii))
-    u_rt, du_rt = sol.sample(sol.lemma.rtilde_p)
+    _, dts = sol.profile(radii)
+    ratio = max(abs(dt + c.theta * c.A) / (r * r) for dt, r in zip(dts, radii))
+    u_rt, du_rt = sol.trajectory.sample([sol.lemma.rtilde_p])
     return DerivativeBoundReport(
         du_at_rtilde=du_rt[0],
         du_scaled=abs(du_rt[0]) * math.sqrt(sol.params.p),

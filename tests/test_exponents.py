@@ -5,6 +5,7 @@ import pytest
 
 from lntlab import (
     BracketError,
+    EventError,
     ParameterError,
     ProblemParams,
     find_exponent,
@@ -205,6 +206,40 @@ def test_find_exponent_solves_each_power_once(monkeypatch):
     assert sol.p_i == pytest.approx(REF_P_5[1], rel=1e-10)
     assert len(keys) == len(set(keys))
     assert (sol.p_i, 1e-10, 1e-12) in keys
+
+
+def _miscounted(monkeypatch, at_rtol=None):
+    """Patches the solves to show one unit crossing too many, at the
+    tolerance ``at_rtol`` only or, if None, at every tolerance; the bracket
+    search reads only the radii, which stay as they were."""
+    helper = exponents._critical_radius_and_crossings
+
+    def miscounted(params, i, rtol, atol):
+        radius, crossings = helper(params, i, rtol, atol)
+        if at_rtol is None or rtol == at_rtol:
+            crossings += 1
+        return radius, crossings
+
+    monkeypatch.setattr(exponents, "_critical_radius_and_crossings", miscounted)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_find_exponent_retries_a_crossing_mismatch(i, monkeypatch):
+    # a count that disagrees at rtol is solved again at rtol / 10 before the
+    # solution is accepted: the same power, one solve more
+    clean = find_exponent(i, 1.0, 5, p_lo=6.0)
+    _miscounted(monkeypatch, at_rtol=1e-10)
+    sol = find_exponent(i, 1.0, 5, p_lo=6.0)
+    assert sol.p_i == clean.p_i and sol.bracket == clean.bracket
+    assert sol.solves == clean.solves + 1
+    assert sol.crossings == i
+    assert sol.residual < 1e-6
+
+
+def test_find_exponent_fails_a_mismatch_that_persists(monkeypatch):
+    _miscounted(monkeypatch)
+    with pytest.raises(EventError, match="after retry"):
+        find_exponent(1, 1.0, 5, p_lo=6.0)
 
 
 def test_find_exponent_round_counters(monkeypatch):

@@ -58,10 +58,14 @@ def test_energy_equilibrium_values():
 def test_integrate_equilibrium_stays_constant():
     params = ProblemParams(5, 20.0)
     traj = integrate_adaptive(params, RadialState(0.1, 1.0, 0.0), 3.0)
+    # it runs through the stepper like any start: the field is exactly 0, so
+    # no event crosses zero and every step is ten times the last
+    assert traj.n_accepted > 0 and traj.status == "ok"
     assert traj.unit_crossings.size == 0
     assert traj.critical_points.size == 0
-    assert np.all(np.asarray(traj.u) == 1.0)
-    u, du = map(np.asarray, traj.sample([0.5, 2.0]))
+    assert traj.r[0] == 0.1 and traj.r[-1] == 3.0
+    assert np.all(np.asarray(traj.u) == 1.0) and np.all(np.asarray(traj.du) == 0.0)
+    u, du = map(np.asarray, traj.sample(np.linspace(0.1, 3.0, 101)))
     assert np.all(u == 1.0) and np.all(du == 0.0)
 
 
@@ -70,11 +74,11 @@ def test_integrate_tolerance_convergence():
     params = ProblemParams(5, 20.0)
     start = RadialState(0.5, 1.3, 0.0)
     ref = integrate_adaptive(params, start, 3.0, rtol=1e-13, atol=1e-15)
-    u_ref = ref.sample(3.0)[0][0]
+    u_ref = ref.sample([3.0])[0][0]
     errs = {}
     for rt in (1e-6, 1e-8, 1e-10):
         tr = integrate_adaptive(params, start, 3.0, rtol=rt, atol=rt * 1e-2)
-        errs[rt] = abs(tr.sample(3.0)[0][0] - u_ref)
+        errs[rt] = abs(tr.sample([3.0])[0][0] - u_ref)
     assert errs[1e-8] < errs[1e-6]
     assert errs[1e-10] < errs[1e-8]
     # two orders of tolerance buy at least one order of error
@@ -162,9 +166,9 @@ def test_trajectory_thinning_cap(sing_5_20):
 
 def test_sample_outside_coverage_raises(sing_5_20):
     with pytest.raises(CoverageError):
-        sing_5_20.trajectory.sample(1e-9)
+        sing_5_20.trajectory.sample([1e-9])
     with pytest.raises(CoverageError):
-        sing_5_20.trajectory.sample(100.0)
+        sing_5_20.trajectory.sample([100.0])
 
 
 def test_integrate_rejects_backward_span():
@@ -225,7 +229,7 @@ def test_half_density_form_residual(sing_5_20):
     def residual(n):
         grid = np.linspace(0.3, 2.5, n)
         h = grid[1] - grid[0]
-        u = np.asarray(sing_5_20.sample(grid)[0])
+        u = np.asarray(sing_5_20.trajectory.sample(grid)[0])
         w = grid**nu * (u - 1.0)
         wpp = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
         mid_u = u[1:-1]

@@ -345,7 +345,9 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
         for j, (gj, (rise, fall)) in enumerate(zip(gs, scan)):
             old = g[j]
             g[j] = new = gj(t, y)
-            if (rise and old <= 0 <= new) or (fall and old >= 0 >= new):
+            # half-open: a zero on a step end belongs to the step that
+            # reaches it, and a g that sits at zero never crosses
+            if (rise and old < 0 <= new) or (fall and old > 0 >= new):
                 before[j] = old
         if before:
             active = list(before)
@@ -592,6 +594,30 @@ def test_trial_step_kernel_matches_reference(field, y_lo, y_hi, monkeypatch):
         consts = _constants(ProblemParams(5, 20.0), rtol)
         _assert_same_run(_dp45.solve(field, consts, t, y, t_end, rtol, atol),
                          _reference_solve(field, consts, t, y, t_end, rtol, atol))
+
+
+# y' = 1: the error estimate is 0, so each step is ten times the last, and a
+# run without events shows where the steps of any run end
+_RAMP = _dp45.Field(t="t", state=("y",), consts=("c",), body=(), rates=("1.0",))
+
+
+@pytest.mark.parametrize("terminal", [0, 1])
+@pytest.mark.parametrize("expr", ["t - c", "c - t"])
+def test_zero_on_a_step_end_is_recorded_once(expr, terminal):
+    # the step that reaches the zero records it; the next one starts on it
+    # and records nothing, where an inclusive rule would record it again
+    free = _dp45.solve(_RAMP, {"c": 0.0}, 0.0, (0.0,), 1.0, 1e-6, 1e-9)
+    c = free.t[3]
+    args = (_RAMP, {"c": c}, 0.0, (0.0,), 1.0, 1e-6, 1e-9,
+            (_dp45.Event(expr, terminal=terminal),))
+    run = _dp45.solve(*args)
+    _assert_same_run(run, _reference_solve(*args))
+    assert run.t_events == [[c]]
+    assert run.rises == [[expr == "t - c"]]
+    if terminal:
+        assert run.status == "event" and run.t.tolist() == free.t[:4].tolist()
+    else:
+        assert run.status == "finished" and run.t.tolist() == free.t.tolist()
 
 
 def test_trial_step_zero_scale_gives_infinite_error():

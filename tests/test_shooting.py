@@ -27,11 +27,17 @@ REF_SHOT_R1 = 1.06900443866011
 
 
 def test_equilibrium_shot():
+    # gamma = 1 starts like any shot: its Taylor start is exact, and the run
+    # steps through with every sample (1, 0)
     result = shoot(1.0, ProblemParams(5, 20.0), r_end=3.0)
     traj = result.trajectory
+    assert traj.n_accepted > 0 and not result.nonpositive
     assert traj.unit_crossings.size == 0
     assert traj.critical_points.size == 0
-    assert np.all(np.asarray(traj.u) == 1.0)
+    assert len(result.critical_radii) == 0
+    assert np.all(np.asarray(traj.u) == 1.0) and np.all(np.asarray(traj.du) == 0.0)
+    u, du = map(np.asarray, traj.sample(np.linspace(traj.r_start, 3.0, 101)))
+    assert np.all(u == 1.0) and np.all(du == 0.0)
 
 
 def test_large_gamma_initially_decreasing():
@@ -154,7 +160,7 @@ def test_convergence_distance_matches_direct_subtraction(gamma):
     # subtracting tightly integrated runs is an independent measurement
     params = ProblemParams(5, 20.0)
     grid = np.linspace(0.5, 2.0, 2048)
-    u_sing, _ = solve_singular(params, r_end=2.1, rtol=1e-13, atol=1e-15).sample(grid)
+    u_sing, _ = solve_singular(params, r_end=2.1, rtol=1e-13, atol=1e-15).trajectory.sample(grid)
     u_shot, _ = shoot(gamma, params, r_end=2.1, rtol=1e-13, atol=1e-15).trajectory.sample(grid)
     direct = float(np.max(np.abs(np.asarray(u_shot) - np.asarray(u_sing))))
     rep = convergence_to_singular(params, [gamma], (0.5, 2.0))

@@ -93,7 +93,7 @@ def test_monotone_before_first_critical(sing_5_20):
     assert np.all(np.asarray(du) < 0.0)
     assert sing_5_20.critical_radii.kinds[0] is PointKind.MIN
     # the first minimum dips below the equilibrium
-    u_min, _ = traj.sample(r1)
+    u_min, _ = traj.sample([r1])
     assert u_min[0] < 1.0
 
 
@@ -104,7 +104,7 @@ def test_uniqueness_proxy_two_seeds():
     a = solve_singular(params, r_end=3.0, seed_radius=r0)
     b = solve_singular(params, r_end=3.0, seed_radius=r0 / 2.0)
     grid = np.linspace(lem.rtilde_p, 3.0, 800)
-    ua, ub = (np.asarray(sol.sample(grid)[0]) for sol in (a, b))
+    ua, ub = (np.asarray(sol.trajectory.sample(grid)[0]) for sol in (a, b))
     assert np.max(np.abs(ua - ub)) < 10.0 * (1e-12 + 1e-10 * np.max(np.abs(ua)))
 
 
@@ -123,7 +123,7 @@ def _probe_at(params, r0, r_probe, rtol, atol):
     """(u, u') at r_probe of the run seeded at r0."""
     seed = seed_at_origin(seed_window(params, rtol), r0)
     run = integrate_adaptive(params, seed, r_probe, rtol, atol)
-    u, du = run.sample(r_probe)
+    u, du = run.sample([r_probe])
     return float(u[0]), float(du[0])
 
 
@@ -233,9 +233,19 @@ def test_scaled_profile_straddles_the_seed(sing_5_20):
             assert t == singular.origin_scaled(c, [r])[0]
         else:
             assert t == sol.trajectory.sample([r])[0][0] * r**c.theta
+    # the profile adds u' r**(theta+1), split the same way
+    ts, dts = sol.profile(radii)
+    assert ts == sol.scaled(radii)
+    for r, dt in zip(radii, dts):
+        if r < r0:
+            assert dt == singular.origin_profile(c, [r])[1][0]
+        else:
+            assert dt == sol.trajectory.sample([r])[1][0] * r ** (c.theta + 1.0)
     for bad in (math.nextafter(r_end * (1.0 + 1e-14), math.inf), 0.0, -1.0):
         with pytest.raises(CoverageError):
             sol.scaled([1.0, bad])
+        with pytest.raises(CoverageError):
+            sol.profile([1.0, bad])
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 1e-13])
@@ -251,23 +261,45 @@ def test_origin_checks_sample_the_window(sing_5_20, monkeypatch):
     # 64 distinct radii spanning [rtilde_p / 16, rtilde_p], though the seed
     # sits at rtilde_p
     seen = []
-    sample = singular.SingularSolution.sample
+    profile = singular.SingularSolution.profile
 
     def recorded(self, radii):
-        seen.append(np.atleast_1d(radii))
-        return sample(self, radii)
+        seen.append(np.asarray(radii))
+        return profile(self, radii)
 
-    monkeypatch.setattr(singular.SingularSolution, "sample", recorded)
+    monkeypatch.setattr(singular.SingularSolution, "profile", recorded)
     verify_origin_bounds(sing_5_20)
     derivative_bound_check(sing_5_20)
     rtilde_p = sing_5_20.lemma.rtilde_p
     assert sing_5_20.seed_radius == rtilde_p
-    windows = [r for r in seen if r.size > 1]
-    assert len(windows) == 2
-    for radii in windows:
+    assert len(seen) == 2
+    for radii in seen:
         assert np.unique(radii).size == 64
         assert radii.min() == pytest.approx(rtilde_p / 16.0, rel=1e-14)
         assert radii.max() == pytest.approx(rtilde_p, rel=1e-14)
+
+
+def test_origin_checks_stay_finite_where_u_is_huge():
+    # at N = 300, p = 1.02, theta = 100 and A is about 6.8e214: u is about
+    # 1e245 at rtilde_p and overflows at rtilde_p / 16, but the checks read
+    # the scaled profile, so every margin is a finite number
+    sol = solve_singular(ProblemParams(300, 1.02), 5.0)
+    c, rtilde_p = sol.constants, sol.lemma.rtilde_p
+    c1, c2 = singular.origin_series(c)[1:3]
+    assert sol.seed_radius == rtilde_p
+    rep = verify_origin_bounds(sol)
+    # the envelope's lower edge is closest at the inner end of the window,
+    # by about Dp r**2
+    assert rep.lower_margin == pytest.approx(c.Dp * (rtilde_p / 16.0) ** 2, rel=1e-3)
+    # the upper edge needs c_2 <= 0, but c_2 is positive here: the check
+    # fails by about c_2 rtilde_p**4, with no NaN in sight
+    assert c1 == pytest.approx(c.Dp, rel=1e-14) and c2 > 0.0
+    assert rep.upper_margin == pytest.approx(c2 * rtilde_p**4, rel=1e-3)
+    assert not rep.passed
+    der = derivative_bound_check(sol)
+    # u' r**(theta+1) + theta A = A ((2 - theta) Dp r**2 + ...)
+    assert der.sup_remainder_ratio == pytest.approx(c.A * (c.theta - 2.0) * c.Dp, rel=1e-3)
+    assert all(map(math.isfinite, der))
 
 
 def test_origin_sandwich_catches_raised_series(sing_5_20, monkeypatch):
@@ -379,9 +411,8 @@ def test_deep_seed_covers_small_radii():
     # seeding below the default window supports eigenproblem sampling there
     params = ProblemParams(12, 3.0, R=1.0)
     sol = solve_singular(params, r_end=1.05, seed_radius=5e-5)
-    u, _ = sol.sample(1e-4)
-    c = sol.constants
-    assert u[0] == pytest.approx(c.A * 1e-4**-c.theta, rel=1e-4)
+    (t,), _ = sol.profile([1e-4])
+    assert t == pytest.approx(sol.constants.A, rel=1e-4)
 
 
 def test_step_budget_error_surfaces(monkeypatch):

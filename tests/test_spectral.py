@@ -436,8 +436,9 @@ def test_potential_threshold_sides():
     # seed at rtilde_p, where the solution is its origin series
     assert sol.seed_radius == lem.rtilde_p
     r = lem.rtilde_p / 16.0
-    u, _ = sol.sample(r)
-    assert rep.limit_computed == pytest.approx(r * r * (5.0 * u[0] ** 4 - 1.0), rel=1e-14)
+    (t,), _ = sol.profile([r])
+    u = t * r**-sol.constants.theta
+    assert rep.limit_computed == pytest.approx(r * r * (5.0 * u**4 - 1.0), rel=1e-14)
 
     # infinite-index side: limit 27 above 25
     params = ProblemParams(12, 3.0)
