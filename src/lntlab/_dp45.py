@@ -7,13 +7,16 @@ A vector field is a :class:`Field` declaration, and an event an expression
 in its names. One stepping loop is generated from the tableau per field and
 event set, and compiled on its first solve (:func:`_loop`): it writes the
 field's rates into every stage and the events after every step, so an
-accepted step makes no Python function call. After a step over which an
-event crosses zero (:class:`Event`) it hands the step to :func:`solve`'s
-polishing routine, which finds the zero by Brent's method on the event
-written out on the step's quartic (:func:`_event_factory`); the loop
-returns only at a terminal event, at the end, or on failure. On a 2-vCPU VM
-a step of the radial equation costs about 3.6 us in the loop, and 5 us with
-three events and their zeros, one per ten steps.
+accepted step makes no Python function call, and it stores only the step's
+end and length and the new state. The same stage lines, compiled with the
+loop, rebuild a stored step and return its quartic interpolant, which the
+dense output (:class:`Dense`) and the event search share. After a step over
+which an event crosses zero (:class:`Event`) the loop hands the step to
+:func:`solve`'s polishing routine, which rebuilds it and finds the zero by
+Brent's method on the event evaluated on its interpolant; the loop returns
+only at a terminal event, at the end, or on failure. On a 2-vCPU VM a step
+of the radial equation costs about 3.6 us in the loop, and a step whose
+zeros are polished about 4 us more for its rebuild.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
 _EPS = sys.float_info.epsilon
 # Accepted steps allowed per run. The largest runs of the test suite and of
 # the README examples take 17k and 20k steps; a run that needs more fails
-# rather than growing without bound. A radial run that uses up the budget
-# takes about 3 s and peaks at about 60 MiB on a 2-vCPU VM.
+# rather than growing without bound. The radial run that uses up the budget,
+# solve_singular(ProblemParams(5, 20.0), 1e8) with 122,165 event zeros,
+# takes about 2.8 s and peaks at 39 MiB on a 2-vCPU VM.
 MAX_STEPS = 200_000
 
 
@@ -98,46 +102,30 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return [start + k * step for k in range(num - 1)] + [float(stop)]
 
 
-def _quartic_value(y0, h, x, q0, q1, q2, q3):
-    """Dense-output value y0 + h (q0 x + q1 x**2 + q2 x**3 + q3 x**4) at the
-    fraction x of a step."""
-    return y0 + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
-
-
 class Dense:
     """Piecewise quartic dense output of a Dormand-Prince run of n
-    components, on the run's own buffers.
+    components, on the run's own step ends ``ts``.
 
-    Step k starts at ``ts[k]`` from the state ``ys[n k : n k + n]``, has
-    length ``hs[k]`` and the stages ``stages[7 n k : 7 n (k + 1)]``, stage
-    by stage; its quartic coefficients are computed when it is queried. A
-    query on a breakpoint takes the step that ends there; ``ts`` increases,
-    and its last entry may cut the last step short (a terminal event).
+    ``step(k)`` rebuilds step k from its start ``ts[k]``, length and start
+    state, and returns its interpolant ``at(t)``, a tuple of n floats; each
+    queried step is rebuilt once per batch of points. A query on a
+    breakpoint takes the step that ends there; ``ts`` increases, and its
+    last entry may cut the last step short (a terminal event).
     """
 
-    def __init__(self, n, ts, hs, ys, stages):
-        self._n, self._ts, self._hs, self._ys, self._stages = n, ts, hs, ys, stages
-
-    def step(self, k):
-        """Start, length, start state and quartic coefficients (one
-        (q0, q1, q2, q3) per component) of step k."""
-        n = self._n
-        K = self._stages[7 * n * k:7 * n * (k + 1)]
-        return (self._ts[k], self._hs[k], self._ys[n * k:n * (k + 1)],
-                [_quartic(*K[i::n]) for i in range(n)])
+    def __init__(self, n, ts, step):
+        self._n, self._ts, self._step = n, ts, step
 
     def __call__(self, points) -> tuple[Column, ...]:
         """The n components at the floats ``points``, one column each. Over
-        an increasing grid the steps are walked once, and each step's
-        quartic is evaluated at all of its points in one pass."""
-        ts, last = self._ts, len(self._hs) - 1
+        an increasing grid the steps are walked once, and each step is
+        rebuilt once for all of its points."""
+        ts, last = self._ts, len(self._ts) - 2
         columns = tuple(Column() for _ in range(self._n))
 
         def evaluate(k, batch):
-            t0, h, y0, Q = self.step(k)
-            xs = [(t - t0) / h for t in batch]
-            for col, v, (q0, q1, q2, q3) in zip(columns, y0, Q):
-                col.extend([_quartic_value(v, h, x, q0, q1, q2, q3) for x in xs])
+            for col, values in zip(columns, zip(*map(self._step(k), batch))):
+                col.extend(values)
 
         # step k serves the points in (lo, hi]; the first and the last step
         # also serve those before and after the run
@@ -199,7 +187,9 @@ class Field(NamedTuple):
 
     def function(self, consts) -> Callable:
         """The plain ``f(t, y)`` of this field, returning a tuple, with its
-        constants taken by name from the mapping ``consts``."""
+        constants taken by name from the mapping ``consts``; with
+        ``body=()`` and an event as its one rate, the event g(t, y) that
+        :func:`solve` evaluates on a rebuilt step's interpolant."""
         return _function_factory(self)(*(consts[name] for name in self.consts))
 
 
@@ -223,15 +213,6 @@ def _weighted(weights, names) -> str:
     return " + ".join(f"{w!r} * {v}" for w, v in zip(weights, names) if w)
 
 
-# _quartic(k0, ..., k6): the dense-output coefficients (q0, q1, q2, q3) of
-# one component from its seven stages, each written out term by term in
-# tableau order, as the stage sums are
-_quartic = _compile(["def _quartic(_k0, _k1, _k2, _k3, _k4, _k5, _k6):",
-                     "    return " + _tuple(_weighted([row[j] for row in _P],
-                                                      [f"_k{s}" for s in range(7)])
-                                            for j in range(4))], "quartic")["_quartic"]
-
-
 @functools.lru_cache(maxsize=None)
 def _function_factory(field: Field) -> Callable:
     return _compile([f"def _bind({', '.join(field.consts)}):",
@@ -243,44 +224,29 @@ def _function_factory(field: Field) -> Callable:
 
 
 @functools.lru_cache(maxsize=None)
-def _event_factory(field: Field, expr: str) -> Callable:
-    """``_bind(*consts)`` of the event ``expr`` on one step: it returns
-    ``at(t0, h, y0, K)``, which gives the event's g(t) on the quartic
-    interpolant of the step from t0 of length h, start state y0 and stages K
-    (stage by stage). Only the components the expression names are
-    interpolated, each as :func:`_quartic_value` does."""
-    n, names = len(field.state), compile(expr, "<event>", "eval").co_names
-    used = [(i, v) for i, v in enumerate(field.state) if v in names]
-    namespace = _compile([
-        f"def _bind({', '.join(field.consts)}):",
-        "    def _at(_t0, _h, _y, _K):",
-        *(f"        _v{i}, (_a{i}, _b{i}, _c{i}, _d{i}) = _y[{i}], _quartic(*_K[{i}::{n}])"
-          for i, _ in used),
-        f"        def _g({field.t}):",
-        f"            _x = ({field.t} - _t0) / _h",
-        *(f"            {v} = _v{i} + _h * _x * (_a{i} + _x * (_b{i} + _x * (_c{i} + _x * _d{i})))"
-          for i, v in used),
-        f"            return {expr}",
-        "        return _g",
-        "    return _at"], f"event {expr}")
-    namespace["_quartic"] = _quartic
-    return namespace["_bind"]
-
-
-@functools.lru_cache(maxsize=None)
 def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], ...]):
-    """``advance(t, y, f, h_abs, t_end, rtol, atol, max_steps, ts, ys, hs,
-    stages, polish, *consts)``: the stepping loop of ``field`` with the events
+    """``(advance, bind)``, compiled together from one set of stage lines.
+
+    ``advance(t, y, f, h_abs, t_end, rtol, atol, max_steps, ts, ys, hs,
+    polish, *consts)`` is the stepping loop of ``field`` with the events
     ``exprs``, which may rise and fall through zero as ``scan`` says. It steps
-    from state y at t with slope f and appends each accepted step to the
-    arrays. After a step over which an event crossed zero it calls
-    ``polish(before, after, crossed)`` with the event values at the step's
-    ends and, per event, whether it crossed, and returns if that is true
-    ("event"); it also returns at t_end ("finished"), below the minimum step
-    ("min_step") or after max_steps steps ("budget"): the reason and the
-    accepted and rejected steps. Each
-    component's stage sums are written out term by term in tableau order, so
-    they round as ``v + (A21 a + ...) h`` would.
+    from state y at t with slope f and appends each accepted step's end,
+    length and state to the arrays. After a step over which an event crossed
+    zero it calls ``polish(before, after, crossed)`` with the event values at
+    the step's ends and, per event, whether it crossed, and returns if that
+    is true ("event"); it also returns at t_end ("finished"), below the
+    minimum step ("min_step") or after max_steps steps ("budget"): the
+    reason and the accepted and rejected steps. Each component's stage sums
+    are written out term by term in tableau order, so they round as
+    ``v + (A21 a + ...) h`` would.
+
+    ``bind(ts, hs, ys, *consts)`` returns ``step(k)``, which rebuilds step k
+    of those arrays on the loop's stage lines, its first stage taken where
+    the loop took it (at ``ts[k-1] + hs[k-1]``, the previous step's end as
+    the loop computed it), so every stage keeps its bits. It returns the
+    step's quartic interpolant ``at(t)``, a tuple of n floats: per component
+    ``y + h x (q0 + x (q1 + x (q2 + x q3)))`` at x = (t - ts[k]) / h, each q
+    a sum over the stages written out in tableau order.
     """
     n, m = len(field.state), len(exprs)
     y, z, tol = ([f"_{c}{i}" for i in range(n)] for c in ("y", "z", "tol"))
@@ -294,12 +260,14 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         return [f"{field.t} = {at}", *_assign(field.state, state), *field.body,
                 *_assign(k[s], field.rates)]
 
-    trial = []
+    # stages 1-6 and the new state, from the state y and stage 0 at t
+    stages = []
     for s, (c, row) in enumerate(zip(_C, _A), start=1):
-        trial += rates(f"_t + {c!r} * _h" if c != 1 else "_t + _h",
-                       [f"_y{i} + ({weighted(row, i)}) * _h" for i in range(n)], s)
-    trial += [f"_z{i} = _y{i} + _h * ({weighted(_B, i)})" for i in range(n)]
-    trial += rates("_t + _h", z, 6)
+        stages += rates(f"_t + {c!r} * _h" if c != 1 else "_t + _h",
+                        [f"_y{i} + ({weighted(row, i)}) * _h" for i in range(n)], s)
+    stages += [f"_z{i} = _y{i} + _h * ({weighted(_B, i)})" for i in range(n)]
+    stages += rates("_t + _h", z, 6)
+    trial = list(stages)
     # scale atol + max(|y|, |y_new|) rtol, taking |y_new| only if larger, as
     # max() does
     for i in range(n):
@@ -320,7 +288,7 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
               *(f"_e{j} = {expr}" for j, expr in enumerate(exprs))]
     lines = [
         "def advance(_t, _y, _f, _h_abs, _t_end, _rtol, _atol, _max_steps, _ts, _ys, _hs,"
-        f" _stages, _polish, {', '.join(field.consts)}):",
+        f" _polish, {', '.join(field.consts)}):",
         f"    {_tuple(y)}, {_tuple(k[0])}, {_tuple(tol)} = _y, _f, _atol",
         *(f"    {s}" for s in events),
         f"    {old}, _n_accepted, _n_rejected = {new}, 0, 0",
@@ -355,9 +323,6 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         "        _h_abs *= _factor",
         "        _n_accepted += 1",
         "        _hs.append(_h)",
-        # fromlist takes a list in one resize, where extend grows the array
-        # by one value at a time
-        f"        _stages.fromlist([{', '.join(name for row in k for name in row)}])",
         "        _t = _t_new",
         *(f"        {s}" for s in _assign(y, z) + _assign(k[0], k[6])),
         "        _ts.append(_t)",
@@ -368,7 +333,24 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         f"        {old} = {new}",
         "        if _t >= _t_end:",
         "            return 'finished', _n_accepted, _n_rejected"]
-    return _compile(lines, f"loop {field.state} {exprs}")["advance"]
+    horner = [f"_y{i} + _h * _x * (_q0_{i} + _x * (_q1_{i} + _x * (_q2_{i} + _x * _q3_{i})))"
+              for i in range(n)]
+    lines += [
+        f"def _bind(_ts, _hs, _ys, {', '.join(field.consts)}):",
+        "    def _step(_k):",
+        "        _t, _h = _ts[_k], _hs[_k]",
+        f"        {_tuple(y)} = _ys[{n} * _k:{n} * _k + {n}]",
+        *(f"        {s}" for s in rates("_ts[_k - 1] + _hs[_k - 1] if _k else _t", y, 0)
+          + stages),
+        *(f"        _q{j}_{i} = {weighted([row[j] for row in _P], i)}"
+          for i in range(n) for j in range(4)),
+        "        def _at(_s):",
+        "            _x = (_s - _t) / _h",
+        f"            return {_tuple(horner)}",
+        "        return _at",
+        "    return _step"]
+    namespace = _compile(lines, f"loop {field.state} {exprs}")
+    return namespace["advance"], namespace["_bind"]
 
 
 class Event(NamedTuple):
@@ -420,12 +402,14 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     ``MAX_STEPS`` steps without reaching t_end. The generated loop runs the
     whole integration: after a step over which an event crosses zero (as
     :class:`Event` says; scipy's rule differs only at an exact zero) it
-    calls ``polish`` with the events that crossed, which locates each zero
-    by Brent's method on the step's quartic interpolant and records whether
-    g rose across the step; where the interpolant's end values miss the sign
-    change that g shows at the accepted states, the search takes those
-    values at the step's ends. At the zero that ends the run, ``polish``
-    cuts the last step there and the loop returns.
+    calls ``polish`` with the events that crossed, which rebuilds the step
+    once, locates each zero by Brent's method on the event evaluated on the
+    step's quartic interpolant and records whether g rose across the step;
+    where the interpolant's end values miss the sign change that g shows at
+    the accepted states, the search takes those values at the step's ends.
+    At the zero that ends the run, ``polish`` cuts the last step there, or
+    drops it if the zero is its start, and the loop returns. A step keeps
+    2 + n doubles: its end, length and state.
     """
     if not t_end > t0:
         raise ParameterError(f"integration runs forward: t_end={t_end} must exceed t0={t0}")
@@ -438,21 +422,25 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     h_abs = _initial_step(fun, t0, y, f, t_end, rtol, atol)
     # per event: whether it may rise and whether it may fall through zero
     scan = tuple((ev.direction >= 0, ev.direction <= 0) for ev in events)
-    advance = _loop(field, tuple(ev.expr for ev in events), scan)
+    advance, bind = _loop(field, tuple(ev.expr for ev in events), scan)
     max_steps, values = MAX_STEPS, [consts[name] for name in field.consts]
-    at = [_event_factory(field, ev.expr)(*values) for ev in events]
-    # flat double arrays: a step keeps 2 + 8n doubles, not tuples of floats
-    ts, ys, hs, stages = array("d", [t0]), array("d", y), array("d"), array("d")
-    dense = Dense(n, ts, hs, ys, stages)
+    # each event as the plain function g(t, y) -> (g,) of the field's names
+    gs = [field._replace(body=(), rates=(ev.expr,)).function(consts) for ev in events]
+    # flat double arrays: a step keeps its end, length and state, 2 + n
+    # doubles; its stages are rebuilt when it is queried
+    ts, ys, hs = array("d", [t0]), array("d", y), array("d")
+    step = bind(ts, hs, ys, *values)
     t_events, rises = [[] for _ in events], [[] for _ in events]
 
     def polish(before, after, crossed):
         # the zeros of the events that crossed zero over the last step, which
         # the arrays end with; true if one of them ends the run
         active = [j for j, x in enumerate(crossed) if x]
-        t_old, t, roots = ts[-2], ts[-1], {}
+        t_old, t, at, roots = ts[-2], ts[-1], step(len(hs) - 1), {}
         for j in active:
-            g = at[j](t_old, hs[-1], ys[-2 * n:-n], stages[-7 * n:])
+            def g(s, event=gs[j]):
+                return event(s, at(s))[0]
+
             try:
                 roots[j] = brentq(g, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
             except ValueError:
@@ -467,22 +455,24 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
             active.sort(key=roots.get)
             active = active[:1 + next(k for k, j in enumerate(active) if j in done)]
             t = roots[active[-1]]
-            if len(ts) > 2 and t == t_old:
-                # a terminal zero on the step's start: the step adds nothing
-                del ts[-1], ys[-n:], hs[-1], stages[-7 * n:]
+            if t == t_old:
+                # a terminal zero on the step's start: the step adds no
+                # sample, but keeps its length, so a run cut back to its
+                # start still has a step to serve its dense output
+                del ts[-1], ys[-n:]
             else:
                 ts[-1] = t
-                ys[-n:] = array("d", [column[0] for column in dense([t])])
+                ys[-n:] = array("d", at(t))
         for j in active:
             t_events[j].append(roots[j])
             rises[j].append(after[j] > before[j])
         return bool(done)
 
     why, n_accepted, n_rejected = advance(t0, y, f, h_abs, t_end, rtol, atol, max_steps,
-                                          ts, ys, hs, stages, polish, *values)
+                                          ts, ys, hs, polish, *values)
     status, message = why, ""
     if why in _FAILURES:
         status, message = "failed", _FAILURES[why].format(max_steps)
     return Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status, message=message,
-               dense=dense, nfev=2 + 6 * (n_accepted + n_rejected), n_accepted=n_accepted,
-               n_rejected=n_rejected)
+               dense=Dense(n, ts, step), nfev=2 + 6 * (n_accepted + n_rejected),
+               n_accepted=n_accepted, n_rejected=n_rejected)

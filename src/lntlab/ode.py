@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+# Rows of a trajectory artifact not written in full (evenly spaced samples)
+MAX_ROWS = 10_000
+
+
 class PointKind(Enum):
     MIN = "min"
     MAX = "max"
@@ -164,27 +168,27 @@ class RadialTrajectory:
         return max(((b - a) / (self.atol + self.rtol * max(1.0, abs(a), abs(b)))
                     for a, b in zip(e, e[1:])), default=0.0)
 
-    def thinned_indices(self, max_rows: int) -> list[int]:
+    def thinned_indices(self) -> list[int]:
         n = len(self.r)
-        if n <= max_rows:
+        if n <= MAX_ROWS:
             return list(range(n))
-        return sorted({round(k) for k in _dp45.linspace(0, n - 1, max_rows)})
+        return sorted({round(k) for k in _dp45.linspace(0, n - 1, MAX_ROWS)})
 
-    def _columns(self, max_rows: int, full: bool) -> list[list[float]]:
-        """r, u, du and the energy, thinned to at most max_rows unless full."""
+    def _columns(self, full: bool) -> list[list[float]]:
+        """r, u, du and the energy, thinned to at most MAX_ROWS unless full."""
         columns = [c.tolist() for c in (self.r, self.u, self.du, self.energy)]
-        if full or len(self.r) <= max_rows:
+        if full or len(self.r) <= MAX_ROWS:
             return columns
-        idx = self.thinned_indices(max_rows)
+        idx = self.thinned_indices()
         return [[c[k] for k in idx] for c in columns]
 
-    def to_csv(self, path, max_rows: int = 10_000, full: bool = False) -> None:
+    def to_csv(self, path, full: bool = False) -> None:
         # imported here, not with the module, so `import lntlab` stays light
         from .reports import write_artifact
-        write_artifact(path, (("r", "u", "du", "E"), zip(*self._columns(max_rows, full))))
+        write_artifact(path, (("r", "u", "du", "E"), zip(*self._columns(full))))
 
-    def to_json_dict(self, max_rows: int = 10_000, full: bool = False) -> dict:
-        r, u, du, energy = self._columns(max_rows, full)
+    def to_json_dict(self, full: bool = False) -> dict:
+        r, u, du, energy = self._columns(full)
         return {
             "schema": "trajectory-v1",
             "params": self.params.as_dict(),
@@ -199,9 +203,9 @@ class RadialTrajectory:
             "critical_kinds": [k.value for k in self.critical_kinds],
         }
 
-    def to_json(self, path, max_rows: int = 10_000, full: bool = False) -> None:
+    def to_json(self, path, full: bool = False) -> None:
         from .reports import write_artifact
-        write_artifact(path, self.to_json_dict(max_rows=max_rows, full=full))
+        write_artifact(path, self.to_json_dict(full=full))
 
 
 # u'' = -(N-1)/r u' + u - u**p. Trial steps may probe u < 0 before the

@@ -13,6 +13,7 @@ from lntlab import (
     integrate_adaptive,
     integrate_difference,
 )
+from lntlab import ode
 from lntlab.ode import _DIFFERENCE, _RADIAL, _constants, energy_values
 from lntlab.singular import seed_at_origin, seed_window
 
@@ -139,7 +140,7 @@ def test_stop_at_critical_validation():
             integrate_adaptive(ProblemParams(5, 20.0), start, 3.0, stop_at_critical=index)
 
 
-def test_trajectory_serialization(tmp_path, sing_5_20):
+def test_trajectory_serialization(tmp_path, sing_5_20, monkeypatch):
     traj = sing_5_20.trajectory
     csv_a = tmp_path / "a.csv"
     csv_b = tmp_path / "b.csv"
@@ -150,16 +151,18 @@ def test_trajectory_serialization(tmp_path, sing_5_20):
     assert header == "r,u,du,E"
     assert len(first.split(",")) == 4
 
-    blob = traj.to_json_dict(max_rows=500)
+    monkeypatch.setattr(ode, "MAX_ROWS", 500)
+    blob = traj.to_json_dict()
     assert blob["schema"] == "trajectory-v1"
     assert len(blob["r"]) <= 500
     assert blob["critical_kinds"][0] == "min"
     assert blob["params"]["N"] == 5
 
 
-def test_trajectory_thinning_cap(sing_5_20):
+def test_trajectory_thinning_cap(sing_5_20, monkeypatch):
     traj = sing_5_20.trajectory
-    idx = traj.thinned_indices(100)
+    monkeypatch.setattr(ode, "MAX_ROWS", 100)
+    idx = traj.thinned_indices()
     assert len(idx) <= 100
     assert idx[0] == 0 and idx[-1] == traj.r.size - 1
 

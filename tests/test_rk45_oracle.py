@@ -10,12 +10,15 @@ below the tolerance when compared at the same radius.
 """
 
 import ast
+import functools
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +201,30 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
     assert len(list(tmp_path.glob("run-*/report.json"))) == len(commands)
 
 
+def test_import_compiles_no_generated_code():
+    # a fresh `import lntlab.cli` compiles no generated unit: the stepping
+    # loops, step rebuilds and field functions are compiled on first use, so
+    # a command pays only for those it runs
+    env = dict(os.environ)
+    src = str(Path(lntlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import builtins\n"
+            "names, plain = [], builtins.compile\n"
+            "def hooked(source, filename, *args, **kwargs):\n"
+            "    names.append(str(filename))\n"
+            "    return plain(source, filename, *args, **kwargs)\n"
+            "builtins.compile = hooked\n"
+            "import lntlab.cli\n"
+            "print([name for name in names if name.startswith('<dp45')])\n"
+            "lntlab.solve_singular(lntlab.ProblemParams(5, 20.0), 1.0)\n"
+            "print(len([name for name in names if name.startswith('<dp45')]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    at_import, after_solve = out.stdout.strip().splitlines()[-2:]
+    assert at_import == "[]"
+    assert int(after_solve) > 0  # the hook sees what a solve compiles
+
+
 def test_package_source_imports_no_numpy_scipy_dataclasses_or_statistics():
     # at any level, in any function: numpy and scipy serve the tests only,
     # records are built without dataclasses, and nothing runs in a worker
@@ -272,9 +299,12 @@ def _reference_event(field, consts, expr):
 
 def _reference_interpolant(t0, h, y0, K):
     """The quartic interpolant of one step from its stages K (stage by
-    stage), per component on the coefficients of _dp45._quartic."""
+    stage), per component on this module's copy of the dense-output matrix,
+    each coefficient summed left to right in tableau order."""
     n = len(y0)
-    Q = [_dp45._quartic(*K[i::n]) for i in range(n)]
+    P = [[float(q) for q in row] for row in _P_EXACT]
+    Q = [[functools.reduce(operator.add, [row[j] * k for row, k in zip(P, K[i::n]) if row[j]])
+          for j in range(4)] for i in range(n)]
 
     def y(t):
         x = (t - t0) / h
@@ -282,6 +312,20 @@ def _reference_interpolant(t0, h, y0, K):
                      for v, (q0, q1, q2, q3) in zip(y0, Q))
 
     return y
+
+
+class _ReferenceDense:
+    """Dense output over stored interpolants, one per step; a point on a
+    breakpoint takes the step that ends there, and the first and the last
+    step serve the points before and after the run."""
+
+    def __init__(self, ts, steps):
+        self.ts, self.steps = ts, steps
+
+    def __call__(self, points):
+        last = max(len(self.ts) - 2, 0)
+        values = [self.steps[min(max(bisect_left(self.ts, t) - 1, 0), last)](t) for t in points]
+        return tuple(array("d", column) for column in zip(*values))
 
 
 def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
@@ -295,7 +339,7 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
     f = fun(t, y)
     h_abs = _dp45._initial_step(fun, t, y, f, t_end, rtol, atol)
     nfev, n_accepted, n_rejected = 2, 0, 0
-    ts, ys, hs, stages = [t], list(y), [], []
+    ts, ys, steps = [t], list(y), []
     gs = [_reference_event(field, consts, ev.expr) for ev in events]
     scan = [(ev.direction >= 0, ev.direction <= 0) for ev in events]
     g = [gj(t, y) for gj in gs]
@@ -337,8 +381,7 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
         n_accepted += 1
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        hs.append(h)
-        stages.extend(K)
+        steps.append(_reference_interpolant(t_old, h, y_old, K))
         if t >= t_end:
             status = "finished"
         before = {}
@@ -350,9 +393,7 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             if (rise and old < 0 <= new) or (fall and old > 0 >= new):
                 before[j] = old
         if before:
-            active = list(before)
-            interp = _reference_interpolant(t_old, h, y_old, K)
-            roots = {}
+            active, interp, roots = list(before), steps[-1], {}
             for j in active:
                 counts[j] += 1
 
@@ -376,15 +417,12 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             for j in active:
                 t_events[j].append(roots[j])
                 rises[j].append(g[j] > before[j])
-        if len(ts) > 1 and t == ts[-1]:
-            hs.pop()
-            del stages[-7 * n:]
-        else:
+        if t != ts[-1]:
             ts.append(t)
             ys.extend(y)
-    ts, ys, hs, stages = (array("d", a) for a in (ts, ys, hs, stages))
+    ts, ys = array("d", ts), array("d", ys)
     return _dp45.Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status,
-                     message=message, dense=_dp45.Dense(n, ts, hs, ys, stages), nfev=nfev,
+                     message=message, dense=_ReferenceDense(ts, steps), nfev=nfev,
                      n_accepted=n_accepted, n_rejected=n_rejected)
 
 
@@ -409,19 +447,25 @@ _P_EXACT = (
 def test_quartic_coefficients_match_exact_tableau_sums():
     # each coefficient of each component, from 1,000 random stage tuples of
     # 2 and 4 components with magnitudes from 1e-5 to 1e5, lies within 4 eps
-    # of the sum of its terms' absolute values from the exact sum
+    # of the sum of its terms' absolute values from the exact sum. The stages
+    # are those a field returns in turn, and the coefficients are read off
+    # the interpolant that the generated step rebuild returns.
     assert [[float(q) for q in row] for row in _P_EXACT] == [list(row) for row in _dp45._P]
     rng = random.Random(19)
     for case in range(1000):
         n = 2 if case % 2 else 4
         K = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(7 * n)]
+        field = _dp45.Field(t="t", state=tuple("abcd"[:n]), consts=("stage",), body=(),
+                            rates=("stage()",) * n)
+        at = _dp45._loop(field, (), ())[1]([0.0, 1.0], [1.0], [0.0] * n, iter(K).__next__)(0)
+        cells = dict(zip(at.__code__.co_freevars, (c.cell_contents for c in at.__closure__)))
         for i in range(n):
             stages = K[i::n]
-            got = _dp45._quartic(*stages)
             for j in range(4):
                 terms = [row[j] * Fraction(k) for row, k in zip(_P_EXACT, stages)]
                 bound = 4 * _dp45._EPS * sum(abs(t) for t in terms)
-                assert abs(Fraction(got[j]) - sum(terms)) <= bound, (case, i, j)
+                got = cells[f"_q{j}_{i}"]
+                assert abs(Fraction(got) - sum(terms)) <= bound, (case, i, j)
 
 
 def test_dense_grid_matches_single_point_queries(sing_5_20):
@@ -449,7 +493,7 @@ def _assert_same_run(got, want):
     assert _hex(got.y) == _hex(want.y)
     assert [_hex(te) for te in got.t_events] == [_hex(te) for te in want.t_events]
     assert got.rises == want.rises
-    if len(got.t) > 1:
+    if got.n_accepted:
         grid = np.linspace(got.t[0], got.t[-1], 999)
         assert _hex(got.dense(grid)) == _hex(want.dense(grid))
 
@@ -547,13 +591,13 @@ def test_generated_loop_is_entered_once_per_solve(monkeypatch):
     loop, entries = _dp45._loop, []
 
     def counted(*key):
-        advance = loop(*key)
+        advance, bind = loop(*key)
 
         def entered(*args):
             entries.append(key)
             return advance(*args)
 
-        return entered
+        return entered, bind
 
     monkeypatch.setattr(_dp45, "_loop", counted)
     traj = solve_singular(ProblemParams(5, 1e6), 1.0).trajectory
@@ -565,14 +609,47 @@ def test_generated_loop_is_entered_once_per_solve(monkeypatch):
 
 
 def test_event_functions_are_built_once_per_field_and_expression():
-    # each event's g on a step's interpolant comes from one factory per field
-    # and expression: a second solve of equal declarations builds no new one
+    # each event's g(t, y) comes from the field's function factory, one per
+    # field and expression, and the step rebuild it is evaluated on comes
+    # with the loop: a second solve of equal declarations builds no new one
     params, start = ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0)
     integrate_adaptive(params, start, 2.0)
-    before = _dp45._event_factory.cache_info()
-    integrate_adaptive(params, start, 3.0)
-    after = _dp45._event_factory.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
+    caches = (_dp45._function_factory, _dp45._loop)
+    before = [cache.cache_info() for cache in caches]
+    traj = integrate_adaptive(params, start, 3.0)
+    assert traj.unit_crossings.size + traj.critical_points.size > 0
+    for cache, info in zip(caches, before):
+        after = cache.cache_info()
+        assert after.misses == info.misses and after.hits > info.hits
+
+
+def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
+    # the loop appends to three arrays only: per step its end, its length
+    # and its state, 2 + n doubles; the dense output rebuilds the stages
+    loop, buffers = _dp45._loop, []
+
+    def recorded(*key):
+        advance, bind = loop(*key)
+
+        def entered(*args):
+            buffers.append([a for a in args if isinstance(a, array)])
+            return advance(*args)
+
+        return entered, bind
+
+    monkeypatch.setattr(_dp45, "_loop", recorded)
+    params, rtol = ProblemParams(5, 20.0), 1e-10
+    window = seed_window(params, rtol)
+    start = _taylor_start(10.0, params, 2.1, rtol, 1e-12, h_max=window.radius)
+    ref = seed_at_origin(window, start.r)
+    args = (_DIFFERENCE, _constants(params, rtol), ref.r,
+            (ref.u, ref.du, start.u - ref.u, start.du - ref.du), 2.0, rtol,
+            (1e-12, 1e-12, 0.0, 0.0))
+    run = _dp45.solve(*args)
+    [(ts, ys, hs)] = buffers
+    assert ts is run.t and ys is run.y and run.n_accepted > 100
+    assert len(ys) == 4 * len(ts) and len(hs) == len(ts) - 1 == run.n_accepted
+    assert _hex(hs) == _hex(np.diff(run.t))
 
 
 # states drawn where each field is tame: u > 0 for the radial field, and
@@ -618,6 +695,23 @@ def test_zero_on_a_step_end_is_recorded_once(expr, terminal):
         assert run.status == "event" and run.t.tolist() == free.t[:4].tolist()
     else:
         assert run.status == "finished" and run.t.tolist() == free.t.tolist()
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_terminal_zero_on_a_step_start_drops_the_step(k):
+    # brentq returns the start of the step over which t - c crosses, a step
+    # end of the event-free run: the run ends there, with k + 1 samples. At
+    # k = 0 that leaves the start alone, where keeping the step would leave
+    # the step ends [0, 0], and the dropped step still serves the dense
+    # output there
+    free = _dp45.solve(_RAMP, {"c": 0.0}, 0.0, (0.0,), 10.0, 1e-6, 1e-9)
+    c = math.nextafter(free.t[k], math.inf)
+    args = (_RAMP, {"c": c}, 0.0, (0.0,), 10.0, 1e-6, 1e-9, (_dp45.Event("t - c", terminal=1),))
+    run = _dp45.solve(*args)
+    _assert_same_run(run, _reference_solve(*args))
+    assert run.status == "event" and run.t_events == [[free.t[k]]]
+    assert run.t.tolist() == free.t[:k + 1].tolist()
+    assert run.y.tolist() == free.y[:k + 1].tolist()
 
 
 def test_trial_step_zero_scale_gives_infinite_error():
