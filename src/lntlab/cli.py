@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._dp45 import linspace
+from ._dop853 import linspace
 from .errors import (
     BracketError,
     ConvergenceFailure,

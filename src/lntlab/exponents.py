@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from ._brent import brentq
-from ._dp45 import Column
+from ._dop853 import Column
 from .errors import BracketError, EventError, ParameterError
 from .params import ProblemParams, critical_exponent, derive_constants, lemma_constants
 from .singular import solve_singular, solve_with_criticals

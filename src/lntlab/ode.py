@@ -4,7 +4,7 @@ The equation is integrated in the radius r, alone or jointly with the
 difference d = u - u* of a second solution to a reference one, which
 measures distances between solutions far below the round-off of either. All
 integrations run the in-house Dormand-Prince 5(4) stepper of
-:mod:`lntlab._dp45` on tuples of floats, which follows the step rules of
+:mod:`lntlab._dop853` on tuples of floats, which follows the step rules of
 scipy's RK45 and so takes the same steps; its dense output is one piecewise
 quartic. Unit crossings (u = 1) and critical points (u' = 0) are located by
 Brent's method on the interpolant of the step that reaches them and
@@ -20,8 +20,8 @@ import math
 import sys
 from enum import Enum
 
-from . import _dp45
-from ._dp45 import Column
+from . import _dop853
+from ._dop853 import Column
 from ._record import Frozen
 from .errors import CoverageError, IntegrationError, ParameterError
 from .params import ProblemParams
@@ -87,7 +87,7 @@ def energy_rate_deviation(traj: "RadialTrajectory") -> float:
     """
     a = traj.r_start + 0.02 * (traj.r_end - traj.r_start)
     b = traj.r_start + 0.98 * (traj.r_end - traj.r_start)
-    grid = _dp45.linspace(a, b, 20001)
+    grid = _dop853.linspace(a, b, 20001)
     h = grid[1] - grid[0]
     u, du = traj.sample(grid)
     e = energy_values(u, du, traj.params.p)
@@ -172,7 +172,7 @@ class RadialTrajectory:
         n = len(self.r)
         if n <= MAX_ROWS:
             return list(range(n))
-        return sorted({round(k) for k in _dp45.linspace(0, n - 1, MAX_ROWS)})
+        return sorted({round(k) for k in _dop853.linspace(0, n - 1, MAX_ROWS)})
 
     def _columns(self, full: bool) -> list[list[float]]:
         """r, u, du and the energy, thinned to at most MAX_ROWS unless full."""
@@ -211,7 +211,7 @@ class RadialTrajectory:
 # u'' = -(N-1)/r u' + u - u**p. Trial steps may probe u < 0 before the
 # terminal event truncates the run; u**p is extended oddly so the field stays
 # defined there.
-_RADIAL = _dp45.Field(
+_RADIAL = _dop853.Field(
     t="r", state=("u", "du"), consts=("nm1", "p", "odd"),
     body=("up = -((-u) ** p) if odd and u < 0.0 else u ** p",),
     rates=("du", "nm1 / r * du + u - up"))
@@ -247,7 +247,7 @@ def integrate_adaptive(
     ------
     IntegrationError
         If the run fails: the step size falls below 10 ulp of r (as when
-        every trial step overflows), or ``_dp45.MAX_STEPS`` accepted steps
+        every trial step overflows), or ``_dop853.MAX_STEPS`` accepted steps
         do not reach ``r_end``. The partial trajectory is attached.
     """
     if not math.isfinite(r_end):
@@ -258,11 +258,11 @@ def integrate_adaptive(
         raise ParameterError(f"stop_at_critical={stop_at_critical} needs an index >= 1")
 
     events = (
-        _dp45.Event("u - 1.0"),
-        _dp45.Event("du", terminal=stop_at_critical or 0),
-        _dp45.Event("u", direction=-1.0, terminal=1),
+        _dop853.Event("u - 1.0"),
+        _dop853.Event("du", terminal=stop_at_critical or 0),
+        _dop853.Event("u", direction=-1.0, terminal=1),
     )
-    run = _dp45.solve(_RADIAL, _constants(params, rtol), start.r, (start.u, start.du), r_end,
+    run = _dop853.solve(_RADIAL, _constants(params, rtol), start.r, (start.u, start.du), r_end,
                       rtol, atol, events)
 
     if run.status == "failed":
@@ -309,7 +309,7 @@ def _build_trajectory(params, run, rtol, atol, status, message):
 # nonlinearity difference carries the relative precision of d however small d
 # is. Past u* + d = 0 (trial steps beyond a terminal event) the power is
 # extended oddly so the field stays defined.
-_DIFFERENCE = _dp45.Field(
+_DIFFERENCE = _dop853.Field(
     t="r", state=("u", "du", "d", "dd"), consts=("nm1", "p", "odd", "floor"),
     body=("q = d / u",
           "jump = u ** p * expm1(p * log1p(q)) if q > -1.0 else -((-(u + d)) ** p) - u ** p",
@@ -357,10 +357,10 @@ def integrate_difference(
     leave the normal double range.
     """
     events = (
-        _dp45.Event("hypot(d, dd) - floor", direction=-1.0, terminal=1),
-        _dp45.Event("u + d", direction=-1.0, terminal=1),
+        _dop853.Event("hypot(d, dd) - floor", direction=-1.0, terminal=1),
+        _dop853.Event("u + d", direction=-1.0, terminal=1),
     )
-    run = _dp45.solve(_DIFFERENCE, _constants(params, rtol), ref.r, (ref.u, ref.du, *delta),
+    run = _dop853.solve(_DIFFERENCE, _constants(params, rtol), ref.r, (ref.u, ref.du, *delta),
                       r_end, rtol, (atol, atol, 0.0, 0.0), events)
     if run.status == "failed":
         raise IntegrationError(f"difference integration failed: {run.message}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._dp45 import linspace
+from ._dop853 import linspace
 from .errors import BracketError, EventError, IntegrationError, ParameterError
 from .exponents import _power_root
 from .ode import RadialState, RadialTrajectory, integrate_adaptive, integrate_difference

@@ -17,7 +17,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from ._dp45 import Column
+from ._dop853 import Column
 from ._record import Frozen
 from .errors import (
     CoverageError,

@@ -26,7 +26,7 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-from ._dp45 import Column, linspace
+from ._dop853 import Column, linspace
 from ._record import Frozen
 from .errors import ConvergenceFailure, ParameterError, PositivityError
 from .params import ProblemParams

@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 
 from lntlab import ProblemParams, solve_singular
-from lntlab import _brent, _dp45
+from lntlab import _brent, _dop853
 
 
 def _counted(f):
@@ -82,7 +82,7 @@ def test_stepper_events_match_scipy(monkeypatch):
         roots.append(_assert_same(f, a, b, **kw))
         return roots[-1]
 
-    monkeypatch.setattr(_dp45, "brentq", compared)
+    monkeypatch.setattr(_dop853, "brentq", compared)
     traj = solve_singular(ProblemParams(5, 20.0), 3.0).trajectory
     assert len(roots) >= 4
     assert set(traj.unit_crossings) | set(traj.critical_points) <= set(roots)

@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from lntlab import _dp45, exponents, ode, params, reports, shooting, singular, spectral
-from lntlab._dp45 import Column
+from lntlab import _dop853, exponents, ode, params, reports, shooting, singular, spectral
+from lntlab._dop853 import Column
 from lntlab.errors import DegenerateEventError, IntegrationError, ParameterError
 from lntlab.ode import PointKind
 
@@ -18,7 +18,7 @@ FACTORY = object()  # optional, with a fresh value built per record
 
 # every record's constructor parameters in order; a pair is (name, default)
 SIGNATURES = {
-    _dp45.Field: ("t", "state", "consts", "body", "rates"),
+    _dop853.Field: ("t", "state", "consts", "body", "rates"),
     params.ProblemParams: ("N", "p", ("R", None)),
     params.DerivedConstants: ("N", "p", "theta", "A", "m", "alpha", "beta", "Dp", "pJL",
                               "regime"),
@@ -48,7 +48,7 @@ SIGNATURES = {
     spectral.ThresholdReport: ("limit_computed", "limit_closed_form", "hardy_constant",
                                "margin", "side", "passed"),
     # the mutable records
-    _dp45.Run: ("t", "y", "t_events", "rises", "status", "message", "dense", "nfev",
+    _dop853.Run: ("t", "y", "t_events", "rises", "status", "message", "dense", "nfev",
                 "n_accepted", "n_rejected"),
     ode.RadialTrajectory: ("params", "r", "u", "du", "unit_crossings", "critical_points",
                            "critical_kinds", ("rtol", 1e-10), ("atol", 1e-12),
@@ -59,7 +59,7 @@ SIGNATURES = {
                           ("fixtures", FACTORY), ("message", "")),
     reports.ReportBundle: ("command", "config", "tolerances"),
 }
-MUTABLE = (_dp45.Run, ode.RadialTrajectory, ode.DifferencePath, reports.CheckRecord,
+MUTABLE = (_dop853.Run, ode.RadialTrajectory, ode.DifferencePath, reports.CheckRecord,
            reports.ReportBundle)
 FROZEN = [cls for cls in SIGNATURES if cls not in MUTABLE]
 
@@ -246,19 +246,19 @@ def test_equal_fields_share_one_loop():
     # a Field keys the caches of the generated code: two declarations built
     # apart, with equal parts, compile one stepping loop between them
     def declare():
-        return _dp45.Field(t="s", state=tuple(f"w{k}" for k in range(2)), consts=("kk",),
+        return _dop853.Field(t="s", state=tuple(f"w{k}" for k in range(2)), consts=("kk",),
                            body=(), rates=("w1", "-kk * w0"))
 
     first, second = declare(), declare()
     assert first is not second and first == second and hash(first) == hash(second)
     exprs, scan = ("w0 - 0.25",), ((True, True),)
-    size = _dp45._loop.cache_info().currsize
-    loop = _dp45._loop(first, exprs, scan)
-    assert _dp45._loop(second, exprs, scan) is loop
-    assert _dp45._loop.cache_info().currsize == size + 1
-    run = _dp45.solve(second, {"kk": 4.0}, 0.0, (1.0, 0.0), 1.0, 1e-10, 1e-12,
-                      [_dp45.Event("w0 - 0.25")])
+    size = _dop853._loop.cache_info().currsize
+    loop = _dop853._loop(first, exprs, scan)
+    assert _dop853._loop(second, exprs, scan) is loop
+    assert _dop853._loop.cache_info().currsize == size + 1
+    run = _dop853.solve(second, {"kk": 4.0}, 0.0, (1.0, 0.0), 1.0, 1e-10, 1e-12,
+                      [_dop853.Event("w0 - 0.25")])
     # w0 = cos(2 s) crosses 1/4 once on [0, 1]
     assert run.status == "finished" and len(run.t_events[0]) == 1
     assert abs(run.t_events[0][0] - 0.5 * math.acos(0.25)) < 1e-8
-    assert _dp45._loop.cache_info().currsize == size + 1
+    assert _dop853._loop.cache_info().currsize == size + 1

@@ -37,7 +37,7 @@ from lntlab import (
     integrate_difference,
     solve_singular,
 )
-from lntlab import _dp45, exponents, ode
+from lntlab import _dop853, exponents, ode
 from lntlab.ode import _DIFFERENCE, _RADIAL, _constants
 from lntlab.shooting import _taylor_start
 from lntlab.singular import seed_at_origin, seed_window
@@ -122,18 +122,18 @@ def test_difference_run_matches_rk45():
     assert np.max(gap / np.hypot(want[2], mid * want[3])) < STATE_RTOL
 
 
-_DECAY = _dp45.Field(t="t", state=("y",), consts=(), body=(), rates=("-y",))
+_DECAY = _dop853.Field(t="t", state=("y",), consts=(), body=(), rates=("-y",))
 
 
 @pytest.mark.parametrize("t_end", [1.0, 0.5, math.nan])
 def test_solve_runs_forward_only(t_end):
     with pytest.raises(ParameterError):
-        _dp45.solve(_DECAY, {}, 1.0, (1.0,), t_end, 1e-8, 1e-12)
+        _dop853.solve(_DECAY, {}, 1.0, (1.0,), t_end, 1e-8, 1e-12)
 
 
 def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
     # u'' = u**3 from u = 2 blows up near r = 1.7, so the step size collapses
-    blowup = _dp45.Field(t="r", state=("u", "du"), consts=(), body=(), rates=("du", "u ** 3"))
+    blowup = _dop853.Field(t="r", state=("u", "du"), consts=(), body=(), rates=("du", "u ** 3"))
     monkeypatch.setattr(ode, "_RADIAL", blowup)
     params = ProblemParams(5, 20.0)
     start = RadialState(1.0, 2.0, 0.1)
@@ -163,7 +163,7 @@ def test_step_budget_fails_with_partial_trajectory(monkeypatch):
     start = solve_singular(params, 1.0).trajectory
     state = RadialState(start.r[-1], start.u[-1], start.du[-1])
     assert integrate_adaptive(params, state, 5.0).n_accepted > 40
-    monkeypatch.setattr(_dp45, "MAX_STEPS", 40)
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 40)
     with pytest.raises(IntegrationError, match="budget") as exc:
         integrate_adaptive(params, state, 5.0)
     partial = exc.value.partial
@@ -333,11 +333,11 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
     fun = field.function(consts)
     n = len(y0)
     y = tuple(float(v) for v in y0)
-    rtol = max(rtol, 100 * _dp45._EPS)
+    rtol = max(rtol, 100 * _dop853._EPS)
     atol = tuple(atol) if isinstance(atol, tuple) else (atol,) * n
     t = t0
     f = fun(t, y)
-    h_abs = _dp45._initial_step(fun, t, y, f, t_end, rtol, atol)
+    h_abs = _dop853._initial_step(fun, t, y, f, t_end, rtol, atol)
     nfev, n_accepted, n_rejected = 2, 0, 0
     ts, ys, steps = [t], list(y), []
     gs = [_reference_event(field, consts, ev.expr) for ev in events]
@@ -348,9 +348,9 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
     rises = [[] for _ in events]
     status, message = None, ""
     while status is None:
-        if n_accepted >= _dp45.MAX_STEPS:
+        if n_accepted >= _dop853.MAX_STEPS:
             status = "failed"
-            message = f"Step budget of {_dp45.MAX_STEPS} accepted steps exhausted."
+            message = f"Step budget of {_dop853.MAX_STEPS} accepted steps exhausted."
             break
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -401,12 +401,12 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
                     return gj(s, interp(s))
 
                 try:
-                    roots[j] = _dp45.brentq(on_step, t_old, t,
-                                            xtol=4 * _dp45._EPS, rtol=4 * _dp45._EPS)
+                    roots[j] = _dop853.brentq(on_step, t_old, t,
+                                            xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
                 except ValueError:
                     ends = {t_old: before[j], t: g[j]}
-                    roots[j] = _dp45.brentq(lambda s: ends[s] if s in ends else on_step(s),
-                                            t_old, t, xtol=4 * _dp45._EPS, rtol=4 * _dp45._EPS)
+                    roots[j] = _dop853.brentq(lambda s: ends[s] if s in ends else on_step(s),
+                                            t_old, t, xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
             done = {j for j in active if 0 < events[j].terminal <= counts[j]}
             if done:
                 active.sort(key=roots.get)
@@ -421,7 +421,7 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             ts.append(t)
             ys.extend(y)
     ts, ys = array("d", ts), array("d", ys)
-    return _dp45.Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status,
+    return _dop853.Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status,
                      message=message, dense=_ReferenceDense(ts, steps), nfev=nfev,
                      n_accepted=n_accepted, n_rejected=n_rejected)
 
@@ -450,20 +450,20 @@ def test_quartic_coefficients_match_exact_tableau_sums():
     # of the sum of its terms' absolute values from the exact sum. The stages
     # are those a field returns in turn, and the coefficients are read off
     # the interpolant that the generated step rebuild returns.
-    assert [[float(q) for q in row] for row in _P_EXACT] == [list(row) for row in _dp45._P]
+    assert [[float(q) for q in row] for row in _P_EXACT] == [list(row) for row in _dop853._P]
     rng = random.Random(19)
     for case in range(1000):
         n = 2 if case % 2 else 4
         K = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(7 * n)]
-        field = _dp45.Field(t="t", state=tuple("abcd"[:n]), consts=("stage",), body=(),
+        field = _dop853.Field(t="t", state=tuple("abcd"[:n]), consts=("stage",), body=(),
                             rates=("stage()",) * n)
-        at = _dp45._loop(field, (), ())[1]([0.0, 1.0], [1.0], [0.0] * n, iter(K).__next__)(0)
+        at = _dop853._loop(field, (), ())[1]([0.0, 1.0], [1.0], [0.0] * n, iter(K).__next__)(0)
         cells = dict(zip(at.__code__.co_freevars, (c.cell_contents for c in at.__closure__)))
         for i in range(n):
             stages = K[i::n]
             for j in range(4):
                 terms = [row[j] * Fraction(k) for row, k in zip(_P_EXACT, stages)]
-                bound = 4 * _dp45._EPS * sum(abs(t) for t in terms)
+                bound = 4 * _dop853._EPS * sum(abs(t) for t in terms)
                 got = cells[f"_q{j}_{i}"]
                 assert abs(Fraction(got) - sum(terms)) <= bound, (case, i, j)
 
@@ -500,9 +500,9 @@ def _assert_same_run(got, want):
 
 @pytest.fixture
 def checked_solves(monkeypatch):
-    """Runs every _dp45.solve call also on the reference loop, compares the
+    """Runs every _dop853.solve call also on the reference loop, compares the
     two bit for bit, and records the runs."""
-    solve, runs = _dp45.solve, []
+    solve, runs = _dop853.solve, []
 
     def both(*args):
         got = solve(*args)
@@ -510,7 +510,7 @@ def checked_solves(monkeypatch):
         runs.append(got)
         return got
 
-    monkeypatch.setattr(_dp45, "solve", both)
+    monkeypatch.setattr(_dop853, "solve", both)
     return runs
 
 
@@ -561,7 +561,7 @@ def _difference_with_zero_component(monkeypatch):
 
 
 def _step_budget(monkeypatch):
-    monkeypatch.setattr(_dp45, "MAX_STEPS", 40)
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 40)
     with pytest.raises(IntegrationError, match="budget"):
         integrate_adaptive(ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0), 5.0)
 
@@ -588,7 +588,7 @@ def test_generated_loop_matches_reference(case, checked_solves, monkeypatch):
 def test_generated_loop_is_entered_once_per_solve(monkeypatch):
     # the loop polishes the zeros of events inside it and returns only at a
     # terminal event, at the end or on failure
-    loop, entries = _dp45._loop, []
+    loop, entries = _dop853._loop, []
 
     def counted(*key):
         advance, bind = loop(*key)
@@ -599,7 +599,7 @@ def test_generated_loop_is_entered_once_per_solve(monkeypatch):
 
         return entered, bind
 
-    monkeypatch.setattr(_dp45, "_loop", counted)
+    monkeypatch.setattr(_dop853, "_loop", counted)
     traj = solve_singular(ProblemParams(5, 1e6), 1.0).trajectory
     assert len(entries) == 1
     assert len(traj.unit_crossings) + len(traj.critical_points) == 635
@@ -614,7 +614,7 @@ def test_event_functions_are_built_once_per_field_and_expression():
     # with the loop: a second solve of equal declarations builds no new one
     params, start = ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0)
     integrate_adaptive(params, start, 2.0)
-    caches = (_dp45._function_factory, _dp45._loop)
+    caches = (_dop853._function_factory, _dop853._loop)
     before = [cache.cache_info() for cache in caches]
     traj = integrate_adaptive(params, start, 3.0)
     assert traj.unit_crossings.size + traj.critical_points.size > 0
@@ -626,7 +626,7 @@ def test_event_functions_are_built_once_per_field_and_expression():
 def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
     # the loop appends to three arrays only: per step its end, its length
     # and its state, 2 + n doubles; the dense output rebuilds the stages
-    loop, buffers = _dp45._loop, []
+    loop, buffers = _dop853._loop, []
 
     def recorded(*key):
         advance, bind = loop(*key)
@@ -637,7 +637,7 @@ def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
 
         return entered, bind
 
-    monkeypatch.setattr(_dp45, "_loop", recorded)
+    monkeypatch.setattr(_dop853, "_loop", recorded)
     params, rtol = ProblemParams(5, 20.0), 1e-10
     window = seed_window(params, rtol)
     start = _taylor_start(10.0, params, 2.1, rtol, 1e-12, h_max=window.radius)
@@ -645,7 +645,7 @@ def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
     args = (_DIFFERENCE, _constants(params, rtol), ref.r,
             (ref.u, ref.du, start.u - ref.u, start.du - ref.du), 2.0, rtol,
             (1e-12, 1e-12, 0.0, 0.0))
-    run = _dp45.solve(*args)
+    run = _dop853.solve(*args)
     [(ts, ys, hs)] = buffers
     assert ts is run.t and ys is run.y and run.n_accepted > 100
     assert len(ys) == 4 * len(ts) and len(hs) == len(ts) - 1 == run.n_accepted
@@ -659,7 +659,7 @@ def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
     (_DIFFERENCE, (0.2, 0.2, -0.1, -0.1), (1.5, 1.5, 0.1, 0.1))], ids=["radial", "difference"])
 def test_trial_step_kernel_matches_reference(field, y_lo, y_hi, monkeypatch):
     # short runs from random states, tolerances and zero absolute tolerances
-    monkeypatch.setattr(_dp45, "MAX_STEPS", 5)
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 5)
     n = len(field.state)
     rng = np.random.default_rng(20 + n)
     for _ in range(40):
@@ -669,13 +669,13 @@ def test_trial_step_kernel_matches_reference(field, y_lo, y_hi, monkeypatch):
         rtol = float(10.0 ** rng.uniform(-13, -3))
         atol = tuple((10.0 ** rng.uniform(-14, -6, n) * rng.integers(0, 2, n)).tolist())
         consts = _constants(ProblemParams(5, 20.0), rtol)
-        _assert_same_run(_dp45.solve(field, consts, t, y, t_end, rtol, atol),
+        _assert_same_run(_dop853.solve(field, consts, t, y, t_end, rtol, atol),
                          _reference_solve(field, consts, t, y, t_end, rtol, atol))
 
 
 # y' = 1: the error estimate is 0, so each step is ten times the last, and a
 # run without events shows where the steps of any run end
-_RAMP = _dp45.Field(t="t", state=("y",), consts=("c",), body=(), rates=("1.0",))
+_RAMP = _dop853.Field(t="t", state=("y",), consts=("c",), body=(), rates=("1.0",))
 
 
 @pytest.mark.parametrize("terminal", [0, 1])
@@ -683,11 +683,11 @@ _RAMP = _dp45.Field(t="t", state=("y",), consts=("c",), body=(), rates=("1.0",))
 def test_zero_on_a_step_end_is_recorded_once(expr, terminal):
     # the step that reaches the zero records it; the next one starts on it
     # and records nothing, where an inclusive rule would record it again
-    free = _dp45.solve(_RAMP, {"c": 0.0}, 0.0, (0.0,), 1.0, 1e-6, 1e-9)
+    free = _dop853.solve(_RAMP, {"c": 0.0}, 0.0, (0.0,), 1.0, 1e-6, 1e-9)
     c = free.t[3]
     args = (_RAMP, {"c": c}, 0.0, (0.0,), 1.0, 1e-6, 1e-9,
-            (_dp45.Event(expr, terminal=terminal),))
-    run = _dp45.solve(*args)
+            (_dop853.Event(expr, terminal=terminal),))
+    run = _dop853.solve(*args)
     _assert_same_run(run, _reference_solve(*args))
     assert run.t_events == [[c]]
     assert run.rises == [[expr == "t - c"]]
@@ -704,10 +704,10 @@ def test_terminal_zero_on_a_step_start_drops_the_step(k):
     # k = 0 that leaves the start alone, where keeping the step would leave
     # the step ends [0, 0], and the dropped step still serves the dense
     # output there
-    free = _dp45.solve(_RAMP, {"c": 0.0}, 0.0, (0.0,), 10.0, 1e-6, 1e-9)
+    free = _dop853.solve(_RAMP, {"c": 0.0}, 0.0, (0.0,), 10.0, 1e-6, 1e-9)
     c = math.nextafter(free.t[k], math.inf)
-    args = (_RAMP, {"c": c}, 0.0, (0.0,), 10.0, 1e-6, 1e-9, (_dp45.Event("t - c", terminal=1),))
-    run = _dp45.solve(*args)
+    args = (_RAMP, {"c": c}, 0.0, (0.0,), 10.0, 1e-6, 1e-9, (_dop853.Event("t - c", terminal=1),))
+    run = _dop853.solve(*args)
     _assert_same_run(run, _reference_solve(*args))
     assert run.status == "event" and run.t_events == [[free.t[k]]]
     assert run.t.tolist() == free.t[:k + 1].tolist()
@@ -717,9 +717,9 @@ def test_terminal_zero_on_a_step_start_drops_the_step(k):
 def test_trial_step_zero_scale_gives_infinite_error():
     # a component that stays 0 with no absolute tolerance has a zero scale,
     # so every trial step is rejected until the step floor
-    steady = _dp45.Field(t="t", state=("a", "b"), consts=(), body=(), rates=("0.0", "1.0"))
+    steady = _dop853.Field(t="t", state=("a", "b"), consts=(), body=(), rates=("0.0", "1.0"))
     args = (steady, {}, 0.0, (0.0, 1.0), 1.0, 1e-6, (0.0, 0.0))
-    run = _dp45.solve(*args)
+    run = _dop853.solve(*args)
     assert run.status == "failed" and run.n_accepted == 0 and run.n_rejected > 0
     assert "spacing between numbers" in run.message
     _assert_same_run(run, _reference_solve(*args))
@@ -738,12 +738,12 @@ def _hook(raising, error=OverflowError):
 
 
 # y' = -y, calling the hook once per evaluation
-_HOOKED_DECAY = _dp45.Field(t="t", state=("y",), consts=("hook",), body=("hook()",),
+_HOOKED_DECAY = _dop853.Field(t="t", state=("y",), consts=("hook",), body=("hook()",),
                             rates=("-y",))
 
 
 def _hooked_decay(overflows):
-    run = _dp45.solve(_HOOKED_DECAY, {"hook": _hook(overflows)},
+    run = _dop853.solve(_HOOKED_DECAY, {"hook": _hook(overflows)},
                       0.0, (1.0,), 1.0, 1e-8, 1e-12)
     _assert_same_run(run, _reference_solve(_HOOKED_DECAY, {"hook": _hook(overflows)},
                                            0.0, (1.0,), 1.0, 1e-8, 1e-12))
@@ -767,5 +767,5 @@ def test_overflowing_stage_rejects_the_step():
 def test_other_stage_errors_propagate():
     # the first trial's second stage, inside the stepping loop
     with pytest.raises(ZeroDivisionError, match="hook"):
-        _dp45.solve(_HOOKED_DECAY, {"hook": _hook({3}, ZeroDivisionError)},
+        _dop853.solve(_HOOKED_DECAY, {"hook": _hook({3}, ZeroDivisionError)},
                     0.0, (1.0,), 1.0, 1e-8, 1e-12)

@@ -24,7 +24,7 @@ from lntlab import (
     solve_with_criticals,
     verify_origin_bounds,
 )
-from lntlab import _dp45, ode, singular
+from lntlab import _dop853, ode, singular
 from lntlab.params import critical_exponent
 from lntlab.singular import CriticalRadii
 
@@ -393,7 +393,7 @@ def test_kinds_from_crossing_direction(rises, kinds):
     # is there; two of one kind in a row mean u' touched zero without
     # crossing, which the critical radii reject
     # (u, u') = (2.0, -1.0) at r = 0.1 and (0.5, 0.1) at r = 1.0
-    run = _dp45.Run(t=array("d", [0.1, 1.0]), y=array("d", [2.0, -1.0, 0.5, 0.1]),
+    run = _dop853.Run(t=array("d", [0.1, 1.0]), y=array("d", [2.0, -1.0, 0.5, 0.1]),
                     t_events=[[], [0.4, 0.7], []], rises=[[], list(rises), []],
                     status="finished", message="", dense=None,
                     nfev=0, n_accepted=1, n_rejected=0)
@@ -418,7 +418,7 @@ def test_deep_seed_covers_small_radii():
 def test_step_budget_error_surfaces(monkeypatch):
     # the p = 1e6 run takes about 1,900 steps; a failed run reports the budget,
     # whatever its partial critical points look like
-    monkeypatch.setattr(_dp45, "MAX_STEPS", 1000)
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 1000)
     with pytest.raises(IntegrationError, match="Step budget") as exc:
         solve_singular(ProblemParams(5, 1e6), 1.0)
     assert exc.value.partial.critical_points.size > 0
