@@ -33,29 +33,69 @@ from typing import NamedTuple
 from ._brent import brentq
 from .errors import ParameterError
 
-# Dormand-Prince 5(4) tableau, as in scipy's RK45: the nodes _C and coupling
-# rows _A of stages 2-6 (stage 6 sits at the step's end), the fifth-order
-# weights _B, the error weights _E (fifth minus fourth order, the last on the
-# FSAL stage) and the quartic dense-output matrix _P.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1)
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-       -12715105075 / 11282082432),
-      (0, 0, 0, 0),
-      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-       87487479700 / 32700410799),
-      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
-       -10690763975 / 1880347072),
-      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-       701980252875 / 199316789632),
-      (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-      (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+# Dormand-Prince 8(5,3) tableau (Hairer's DOP853), as in scipy's DOP853: the
+# nodes _C and coupling rows _A of stages 1-11 (stage 0 is the step's start,
+# stage 11 sits at its end), the eighth-order weights _B of the new state,
+# whose rate is stage 12 (FSAL), and the weights _E5 and _E3 of the fifth- and
+# third-order error estimates (none on stage 12). The dense output adds the
+# stages _C_EXTRA, _A_EXTRA (13-15), and _D gives its coefficients 3-6.
+_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+      0.8571428571428571, 1.0)
+_A = ((0.05260015195876773,),
+      (0.0197250569845379, 0.0591751709536137),
+      (0.02958758547680685, 0, 0.08876275643042054),
+      (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+      (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+      (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+      (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+       -0.015319437748624402, 0.008273789163814023),
+      (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+       27.59209969944671, 20.154067550477894, -43.48988418106996),
+      (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+       21.230051448181193, 15.279233632882423, -33.28821096898486,
+       -0.020331201708508627),
+      (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+       -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+       -3.0467644718982196),
+      (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+       -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+       12.360567175794303, 0.6433927460157636))
+_B = (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+      -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+      0.04471061572777259)
+_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294)
+_E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+       0.02265179219836082)
+_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
+_A_EXTRA = ((0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+             -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+             0.007567897660545699, -0.008298),
+            (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+             -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+             -0.00034046500868740456, 0.1413124436746325),
+            (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+             4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+             2.9475147891527724, -9.15095847217987))
+_D = ((-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+       2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+       0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+       -4.436036387594894),
+      (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+       -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+       -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+       35.81684148639408),
+      (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+       527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+       0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+       11.99229113618279),
+      (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+       357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+       29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+       -149.72683625798564))
 _EPS = sys.float_info.epsilon
 # Accepted steps allowed per run. The largest runs of the test suite and of
 # the README examples take 17k and 20k steps; a run that needs more fails
@@ -154,8 +194,8 @@ def _rms(x, scale) -> float:
 
 
 def _initial_step(fun, t0, y0, f0, t_end, rtol, atol) -> float:
-    """Hairer's starting step for a fifth-order pair with a fourth-order
-    error estimate (scipy's ``select_initial_step``)."""
+    """Hairer's starting step for an error estimate of order 7, as scipy's
+    ``select_initial_step`` takes it for DOP853."""
     interval = t_end - t0
     scale = [a + abs(v) * rtol for v, a in zip(y0, atol)]
     d0 = _rms(y0, scale)
@@ -167,7 +207,7 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1, interval)
 
 
@@ -196,7 +236,7 @@ class Field(NamedTuple):
 def _compile(lines, label):
     namespace = {k: v for k, v in vars(math).items() if not k.startswith("_")}
     namespace.update(_inf=math.inf, _nextafter=math.nextafter, _sqrt=math.sqrt)
-    exec(compile("\n".join(lines), f"<dp45 {label}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<dop853 {label}>", "exec"), namespace)
     return namespace
 
 
@@ -232,26 +272,34 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     ``exprs``, which may rise and fall through zero as ``scan`` says. It steps
     from state y at t with slope f and appends each accepted step's end,
     length and state to the arrays. After a step over which an event crossed
-    zero it calls ``polish(before, after, crossed)`` with the event values at
-    the step's ends and, per event, whether it crossed, and returns if that
-    is true ("event"); it also returns at t_end ("finished"), below the
-    minimum step ("min_step") or after max_steps steps ("budget"): the
-    reason and the accepted and rejected steps. Each component's stage sums
-    are written out term by term in tableau order, so they round as
-    ``v + (A21 a + ...) h`` would.
+    zero it calls ``polish(before, after, crossed, at)`` with the event values
+    at the step's ends, per event whether it crossed, and the step's
+    interpolant, built on the loop's live stages, and returns if that is true
+    ("event"); it also returns at t_end ("finished"), below the minimum step
+    ("min_step") or after max_steps steps ("budget"): the reason and the
+    accepted and rejected steps. Each component's stage sums are written out
+    term by term in tableau order, so they round as ``v + (A21 a + ...) h``
+    would.
 
     ``bind(ts, hs, ys, *consts)`` returns ``step(k)``, which rebuilds step k
     of those arrays on the loop's stage lines, its first stage taken where
     the loop took it (at ``ts[k-1] + hs[k-1]``, the previous step's end as
-    the loop computed it), so every stage keeps its bits. It returns the
-    step's quartic interpolant ``at(t)``, a tuple of n floats: per component
-    ``y + h x (q0 + x (q1 + x (q2 + x q3)))`` at x = (t - ts[k]) / h, each q
-    a sum over the stages written out in tableau order.
+    the loop computed it), so every stage keeps its bits, and returns the
+    step's interpolant.
+
+    The interpolant of a step adds the 3 extra stages and returns ``at(t)``,
+    a tuple of n floats: per component the seventh-order polynomial
+    ``y + x (F0 + (1 - x) (F1 + x (F2 + ... + x F6)))`` at x = (t - t0) / h,
+    each F a sum over the stages written out in tableau order.
     """
     n, m = len(field.state), len(exprs)
     y, z, tol = ([f"_{c}{i}" for i in range(n)] for c in ("y", "z", "tol"))
-    k = [[f"_k{s}_{i}" for i in range(n)] for s in range(7)]
+    k = [[f"_k{s}_{i}" for i in range(n)] for s in range(16)]
     old, new = _tuple(f"_o{j}" for j in range(m)), _tuple(f"_e{j}" for j in range(m))
+    consts = ", ".join(field.consts)
+    # what the interpolant takes of a step besides t and h: its two states and
+    # stages 0-12
+    live = f"{_tuple(y + z)}, {_tuple(v for row in k[:13] for v in row)}"
 
     def weighted(weights, i):
         return _weighted(weights, [row[i] for row in k])
@@ -260,22 +308,32 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         return [f"{field.t} = {at}", *_assign(field.state, state), *field.body,
                 *_assign(k[s], field.rates)]
 
-    # stages 1-6 and the new state, from the state y and stage 0 at t
+    def stage(s, c, row):
+        return rates(f"_t + {c!r} * _h" if c != 1 else "_t + _h",
+                     [f"_y{i} + ({weighted(row, i)}) * _h" for i in range(n)], s)
+
+    # stages 1-11, the new state and its rate (stage 12), from the state y and
+    # stage 0 at t
     stages = []
     for s, (c, row) in enumerate(zip(_C, _A), start=1):
-        stages += rates(f"_t + {c!r} * _h" if c != 1 else "_t + _h",
-                        [f"_y{i} + ({weighted(row, i)}) * _h" for i in range(n)], s)
+        stages += stage(s, c, row)
     stages += [f"_z{i} = _y{i} + _h * ({weighted(_B, i)})" for i in range(n)]
-    stages += rates("_t + _h", z, 6)
+    stages += rates("_t + _h", z, 12)
     trial = list(stages)
     # scale atol + max(|y|, |y_new|) rtol, taking |y_new| only if larger, as
     # max() does
     for i in range(n):
         trial += [f"_m{i} = abs(_y{i})", f"_a{i} = abs(_z{i})",
-                  f"if _a{i} > _m{i}:", f"    _m{i} = _a{i}"]
-    terms = " + ".join(f"(({weighted(_E, i)}) * _h / (_tol{i} + _m{i} * _rtol)) ** 2"
-                       for i in range(n))
-    trial += ["try:", f"    _err = _sqrt({terms}) / {math.sqrt(n)!r}",
+                  f"if _a{i} > _m{i}:", f"    _m{i} = _a{i}", f"_sc{i} = _tol{i} + _m{i} * _rtol"]
+
+    def square_norm(weights):
+        return " + ".join(f"(({weighted(weights, i)}) / _sc{i}) ** 2" for i in range(n))
+
+    trial += ["try:",
+              f"    _e5 = {square_norm(_E5)}",
+              f"    _e3 = {square_norm(_E3)}",
+              "    _err = (0.0 if _e5 == 0.0 and _e3 == 0.0 else",
+              f"            _h * _e5 / _sqrt((_e5 + 0.01 * _e3) * {float(n)!r}))",
               "except ZeroDivisionError:  # zero scale: the error cannot be controlled",
               "    _err = _inf"]
     # the crossing rule (see Event), per event
@@ -283,14 +341,15 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
                                          (f"_o{j} > 0.0 >= _e{j}", fall)) if on)
              for j, (rise, fall) in enumerate(scan)]
     crossed = " or ".join(flags)
-    # the event values at the current state
-    events = [f"{field.t} = _t", *_assign(field.state, y),
-              *(f"_e{j} = {expr}" for j, expr in enumerate(exprs))]
+    def events(at, state):
+        return [f"{field.t} = {at}", *_assign(field.state, state),
+                *(f"_e{j} = {expr}" for j, expr in enumerate(exprs))]
+
     lines = [
         "def advance(_t, _y, _f, _h_abs, _t_end, _rtol, _atol, _max_steps, _ts, _ys, _hs,"
-        f" _polish, {', '.join(field.consts)}):",
+        f" _polish, {consts}):",
         f"    {_tuple(y)}, {_tuple(k[0])}, {_tuple(tol)} = _y, _f, _atol",
-        *(f"    {s}" for s in events),
+        *(f"    {s}" for s in events("_t", y)),
         f"    {old}, _n_accepted, _n_rejected = {new}, 0, 0",
         "    while True:",
         "        if _n_accepted >= _max_steps:",
@@ -312,10 +371,10 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         "                _err = _inf  # the step, as scipy's infinite error norm does",
         "            if _err < 1.0:",
         "                break",
-        "            _h_abs *= max(0.2, 0.9 * _err ** -0.2)",
+        "            _h_abs *= max(0.2, 0.9 * _err ** -0.125)",
         "            _rejected = True",
         "            _n_rejected += 1",
-        "        _factor = 10.0 if _err == 0 else 0.9 * _err ** -0.2",
+        "        _factor = 10.0 if _err == 0 else 0.9 * _err ** -0.125",
         "        if _factor > 10.0:",
         "            _factor = 10.0",
         "        if _rejected and _factor > 1.0:",
@@ -323,31 +382,48 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         "        _h_abs *= _factor",
         "        _n_accepted += 1",
         "        _hs.append(_h)",
-        "        _t = _t_new",
-        *(f"        {s}" for s in _assign(y, z) + _assign(k[0], k[6])),
-        "        _ts.append(_t)",
-        f"        _ys.fromlist([{', '.join(y)}])",
-        *(f"        {s}" for s in events),
-        *([f"        if ({crossed}) and _polish({old}, {new}, {_tuple(flags)}):",
+        "        _ts.append(_t_new)",
+        f"        _ys.fromlist([{', '.join(z)}])",
+        *(f"        {s}" for s in events("_t_new", z)),
+        *([f"        if ({crossed}) and _polish({old}, {new}, {_tuple(flags)},",
+           f"                                  _interpolant(_t, _h, {live}, {consts})):",
            "            return 'event', _n_accepted, _n_rejected"] if crossed else []),
         f"        {old} = {new}",
+        "        _t = _t_new",
+        *(f"        {s}" for s in _assign(y, z) + _assign(k[0], k[12])),
         "        if _t >= _t_end:",
         "            return 'finished', _n_accepted, _n_rejected"]
-    horner = [f"_y{i} + _h * _x * (_q0_{i} + _x * (_q1_{i} + _x * (_q2_{i} + _x * _q3_{i})))"
-              for i in range(n)]
+    # the interpolant of a step from t to t + h: the 3 extra stages, then its
+    # coefficients F0-F6 (scipy's F) and their nested form in x and 1 - x
+    extra = []
+    for s, (c, row) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=13):
+        extra += stage(s, c, row)
+    nested = []
+    for i in range(n):
+        extra += [f"_F0_{i} = _z{i} - _y{i}", f"_F1_{i} = _h * _k0_{i} - _F0_{i}",
+                  f"_F2_{i} = 2.0 * _F0_{i} - _h * (_k12_{i} + _k0_{i})",
+                  *(f"_F{3 + r}_{i} = _h * ({weighted(row, i)})" for r, row in enumerate(_D))]
+        expr = f"_x * _F6_{i}"
+        for j in range(5, -1, -1):
+            expr = f"{'_w' if j % 2 else '_x'} * (_F{j}_{i} + {expr})"
+        nested.append(f"_y{i} + {expr}")
     lines += [
-        f"def _bind(_ts, _hs, _ys, {', '.join(field.consts)}):",
+        f"def _interpolant(_t, _h, _Y, _K, {consts}):",
+        f"    {_tuple(y + z)} = _Y",
+        f"    {_tuple(v for row in k[:13] for v in row)} = _K",
+        *(f"    {s}" for s in extra),
+        "    def _at(_s):",
+        "        _x = (_s - _t) / _h",
+        "        _w = 1.0 - _x",
+        f"        return {_tuple(nested)}",
+        "    return _at",
+        f"def _bind(_ts, _hs, _ys, {consts}):",
         "    def _step(_k):",
         "        _t, _h = _ts[_k], _hs[_k]",
         f"        {_tuple(y)} = _ys[{n} * _k:{n} * _k + {n}]",
         *(f"        {s}" for s in rates("_ts[_k - 1] + _hs[_k - 1] if _k else _t", y, 0)
           + stages),
-        *(f"        _q{j}_{i} = {weighted([row[j] for row in _P], i)}"
-          for i in range(n) for j in range(4)),
-        "        def _at(_s):",
-        "            _x = (_s - _t) / _h",
-        f"            return {_tuple(horner)}",
-        "        return _at",
+        f"        return _interpolant(_t, _h, {live}, {consts})",
         "    return _step"]
     namespace = _compile(lines, f"loop {field.state} {exprs}")
     return namespace["advance"], namespace["_bind"]
@@ -432,11 +508,12 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     step = bind(ts, hs, ys, *values)
     t_events, rises = [[] for _ in events], [[] for _ in events]
 
-    def polish(before, after, crossed):
+    def polish(before, after, crossed, at):
         # the zeros of the events that crossed zero over the last step, which
-        # the arrays end with; true if one of them ends the run
+        # the arrays end with, on its interpolant at(t); true if one of them
+        # ends the run
         active = [j for j, x in enumerate(crossed) if x]
-        t_old, t, at, roots = ts[-2], ts[-1], step(len(hs) - 1), {}
+        t_old, t, roots = ts[-2], ts[-1], {}
         for j in active:
             def g(s, event=gs[j]):
                 return event(s, at(s))[0]
@@ -474,5 +551,5 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     if why in _FAILURES:
         status, message = "failed", _FAILURES[why].format(max_steps)
     return Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status, message=message,
-               dense=Dense(n, ts, step), nfev=2 + 6 * (n_accepted + n_rejected),
+               dense=Dense(n, ts, step), nfev=2 + 12 * (n_accepted + n_rejected),
                n_accepted=n_accepted, n_rejected=n_rejected)

@@ -1,12 +1,14 @@
-"""The in-house Dormand-Prince 5(4) stepper against scipy's RK45.
+"""The in-house Dormand-Prince 8(5,3) stepper against scipy's DOP853.
 
 Both take the same steps by the same rules. The step sizes come from an error
 estimate that cancels to about rtol of the state, so its last bits depend on
 the summation order of the tableau sums (scipy's go through BLAS, which may
-fuse multiplies and adds); that moves the step radii by about 1e-8
-relative. The counts of steps and right-hand-side evaluations are the same,
-and so is the solution: states, dense output and event radii agree far
-below the tolerance when compared at the same radius.
+fuse multiplies and adds, and square a norm it took the root of); that moves
+the step radii by up to a few 1e-7 relative. The counts of steps and
+right-hand-side evaluations are the same, and so is the solution: states,
+dense output and event radii agree far below the tolerance when compared at
+the same radius. scipy's nfev also counts the 3 extra stages of each step's
+dense output, which the in-house stepper evaluates only when it is queried.
 """
 
 import ast
@@ -14,17 +16,16 @@ import functools
 import math
 import operator
 import os
-import random
 import subprocess
 import sys
 from array import array
 from bisect import bisect_left
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 import lntlab
 from lntlab import (
@@ -73,18 +74,24 @@ def _scaled_gap(a, b):
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0), axis=-1)
 
 
-def test_singular_solve_matches_rk45():
+def _dense_evaluations(ref):
+    """The evaluations of scipy's dense output under ``dense_output=True``:
+    the 3 extra stages of every accepted step."""
+    return 3 * (ref.t.size - 1)
+
+
+def test_singular_solve_matches_dop853():
     params = ProblemParams(5, 20.0)
     sol = solve_singular(params, 5.0, stop_at_critical=3)
     traj = sol.trajectory
     seed = seed_at_origin(seed_window(params, 1e-10), sol.seed_radius)
     ref = solve_ivp(_function(_RADIAL, params), (seed.r, 5.0), (seed.u, seed.du),
-                    method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True,
                     events=_radial_events(3))
     assert ref.status == 1 and traj.status == "ok"
     assert traj.r.size == ref.t.size
     assert traj.n_accepted == ref.t.size - 1
-    assert traj.nfev == ref.nfev
+    assert traj.nfev == ref.nfev - _dense_evaluations(ref)
     np.testing.assert_allclose(traj.r, ref.t, rtol=STEP_RTOL, atol=0.0)
     # states at this run's step radii, on scipy's dense output
     assert np.all(_scaled_gap(np.vstack([traj.u, traj.du]), ref.sol(traj.r)) < STATE_RTOL)
@@ -96,7 +103,7 @@ def test_singular_solve_matches_rk45():
     np.testing.assert_allclose(traj.unit_crossings, ref.t_events[0], rtol=EVENT_RTOL, atol=0)
 
 
-def test_difference_run_matches_rk45():
+def test_difference_run_matches_dop853():
     params = ProblemParams(5, 20.0)
     rtol, atol = 1e-10, 1e-12
     window = seed_window(params, rtol)
@@ -106,7 +113,7 @@ def test_difference_run_matches_rk45():
     path = integrate_difference(params, ref_state, delta, 2.0, rtol, atol)
 
     ref = solve_ivp(_function(_DIFFERENCE, params), (ref_state.r, 2.0),
-                    (ref_state.u, ref_state.du, *delta), method="RK45",
+                    (ref_state.u, ref_state.du, *delta), method="DOP853",
                     rtol=rtol, atol=(atol, atol, 0.0, 0.0), dense_output=True)
     assert ref.status == 0 and path.status == "ok"
     assert path.r.size == ref.t.size
@@ -131,7 +138,7 @@ def test_solve_runs_forward_only(t_end):
         _dop853.solve(_DECAY, {}, 1.0, (1.0,), t_end, 1e-8, 1e-12)
 
 
-def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
+def test_run_below_minimum_step_fails_like_dop853(monkeypatch):
     # u'' = u**3 from u = 2 blows up near r = 1.7, so the step size collapses
     blowup = _dop853.Field(t="r", state=("u", "du"), consts=(), body=(), rates=("du", "u ** 3"))
     monkeypatch.setattr(ode, "_RADIAL", blowup)
@@ -141,7 +148,7 @@ def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
         integrate_adaptive(params, start, 3.0)
     partial = exc.value.partial
     assert partial is not None and partial.status == "failed"
-    ref = solve_ivp(blowup.function({}), (1.0, 3.0), (2.0, 0.1), method="RK45",
+    ref = solve_ivp(blowup.function({}), (1.0, 3.0), (2.0, 0.1), method="DOP853",
                     rtol=1e-10, atol=1e-12, events=_radial_events(0))
     assert ref.status == -1
     assert partial.r.size == ref.t.size
@@ -153,8 +160,8 @@ def test_solver_counters():
     traj = solve_singular(ProblemParams(5, 20.0), 5.0).trajectory
     assert traj.n_rejected > 0
     assert traj.n_accepted == traj.r.size - 1
-    # two evaluations pick the first step, each attempt costs six (FSAL)
-    assert traj.nfev == 6 * (traj.n_accepted + traj.n_rejected) + 2
+    # two evaluations pick the first step, each attempt costs twelve (FSAL)
+    assert traj.nfev == 12 * (traj.n_accepted + traj.n_rejected) + 2
     assert "nfev" not in traj.to_json_dict()
 
 
@@ -215,9 +222,9 @@ def test_import_compiles_no_generated_code():
             "    return plain(source, filename, *args, **kwargs)\n"
             "builtins.compile = hooked\n"
             "import lntlab.cli\n"
-            "print([name for name in names if name.startswith('<dp45')])\n"
+            "print([name for name in names if name.startswith('<dop853')])\n"
             "lntlab.solve_singular(lntlab.ProblemParams(5, 20.0), 1.0)\n"
-            "print(len([name for name in names if name.startswith('<dp45')]))")
+            "print(len([name for name in names if name.startswith('<dop853')]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
     at_import, after_solve = out.stdout.strip().splitlines()[-2:]
@@ -246,45 +253,48 @@ def test_package_source_imports_no_numpy_scipy_dataclasses_or_statistics():
     assert found == []
 
 
-# The trial step as the stepper once wrote it, one generator per stage sum,
-# with its own copy of scipy's tableau, and the Python loop that drove it:
-# the reference the generated stepping loop must match bit for bit.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# The stepper as a plain Python loop over scipy's copy of the tableau, each
+# stage sum a left-to-right sum of its nonzero terms in tableau order: the
+# reference the generated stepping loop must match bit for bit. Rows 1-11 of
+# _TABLEAU_A couple the stages, row 12 gives the new state and rows 13-15 the
+# extra stages of the dense output.
+_TABLEAU_C = [float(c) for c in dop853_coefficients.C]
+_TABLEAU_A = [[float(a) for a in row[:s]] for s, row in enumerate(dop853_coefficients.A)]
+_TABLEAU_E5 = [float(e) for e in dop853_coefficients.E5]
+_TABLEAU_E3 = [float(e) for e in dop853_coefficients.E3]
+_TABLEAU_D = [[float(d) for d in row] for row in dop853_coefficients.D]
+
+
+def _sum(weights, values):
+    return functools.reduce(operator.add, [w * v for w, v in zip(weights, values) if w])
+
+
+def _add_stages(fun, t, y, h, K, stages):
+    """Appends the rates of ``stages`` to the stage list K."""
+    for s in stages:
+        at = t + h if _TABLEAU_C[s] == 1 else t + _TABLEAU_C[s] * h
+        K.append(fun(at, tuple(v + _sum(_TABLEAU_A[s], [k[i] for k in K]) * h
+                               for i, v in enumerate(y))))
 
 
 def _reference_trial_step(fun, t, y, f, h, rtol, atol):
-    k1 = f
-    k2 = fun(t + _C2 * h, tuple(v + (_A21 * a) * h for v, a in zip(y, k1)))
-    k3 = fun(t + _C3 * h, tuple(v + (_A31 * a + _A32 * b) * h
-                                for v, a, b in zip(y, k1, k2)))
-    k4 = fun(t + _C4 * h, tuple(v + (_A41 * a + _A42 * b + _A43 * c) * h
-                                for v, a, b, c in zip(y, k1, k2, k3)))
-    k5 = fun(t + _C5 * h, tuple(v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                                for v, a, b, c, d in zip(y, k1, k2, k3, k4)))
-    k6 = fun(t + h, tuple(v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                          for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)))
-    y_new = tuple(v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * q)
-                  for v, a, c, d, e, q in zip(y, k1, k3, k4, k5, k6))
+    K = [f]
+    _add_stages(fun, t, y, h, K, range(1, 12))
+    y_new = tuple(v + h * _sum(_TABLEAU_A[12], [k[i] for k in K]) for i, v in enumerate(y))
     f_new = fun(t + h, y_new)
-    # a plain left-to-right sum: sum() of floats compensates from Python 3.12
-    total = 0
+    K.append(f_new)
+    scale = [tol + max(abs(v), abs(vn)) * rtol for v, vn, tol in zip(y, y_new, atol)]
+    # plain left-to-right sums: sum() of floats compensates from Python 3.12
     try:
-        for a, c, d, e, q, w, v, vn, tol in zip(k1, k3, k4, k5, k6, f_new, y, y_new, atol):
-            total += ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * q + _E7 * w) * h
-                      / (tol + max(abs(v), abs(vn)) * rtol)) ** 2
-        err = math.sqrt(total) / math.sqrt(len(y))
+        e5 = e3 = 0
+        for i, sc in enumerate(scale):
+            e5 += (_sum(_TABLEAU_E5, [k[i] for k in K]) / sc) ** 2
+        for i, sc in enumerate(scale):
+            e3 += (_sum(_TABLEAU_E3, [k[i] for k in K]) / sc) ** 2
+        err = 0.0 if e5 == 0 and e3 == 0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
     except ZeroDivisionError:
         err = math.inf
-    return y_new, f_new, err, (*k1, *k2, *k3, *k4, *k5, *k6, *f_new)
+    return y_new, f_new, err, K
 
 
 def _reference_event(field, consts, expr):
@@ -297,34 +307,44 @@ def _reference_event(field, consts, expr):
     return g
 
 
-def _reference_interpolant(t0, h, y0, K):
-    """The quartic interpolant of one step from its stages K (stage by
-    stage), per component on this module's copy of the dense-output matrix,
-    each coefficient summed left to right in tableau order."""
-    n = len(y0)
-    P = [[float(q) for q in row] for row in _P_EXACT]
-    Q = [[functools.reduce(operator.add, [row[j] * k for row, k in zip(P, K[i::n]) if row[j]])
-          for j in range(4)] for i in range(n)]
+def _reference_interpolant(fun, t0, h, y0, y1, K):
+    """The seventh-order interpolant of one step from its 13 stages K, as
+    scipy's DOP853 builds it: the 3 extra stages, the coefficients F, and
+    their alternating form in x and 1 - x."""
+    K = list(K)
+    _add_stages(fun, t0, y0, h, K, range(13, 16))
+    F = []
+    for i, (v, vn) in enumerate(zip(y0, y1)):
+        column = [k[i] for k in K]
+        d = vn - v
+        F.append([d, h * column[0] - d, 2.0 * d - h * (column[12] + column[0]),
+                  *(h * _sum(row, column) for row in _TABLEAU_D)])
 
     def y(t):
         x = (t - t0) / h
-        return tuple(v + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
-                     for v, (q0, q1, q2, q3) in zip(y0, Q))
+        values = []
+        for v, Fi in zip(y0, F):
+            acc = x * Fi[6]
+            for j in range(5, -1, -1):
+                acc = (1.0 - x if j % 2 else x) * (Fi[j] + acc)
+            values.append(v + acc)
+        return tuple(values)
 
     return y
 
 
 class _ReferenceDense:
-    """Dense output over stored interpolants, one per step; a point on a
-    breakpoint takes the step that ends there, and the first and the last
-    step serve the points before and after the run."""
+    """Dense output over the steps' interpolants, each built when queried; a
+    point on a breakpoint takes the step that ends there, and the first and
+    the last step serve the points before and after the run."""
 
     def __init__(self, ts, steps):
         self.ts, self.steps = ts, steps
 
     def __call__(self, points):
         last = max(len(self.ts) - 2, 0)
-        values = [self.steps[min(max(bisect_left(self.ts, t) - 1, 0), last)](t) for t in points]
+        values = [self.steps[min(max(bisect_left(self.ts, t) - 1, 0), last)]()(t)
+                  for t in points]
         return tuple(array("d", column) for column in zip(*values))
 
 
@@ -362,18 +382,18 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
                 break
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            nfev += 6
+            nfev += 12
             try:
                 y_new, f_new, err, K = _reference_trial_step(fun, t, y, f, h, rtol, atol)
             except OverflowError:
                 err = math.inf
             if err < 1.0:
-                factor = 10.0 if err == 0 else min(10.0, 0.9 * err**-0.2)
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err**-0.125)
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(0.2, 0.9 * err**-0.2)
+            h_abs *= max(0.2, 0.9 * err**-0.125)
             rejected = True
             n_rejected += 1
         if status == "failed":
@@ -381,7 +401,8 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
         n_accepted += 1
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        steps.append(_reference_interpolant(t_old, h, y_old, K))
+        steps.append(functools.cache(functools.partial(
+            _reference_interpolant, fun, t_old, h, y_old, y_new, K)))
         if t >= t_end:
             status = "finished"
         before = {}
@@ -393,7 +414,7 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             if (rise and old < 0 <= new) or (fall and old > 0 >= new):
                 before[j] = old
         if before:
-            active, interp, roots = list(before), steps[-1], {}
+            active, interp, roots = list(before), steps[-1](), {}
             for j in active:
                 counts[j] += 1
 
@@ -402,11 +423,12 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
 
                 try:
                     roots[j] = _dop853.brentq(on_step, t_old, t,
-                                            xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
+                                              xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
                 except ValueError:
                     ends = {t_old: before[j], t: g[j]}
                     roots[j] = _dop853.brentq(lambda s: ends[s] if s in ends else on_step(s),
-                                            t_old, t, xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
+                                              t_old, t, xtol=4 * _dop853._EPS,
+                                              rtol=4 * _dop853._EPS)
             done = {j for j in active if 0 < events[j].terminal <= counts[j]}
             if done:
                 active.sort(key=roots.get)
@@ -422,50 +444,26 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             ys.extend(y)
     ts, ys = array("d", ts), array("d", ys)
     return _dop853.Run(t=ts, y=ys, t_events=t_events, rises=rises, status=status,
-                     message=message, dense=_ReferenceDense(ts, steps), nfev=nfev,
-                     n_accepted=n_accepted, n_rejected=n_rejected)
+                       message=message, dense=_ReferenceDense(ts, steps), nfev=nfev,
+                       n_accepted=n_accepted, n_rejected=n_rejected)
 
 
-# the dense-output matrix of Dormand and Prince's 5(4) pair as exact
-# rationals, stage by stage
-_P_EXACT = (
-    (1, Fraction(-8048581381, 2820520608), Fraction(8663915743, 2820520608),
-     Fraction(-12715105075, 11282082432)),
-    (0, 0, 0, 0),
-    (0, Fraction(131558114200, 32700410799), Fraction(-68118460800, 10900136933),
-     Fraction(87487479700, 32700410799)),
-    (0, Fraction(-1754552775, 470086768), Fraction(14199869525, 1410260304),
-     Fraction(-10690763975, 1880347072)),
-    (0, Fraction(127303824393, 49829197408), Fraction(-318862633887, 49829197408),
-     Fraction(701980252875, 199316789632)),
-    (0, Fraction(-282668133, 205662961), Fraction(2019193451, 616988883),
-     Fraction(-1453857185, 822651844)),
-    (0, Fraction(40617522, 29380423), Fraction(-110615467, 29380423),
-     Fraction(69997945, 29380423)))
+def test_tableau_is_scipys_float_for_float():
+    # the nodes, couplings, weights, error weights and dense-output rows of
+    # the generated stepper are scipy's DOP853 coefficients, zeros included
+    def floats(values):
+        return [float(v) for v in values]
 
-
-def test_quartic_coefficients_match_exact_tableau_sums():
-    # each coefficient of each component, from 1,000 random stage tuples of
-    # 2 and 4 components with magnitudes from 1e-5 to 1e5, lies within 4 eps
-    # of the sum of its terms' absolute values from the exact sum. The stages
-    # are those a field returns in turn, and the coefficients are read off
-    # the interpolant that the generated step rebuild returns.
-    assert [[float(q) for q in row] for row in _P_EXACT] == [list(row) for row in _dop853._P]
-    rng = random.Random(19)
-    for case in range(1000):
-        n = 2 if case % 2 else 4
-        K = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(7 * n)]
-        field = _dop853.Field(t="t", state=tuple("abcd"[:n]), consts=("stage",), body=(),
-                            rates=("stage()",) * n)
-        at = _dop853._loop(field, (), ())[1]([0.0, 1.0], [1.0], [0.0] * n, iter(K).__next__)(0)
-        cells = dict(zip(at.__code__.co_freevars, (c.cell_contents for c in at.__closure__)))
-        for i in range(n):
-            stages = K[i::n]
-            for j in range(4):
-                terms = [row[j] * Fraction(k) for row, k in zip(_P_EXACT, stages)]
-                bound = 4 * _dop853._EPS * sum(abs(t) for t in terms)
-                got = cells[f"_q{j}_{i}"]
-                assert abs(Fraction(got) - sum(terms)) <= bound, (case, i, j)
+    assert floats(_dop853._C) == _TABLEAU_C[1:12]
+    assert [floats(row) for row in _dop853._A] == _TABLEAU_A[1:12]
+    assert floats(_dop853._B) == _TABLEAU_A[12] == floats(dop853_coefficients.B)
+    # no error weight falls on the new state's rate, stage 12
+    assert floats(_dop853._E5) + [0.0] == _TABLEAU_E5
+    assert floats(_dop853._E3) + [0.0] == _TABLEAU_E3
+    assert floats(_dop853._C_EXTRA) == _TABLEAU_C[13:]
+    assert [floats(row) for row in _dop853._A_EXTRA] == _TABLEAU_A[13:]
+    assert [floats(row) for row in _dop853._D] == _TABLEAU_D
+    assert _TABLEAU_C[12] == _TABLEAU_C[11] == 1.0
 
 
 def test_dense_grid_matches_single_point_queries(sing_5_20):
@@ -523,8 +521,8 @@ def _difference_start(gamma=10.0):
 
 def _exponent_round(monkeypatch):
     p_i = [exponents.find_exponent(i, 1.0, 5, 6.0).p_i for i in range(1, 5)]
-    assert [p.hex() for p in p_i] == ["0x1.6c99f999cd067p+4", "0x1.0e4b9cdfb1cc4p+6",
-                                      "0x1.05febbed604c3p+7", "0x1.accea19b87622p+7"]
+    assert [p.hex() for p in p_i] == ["0x1.6c99f999c6676p+4", "0x1.0e4b9ce04167dp+6",
+                                      "0x1.05febbed090fdp+7", "0x1.accea1965880cp+7"]
 
 
 def _huge_power(monkeypatch):
@@ -537,7 +535,7 @@ def _c08_differences(monkeypatch):
     # one singular solve and three difference runs
     rep = convergence_to_singular(ProblemParams(5, 20.0), [10.0, 100.0, 1000.0], (0.5, 2.0))
     assert [d.hex() for d in rep.distances] == [
-        "0x1.620915ed4de82p-50", "0x1.4ba16abb38a74p-95", "0x1.a129b182dcfe3p-138"]
+        "0x1.620915f3550b4p-50", "0x1.4ba16ac440b79p-95", "0x1.a129b1958a6c8p-138"]
 
 
 def _difference_underflow(monkeypatch):
@@ -561,7 +559,7 @@ def _difference_with_zero_component(monkeypatch):
 
 
 def _step_budget(monkeypatch):
-    monkeypatch.setattr(_dop853, "MAX_STEPS", 40)
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 10)
     with pytest.raises(IntegrationError, match="budget"):
         integrate_adaptive(ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0), 5.0)
 
@@ -756,7 +754,7 @@ def test_overflowing_stage_rejects_the_step():
     run = _hooked_decay({3})
     assert run.status == "finished"
     assert run.n_rejected == clean.n_rejected + 1
-    assert run.nfev == 6 * (run.n_accepted + run.n_rejected) + 2
+    assert run.nfev == 12 * (run.n_accepted + run.n_rejected) + 2
     assert run.y[-1] == pytest.approx(math.exp(-1.0), rel=1e-7)
     # a stage that overflows on every trial ends the run at the minimum step
     always = _hooked_decay(range(2, 10**6))

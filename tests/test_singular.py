@@ -416,9 +416,9 @@ def test_deep_seed_covers_small_radii():
 
 
 def test_step_budget_error_surfaces(monkeypatch):
-    # the p = 1e6 run takes about 1,900 steps; a failed run reports the budget,
+    # the p = 1e6 run takes about 680 steps; a failed run reports the budget,
     # whatever its partial critical points look like
-    monkeypatch.setattr(_dop853, "MAX_STEPS", 1000)
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 300)
     with pytest.raises(IntegrationError, match="Step budget") as exc:
         solve_singular(ProblemParams(5, 1e6), 1.0)
     assert exc.value.partial.critical_points.size > 0
