@@ -1,6 +1,7 @@
-"""Dormand-Prince 5(4) stepper on floats, with events and dense output.
+"""Dormand-Prince 8(5,3) stepper (Hairer's DOP853) on floats, with events and
+dense output.
 
-:func:`solve` follows the step rules of scipy's RK45, so it takes the same
+:func:`solve` follows the step rules of scipy's DOP853, so it takes the same
 steps for the same problem, without the per-step cost of small numpy arrays.
 The radial integrations of :mod:`lntlab.ode` all run on it, outward.
 A vector field is a :class:`Field` declaration, and an event an expression
@@ -9,16 +10,17 @@ event set, and compiled on its first solve (:func:`_loop`): it writes the
 field's rates into every stage and the events after every step, so an
 accepted step makes no Python function call, and it stores only the step's
 end and length and the new state. The same stage lines, compiled with the
-loop, rebuild a stored step and return its quartic interpolant, which the
-dense output (:class:`Dense`) and the event search share. After a step over
-which an event crosses zero (:class:`Event`) the loop hands the step to
-:func:`solve`'s polishing routine, which rebuilds it and finds the zero by
-Brent's method on the event evaluated on its interpolant; the loop returns
-only at a terminal event, at the end, or on failure. On a 2-vCPU VM a step
-of the radial equation costs about 3.6 us in the loop, and a step whose
-zeros are polished about 4 us more for its rebuild.
+loop, rebuild a stored step for the dense output (:class:`Dense`), and one
+generated function turns a step's stages into its seventh-order
+interpolant. After a step over which an event crosses zero (:class:`Event`)
+the loop builds that interpolant on its live stages, which costs the 3 extra
+stages, and hands it to :func:`solve`'s polishing routine, which finds the
+zero by Brent's method on the event evaluated on it; the loop returns only
+at a terminal event, at the end, or on failure. On a 2-vCPU VM a trial step
+of the radial equation (12 evaluations) costs about 6 us in the loop, a
+rebuilt step with its interpolant about 12 us, and a polished zero about
+15-20 us, most of it in Brent's iterations.
 """
-
 from __future__ import annotations
 
 import functools
@@ -98,11 +100,11 @@ _D = ((-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
        -149.72683625798564))
 _EPS = sys.float_info.epsilon
 # Accepted steps allowed per run. The largest runs of the test suite and of
-# the README examples take 17k and 20k steps; a run that needs more fails
+# the README examples take 5.1k and 3.6k steps; a run that needs more fails
 # rather than growing without bound. The radial run that uses up the budget,
-# solve_singular(ProblemParams(5, 20.0), 1e8) with 122,165 event zeros,
-# takes about 2.8 s and peaks at 39 MiB on a 2-vCPU VM.
-MAX_STEPS = 200_000
+# solve_singular(ProblemParams(5, 20.0), 1e8) with 61,989 event zeros,
+# takes about 1.5 s and peaks at 28 MiB on a 2-vCPU VM.
+MAX_STEPS = 50_000
 
 
 class Column(array):
@@ -143,7 +145,7 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 class Dense:
-    """Piecewise quartic dense output of a Dormand-Prince run of n
+    """Piecewise seventh-order dense output of a DOP853 run of n
     components, on the run's own step ends ``ts``.
 
     ``step(k)`` rebuilds step k from its start ``ts[k]``, length and start
@@ -465,25 +467,29 @@ _FAILURES = {"min_step": "Required step size is less than spacing between number
 def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     """Integrate y' = f(t, y) of ``field``, its constants taken by name from
     the mapping ``consts``, from t0 forward to t_end > t0 with the
-    Dormand-Prince 5(4) pair on floats.
+    Dormand-Prince 8(5,3) method on floats.
 
-    The step rules are those of scipy's RK45, so the same steps are taken:
-    FSAL stages, Hairer's starting step, the RMS error norm with scale
-    ``atol + max(|y|, |y_new|) rtol`` (``atol`` scalar or per component),
-    step factors 0.9 err**(-1/5) within [0.2, 10], no growth right after a
-    rejection, failure once the step falls below 10 ulp of t, and rtol
-    raised to at least 100 eps. A trial step whose stages raise
-    ``OverflowError`` is rejected as one with an infinite error norm, as
-    scipy's overflowing stages are. A run also fails once it has taken
-    ``MAX_STEPS`` steps without reaching t_end. The generated loop runs the
-    whole integration: after a step over which an event crosses zero (as
-    :class:`Event` says; scipy's rule differs only at an exact zero) it
-    calls ``polish`` with the events that crossed, which rebuilds the step
-    once, locates each zero by Brent's method on the event evaluated on the
-    step's quartic interpolant and records whether g rose across the step;
-    where the interpolant's end values miss the sign change that g shows at
-    the accepted states, the search takes those values at the step's ends.
-    At the zero that ends the run, ``polish`` cuts the last step there, or
+    The step rules are those of scipy's DOP853, so the same steps are taken:
+    12 stages with FSAL (``nfev`` counts 12 per trial step and 2 for
+    Hairer's starting step), the error norm ``h |e5|^2 / sqrt((|e5|^2 +
+    0.01 |e3|^2) n)`` of the fifth- and third-order estimates, each
+    component scaled by ``atol + max(|y|, |y_new|) rtol`` (``atol`` scalar
+    or per component; a zero scale makes the error infinite), step factors
+    0.9 err**(-1/8) within [0.2, 10], no growth right after a rejection,
+    failure once the step falls below 10 ulp of t, and rtol raised to at
+    least 100 eps. A trial step whose stages raise ``OverflowError`` is
+    rejected as one with an infinite error norm, as scipy's overflowing
+    stages are. A run also fails once it has taken ``MAX_STEPS`` steps
+    without reaching t_end. The generated loop runs the whole integration:
+    after a step over which an event crosses zero (as :class:`Event` says;
+    scipy's rule differs only at an exact zero) it calls ``polish`` with the
+    events that crossed and the step's interpolant, built on the loop's
+    live stages with 3 more evaluations (which ``nfev`` does not count).
+    ``polish`` locates each zero by Brent's method on the event evaluated
+    on the interpolant and records whether g rose across the step; where
+    the interpolant's end values miss the sign change that g shows at the
+    accepted states, the search takes those values at the step's ends. At
+    the zero that ends the run, ``polish`` cuts the last step there, or
     drops it if the zero is its start, and the loop returns. A step keeps
     2 + n doubles: its end, length and state.
     """

@@ -276,6 +276,12 @@ def _verification_checks(bundle, sol):
     _energy_checks(bundle, sol.trajectory)
 
 
+def _solver_counters(traj) -> dict:
+    """The stepper's counters of a trajectory: accepted steps, field
+    evaluations and rejected steps."""
+    return {"steps": traj.n_accepted, "nfev": traj.nfev, "rejected": traj.n_rejected}
+
+
 def cmd_singular(args, bundle, outdir: Path):
     params = ProblemParams(args.N, args.p, R=args.R)
     sol = solve_singular(params, args.r_end, args.tol_rel, args.tol_abs)
@@ -288,7 +294,7 @@ def cmd_singular(args, bundle, outdir: Path):
                  "n_critical": len(sol.critical_radii),
                  "seed_radius": sol.seed_radius,
                  "seed_truncation": sol.seed_truncation,
-                 "steps": sol.trajectory.n_accepted},
+                 **_solver_counters(sol.trajectory)},
     ))
     if args.check_bounds:
         _verification_checks(bundle, sol)
@@ -303,7 +309,8 @@ def cmd_shoot(args, bundle, outdir: Path):
         name="shoot",
         status=status,
         claim="regular-solution-integrated",
-        margins={"gamma": args.gamma, "n_critical": len(result.critical_radii)},
+        margins={"gamma": args.gamma, "n_critical": len(result.critical_radii),
+                 **_solver_counters(result.trajectory)},
         message=result.trajectory.message,
     ))
     if not result.nonpositive:

@@ -3,11 +3,11 @@
 The equation is integrated in the radius r, alone or jointly with the
 difference d = u - u* of a second solution to a reference one, which
 measures distances between solutions far below the round-off of either. All
-integrations run the in-house Dormand-Prince 5(4) stepper of
+integrations run the in-house Dormand-Prince 8(5,3) stepper of
 :mod:`lntlab._dop853` on tuples of floats, which follows the step rules of
-scipy's RK45 and so takes the same steps; its dense output is one piecewise
-quartic. Unit crossings (u = 1) and critical points (u' = 0) are located by
-Brent's method on the interpolant of the step that reaches them and
+scipy's DOP853 and so takes the same steps; its dense output is piecewise
+of degree 7. Unit crossings (u = 1) and critical points (u' = 0) are located
+by Brent's method on the interpolant of the step that reaches them and
 recorded on the trajectory together with the energy trace and the solver
 counters; a critical point is a minimum where u' rises through zero, and a
 run can stop at the i-th critical point.
@@ -235,8 +235,8 @@ def integrate_adaptive(
 ) -> RadialTrajectory:
     """Integrate the radial equation outward with event detection.
 
-    Uses the Dormand-Prince 5(4) pair with adaptive error control and dense
-    output. Unit crossings and critical points are root-polished on each
+    Uses the Dormand-Prince 8(5,3) method with adaptive error control and
+    dense output. Unit crossings and critical points are root-polished on each
     step's interpolant and recorded in increasing order, each once, and
     ``stop_at_critical = i`` ends the run at the i-th critical point;
     reaching u = 0 truncates the run and marks the trajectory nonpositive.

@@ -41,11 +41,13 @@ def test_singular_command_and_determinism(tmp_path):
     assert all(c["claim"] for c in report["checks"])
     solve = next(c for c in report["checks"] if c["name"] == "singular-solve")
     assert 0.0 < solve["margins"]["seed_truncation"] <= 1e-10
-    # the report alone shows where the run started and how many steps it took
+    # the report alone shows where the run started and how many steps,
+    # field evaluations and rejections it took
     rtilde_p = lntlab.seed_window(lntlab.ProblemParams(5, 20.0), 1e-10).lemma.rtilde_p
     assert solve["margins"]["seed_radius"] == rtilde_p
-    assert solve["margins"]["steps"] == lntlab.solve_singular(
-        lntlab.ProblemParams(5, 20.0), 3.0).trajectory.n_accepted
+    traj = lntlab.solve_singular(lntlab.ProblemParams(5, 20.0), 3.0).trajectory
+    assert [solve["margins"][k] for k in ("steps", "nfev", "rejected")] == [
+        traj.n_accepted, traj.nfev, traj.n_rejected]
 
 
 def test_config_error_exit_code(tmp_path):
@@ -60,6 +62,17 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_shoot_report_counts_steps(tmp_path):
+    # the shot's check carries the stepper's counters, as the singular solve's does
+    assert run_cli(["shoot", "--gamma", 10, "--N", 5, "--p", 20, "--r-end", 2,
+                    "--out-dir", tmp_path]) == 0
+    check = next(c for c in read_report(tmp_path)["checks"] if c["name"] == "shoot")
+    traj = lntlab.shoot(10.0, lntlab.ProblemParams(5, 20.0), 2.0).trajectory
+    assert traj.n_rejected > 0
+    assert [check["margins"][k] for k in ("steps", "nfev", "rejected")] == [
+        traj.n_accepted, traj.nfev, traj.n_rejected]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
