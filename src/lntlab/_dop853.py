@@ -231,7 +231,7 @@ class Field(NamedTuple):
         """The plain ``f(t, y)`` of this field, returning a tuple, with its
         constants taken by name from the mapping ``consts``; with
         ``body=()`` and an event as its one rate, the event g(t, y) that
-        :func:`solve` evaluates on a rebuilt step's interpolant."""
+        :func:`solve` evaluates on a crossed step's interpolant."""
         return _function_factory(self)(*(consts[name] for name in self.consts))
 
 
@@ -278,7 +278,8 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     at the step's ends, per event whether it crossed, and the step's
     interpolant, built on the loop's live stages, and returns if that is true
     ("event"); it also returns at t_end ("finished"), below the minimum step
-    ("min_step") or after max_steps steps ("budget"): the reason and the
+    ("min_step"), after max_steps steps ("budget") or when an extra stage
+    of that interpolant overflows ("interpolant"): the reason and the
     accepted and rejected steps. Each component's stage sums are written out
     term by term in tableau order, so they round as ``v + (A21 a + ...) h``
     would.
@@ -387,9 +388,13 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         "        _ts.append(_t_new)",
         f"        _ys.fromlist([{', '.join(z)}])",
         *(f"        {s}" for s in events("_t_new", z)),
-        *([f"        if ({crossed}) and _polish({old}, {new}, {_tuple(flags)},",
-           f"                                  _interpolant(_t, _h, {live}, {consts})):",
-           "            return 'event', _n_accepted, _n_rejected"] if crossed else []),
+        *([f"        if {crossed}:",
+           "            try:",
+           f"                _at = _interpolant(_t, _h, {live}, {consts})",
+           "            except OverflowError:  # an extra stage left the double range",
+           "                return 'interpolant', _n_accepted, _n_rejected",
+           f"            if _polish({old}, {new}, {_tuple(flags)}, _at):",
+           "                return 'event', _n_accepted, _n_rejected"] if crossed else []),
         f"        {old} = {new}",
         "        _t = _t_new",
         *(f"        {s}" for s in _assign(y, z) + _assign(k[0], k[12])),
@@ -461,7 +466,8 @@ class Run:
 
 
 _FAILURES = {"min_step": "Required step size is less than spacing between numbers.",
-             "budget": "Step budget of {} accepted steps exhausted."}
+             "budget": "Step budget of {} accepted steps exhausted.",
+             "interpolant": "An extra stage of a step's interpolant left the double range."}
 
 
 def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
@@ -490,8 +496,9 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     the interpolant's end values miss the sign change that g shows at the
     accepted states, the search takes those values at the step's ends. At
     the zero that ends the run, ``polish`` cuts the last step there, or
-    drops it if the zero is its start, and the loop returns. A step keeps
-    2 + n doubles: its end, length and state.
+    drops it if the zero is its start, and the loop returns. A run fails
+    after a crossed step whose extra stages overflow, since that step has
+    no interpolant. A step keeps 2 + n doubles: its end, length and state.
     """
     if not t_end > t0:
         raise ParameterError(f"integration runs forward: t_end={t_end} must exceed t0={t0}")

@@ -247,8 +247,10 @@ def integrate_adaptive(
     ------
     IntegrationError
         If the run fails: the step size falls below 10 ulp of r (as when
-        every trial step overflows), or ``_dop853.MAX_STEPS`` accepted steps
-        do not reach ``r_end``. The partial trajectory is attached.
+        every trial step overflows), ``_dop853.MAX_STEPS`` accepted steps do
+        not reach ``r_end``, or an extra stage of the interpolant of a step
+        over which an event crossed overflows. The partial trajectory is
+        attached.
     """
     if not math.isfinite(r_end):
         raise ParameterError(f"r_end must be finite, got r_end={r_end}")

@@ -73,8 +73,8 @@ def test_random_cubics_match_scipy():
 
 
 def test_stepper_events_match_scipy(monkeypatch):
-    # the step quartics whose zeros are the unit crossings and critical points
-    # of a real singular solve
+    # the step interpolants whose zeros are the unit crossings and critical
+    # points of a real singular solve
     roots = []
 
     def compared(f, a, b, **kw):

@@ -407,7 +407,8 @@ BASE = ["--N", "5", "--p", "20", "--r-end", "1"]
     # a trial stage whose u**p overflows is rejected, not the run ended
     (["--N", "6", "--p", "15062.811244616925", "--r-end", "1.3254",
       "--tol-rel", "1.06e-13", "--tol-abs", "1.28e-3"], (0,)),
-    # the quartic's ends miss the sign change the accepted states show
+    # at atol 1e300 an extra stage of a crossed step's interpolant overflows,
+    # which fails the run
     (["--N", "12", "--p", "674.7872085423724", "--r-end", "0.8594164168429487",
       "--tol-rel", "4.923077638502184e-09", "--tol-abs", "1e300"], (0, 1)),
 ])

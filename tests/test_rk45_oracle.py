@@ -65,7 +65,8 @@ def _radial_events(stop_at_critical):
 
 
 def _function(field, params, rtol=1e-10):
-    """The plain f(t, y) of one of ode's fields, as the stepper runs it."""
+    """The plain f(t, y) of one of ode's fields, as the stepper runs it at
+    tolerance rtol."""
     return field.function(_constants(params, rtol))
 
 
@@ -127,6 +128,28 @@ def test_difference_run_matches_dop853():
     assert np.all(_scaled_gap(got[:2], want[:2]) < STATE_RTOL)
     gap = np.hypot(got[2] - want[2], mid * (got[3] - want[3]))
     assert np.max(gap / np.hypot(want[2], mid * want[3])) < STATE_RTOL
+
+
+@pytest.mark.parametrize("N, p, r_end, counts", [
+    (5, 20.0, 50.0, (69, 68)),
+    (5, 1e6, 1.0, (318, 317)),
+    (12, 5.0, 40.0, (23, 22))], ids=["5-20", "5-1e6", "12-5"])
+# at p = 1e6 some of scipy's trial stages overflow u**p on numpy floats, which
+# warns and gives inf, and the step is rejected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_long_steps_miss_no_event(N, p, r_end, counts):
+    # an eighth-order step may span a good part of an oscillation: the unit
+    # crossings and critical points of the default tolerances are those
+    # scipy's DOP853 finds at rtol 1e-13 from the same seed
+    params = ProblemParams(N, p)
+    sol = solve_singular(params, r_end)
+    traj = sol.trajectory
+    seed = seed_at_origin(seed_window(params, 1e-10), sol.seed_radius)
+    ref = solve_ivp(_function(_RADIAL, params, 1e-13), (seed.r, r_end), (seed.u, seed.du),
+                    method="DOP853", rtol=1e-13, atol=1e-12, events=_radial_events(0))
+    assert ref.status == 0 and traj.status == "ok"
+    assert (len(traj.unit_crossings), len(traj.critical_points)) == counts
+    assert (ref.t_events[0].size, ref.t_events[1].size) == counts
 
 
 _DECAY = _dop853.Field(t="t", state=("y",), consts=(), body=(), rates=("-y",))
@@ -414,7 +437,14 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             if (rise and old < 0 <= new) or (fall and old > 0 >= new):
                 before[j] = old
         if before:
-            active, interp, roots = list(before), steps[-1](), {}
+            try:
+                interp = steps[-1]()
+            except OverflowError:
+                status = "failed"
+                message = "An extra stage of a step's interpolant left the double range."
+                before = {}
+        if before:
+            active, roots = list(before), {}
             for j in active:
                 counts[j] += 1
 
@@ -760,6 +790,53 @@ def test_overflowing_stage_rejects_the_step():
     always = _hooked_decay(range(2, 10**6))
     assert always.status == "failed" and always.n_accepted == 0
     assert "spacing between numbers" in always.message
+
+
+def test_polish_evaluates_only_the_extra_stages():
+    # the loop hands polish the crossed step's live stages: its interpolant
+    # costs the 3 extra stages, however many zeros the step holds, where a
+    # rebuild of the step would cost 15
+    calls = []
+
+    def solve(*events):
+        calls.clear()
+        run = _dop853.solve(_HOOKED_DECAY, {"hook": lambda: calls.append(1)},
+                            0.0, (1.0,), 1.0, 1e-8, 1e-12, events)
+        return run, len(calls)
+
+    free, free_calls = solve()
+    assert free_calls == free.nfev
+    for levels in (("0.5",), ("0.5", "0.5000001")):
+        run, run_calls = solve(*(_dop853.Event(f"y - {c}") for c in levels))
+        assert _hex(run.t) == _hex(free.t) and run.nfev == free.nfev
+        assert [len(te) for te in run.t_events] == [1] * len(levels)
+        assert len(set(bisect_left(run.t, te[0]) for te in run.t_events)) == 1
+        assert run_calls == free_calls + 3
+
+
+def test_overflowing_extra_stage_fails_the_run(monkeypatch):
+    # an extra stage of the interpolant of a step over which an event crossed
+    # leaves the double range: the run fails after that step, whose zero is
+    # not recorded
+    calls, at_brent = [], []
+    brentq = _dop853.brentq
+
+    def noted(*args, **kwargs):
+        at_brent.append(len(calls))
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(_dop853, "brentq", noted)
+    event = (_dop853.Event("y - 0.5"),)
+    clean = _dop853.solve(_HOOKED_DECAY, {"hook": lambda: calls.append(1)},
+                          0.0, (1.0,), 1.0, 1e-8, 1e-12, event)
+    # the step's 3 extra stages are the evaluations just before Brent's
+    extra = at_brent[0] - 3
+    args = (_HOOKED_DECAY, {"hook": _hook({extra})}, 0.0, (1.0,), 1.0, 1e-8, 1e-12, event)
+    run = _dop853.solve(*args)
+    _assert_same_run(run, _reference_solve(*args[:1], {"hook": _hook({extra})}, *args[2:]))
+    assert run.status == "failed" and "interpolant" in run.message
+    k = bisect_left(clean.t, clean.t_events[0][0])
+    assert run.t.tolist() == clean.t[:k + 1].tolist() and run.t_events == [[]]
 
 
 def test_other_stage_errors_propagate():
