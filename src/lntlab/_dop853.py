@@ -17,9 +17,9 @@ the loop builds that interpolant on its live stages, which costs the 3 extra
 stages, and hands it to :func:`solve`'s polishing routine, which finds the
 zero by Brent's method on the event evaluated on it; the loop returns only
 at a terminal event, at the end, or on failure. On a 2-vCPU VM a trial step
-of the radial equation (12 evaluations) costs about 6 us in the loop, a
-rebuilt step with its interpolant about 12 us, and a polished zero about
-15-20 us, most of it in Brent's iterations.
+of the radial equation (12 evaluations) costs about 5.5 us in the loop, a
+rebuilt step with its interpolant about 10 us, the interpolant alone about
+4 us, and a polished zero about 18 us, most of it in Brent's iterations.
 """
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ _EPS = sys.float_info.epsilon
 # the README examples take 5.1k and 3.6k steps; a run that needs more fails
 # rather than growing without bound. The radial run that uses up the budget,
 # solve_singular(ProblemParams(5, 20.0), 1e8) with 61,989 event zeros,
-# takes about 1.5 s and peaks at 28 MiB on a 2-vCPU VM.
+# takes about 1.5 s and peaks at 23 MiB on a 2-vCPU VM.
 MAX_STEPS = 50_000
 
 

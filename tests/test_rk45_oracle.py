@@ -81,7 +81,7 @@ def _dense_evaluations(ref):
     return 3 * (ref.t.size - 1)
 
 
-def test_singular_solve_matches_dop853():
+def test_singular_solve_matches_rk45():
     params = ProblemParams(5, 20.0)
     sol = solve_singular(params, 5.0, stop_at_critical=3)
     traj = sol.trajectory
@@ -104,7 +104,7 @@ def test_singular_solve_matches_dop853():
     np.testing.assert_allclose(traj.unit_crossings, ref.t_events[0], rtol=EVENT_RTOL, atol=0)
 
 
-def test_difference_run_matches_dop853():
+def test_difference_run_matches_rk45():
     params = ProblemParams(5, 20.0)
     rtol, atol = 1e-10, 1e-12
     window = seed_window(params, rtol)
@@ -161,7 +161,7 @@ def test_solve_runs_forward_only(t_end):
         _dop853.solve(_DECAY, {}, 1.0, (1.0,), t_end, 1e-8, 1e-12)
 
 
-def test_run_below_minimum_step_fails_like_dop853(monkeypatch):
+def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
     # u'' = u**3 from u = 2 blows up near r = 1.7, so the step size collapses
     blowup = _dop853.Field(t="r", state=("u", "du"), consts=(), body=(), rates=("du", "u ** 3"))
     monkeypatch.setattr(ode, "_RADIAL", blowup)
