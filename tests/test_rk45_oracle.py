@@ -831,9 +831,12 @@ def test_overflowing_extra_stage_fails_the_run(monkeypatch):
                           0.0, (1.0,), 1.0, 1e-8, 1e-12, event)
     # the step's 3 extra stages are the evaluations just before Brent's
     extra = at_brent[0] - 3
-    args = (_HOOKED_DECAY, {"hook": _hook({extra})}, 0.0, (1.0,), 1.0, 1e-8, 1e-12, event)
-    run = _dop853.solve(*args)
-    _assert_same_run(run, _reference_solve(*args[:1], {"hook": _hook({extra})}, *args[2:]))
+
+    def args():
+        return (_HOOKED_DECAY, {"hook": _hook({extra})}, 0.0, (1.0,), 1.0, 1e-8, 1e-12, event)
+
+    run = _dop853.solve(*args())
+    _assert_same_run(run, _reference_solve(*args()))
     assert run.status == "failed" and "interpolant" in run.message
     k = bisect_left(clean.t, clean.t_events[0][0])
     assert run.t.tolist() == clean.t[:k + 1].tolist() and run.t_events == [[]]
