@@ -5,21 +5,23 @@ dense output.
 steps for the same problem, without the per-step cost of small numpy arrays.
 The radial integrations of :mod:`lntlab.ode` all run on it, outward.
 A vector field is a :class:`Field` declaration, and an event an expression
-in its names. One stepping loop is generated from the tableau per field and
-event set, and compiled on its first solve (:func:`_loop`): it writes the
-field's rates into every stage and the events after every step, so an
-accepted step makes no Python function call, and it stores only the step's
-end and length and the new state. The same stage lines, compiled with the
-loop, rebuild a stored step for the dense output (:class:`Dense`), and one
-generated function turns a step's stages into its seventh-order
-interpolant. After a step over which an event crosses zero (:class:`Event`)
-the loop builds that interpolant on its live stages, which costs the 3 extra
-stages, and hands it to :func:`solve`'s polishing routine, which finds the
-zero by Brent's method on the event evaluated on it; the loop returns only
-at a terminal event, at the end, or on failure. On a 2-vCPU VM a trial step
-of the radial equation (12 evaluations) costs about 5.5 us in the loop, a
-rebuilt step with its interpolant about 10 us, the interpolant alone about
-4 us, and a polished zero about 18 us, most of it in Brent's iterations.
+in its names. One unit is generated from the tableau per field and event
+set, and compiled on its first solve (:func:`_loop`). Its stepping loop
+writes the field's rates into every stage and the events after every step,
+so an accepted step makes no Python function call, and it stores only the
+step's end and length and the new state. From the same lines the unit
+rebuilds a stored step for the dense output (:class:`Dense`), turns a
+step's stages into its seventh-order interpolant, and evaluates the field's
+f(t, y) and the events' g(t, y). After a step over which an event crosses
+zero (:class:`Event`) the loop builds that interpolant on its live stages,
+which costs the 3 extra stages, and hands it to :func:`solve`'s polishing
+routine. That finds the zero by Brent's method, bracketed by the event's
+values at the two accepted states and evaluated on the interpolant only
+inside the step; the loop returns only at a terminal event, at the end, or
+on failure. On a 2-vCPU VM a trial step of the radial equation (12
+evaluations) costs about 5.5 us in the loop, a rebuilt step with its
+interpolant about 10 us, the interpolant alone about 4 us, and a polished
+zero about 18 us, most of it in Brent's iterations.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left
-from collections.abc import Callable
 from typing import NamedTuple
 
 from ._brent import brentq
@@ -227,13 +228,6 @@ class Field(NamedTuple):
     body: tuple[str, ...]
     rates: tuple[str, ...]
 
-    def function(self, consts) -> Callable:
-        """The plain ``f(t, y)`` of this field, returning a tuple, with its
-        constants taken by name from the mapping ``consts``; with
-        ``body=()`` and an event as its one rate, the event g(t, y) that
-        :func:`solve` evaluates on a crossed step's interpolant."""
-        return _function_factory(self)(*(consts[name] for name in self.consts))
-
 
 def _compile(lines, label):
     namespace = {k: v for k, v in vars(math).items() if not k.startswith("_")}
@@ -256,18 +250,9 @@ def _weighted(weights, names) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _function_factory(field: Field) -> Callable:
-    return _compile([f"def _bind({', '.join(field.consts)}):",
-                     f"    def _f({field.t}, _y):",
-                     f"        {_tuple(field.state)} = _y",
-                     *(f"        {s}" for s in field.body),
-                     f"        return {_tuple(field.rates)}",
-                     "    return _f"], f"field {field.state}")["_bind"]
-
-
-@functools.lru_cache(maxsize=None)
 def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], ...]):
-    """``(advance, bind)``, compiled together from one set of stage lines.
+    """``(advance, bind, rates, events)``, compiled together from one set of
+    stage lines.
 
     ``advance(t, y, f, h_abs, t_end, rtol, atol, max_steps, ts, ys, hs,
     polish, *consts)`` is the stepping loop of ``field`` with the events
@@ -289,6 +274,10 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
     the loop took it (at ``ts[k-1] + hs[k-1]``, the previous step's end as
     the loop computed it), so every stage keeps its bits, and returns the
     step's interpolant.
+
+    ``rates(t, y, *consts)`` is the field's plain f(t, y), on the loop's
+    stage lines, and ``events(t, y, *consts)`` the tuple of the events'
+    values, on the lines that evaluate them after each step.
 
     The interpolant of a step adds the 3 extra stages and returns ``at(t)``,
     a tuple of n floats: per component the seventh-order polynomial
@@ -431,9 +420,17 @@ def _loop(field: Field, exprs: tuple[str, ...], scan: tuple[tuple[bool, bool], .
         *(f"        {s}" for s in rates("_ts[_k - 1] + _hs[_k - 1] if _k else _t", y, 0)
           + stages),
         f"        return _interpolant(_t, _h, {live}, {consts})",
-        "    return _step"]
+        "    return _step",
+        f"def _rates(_t, _y, {consts}):",
+        f"    {_tuple(y)} = _y",
+        *(f"    {s}" for s in rates("_t", y, 0)),
+        f"    return {_tuple(k[0])}",
+        f"def _events(_t, _y, {consts}):",
+        f"    {_tuple(y)} = _y",
+        *(f"    {s}" for s in events("_t", y)),
+        f"    return {new}"]
     namespace = _compile(lines, f"loop {field.state} {exprs}")
-    return namespace["advance"], namespace["_bind"]
+    return tuple(namespace[name] for name in ("advance", "_bind", "_rates", "_events"))
 
 
 class Event(NamedTuple):
@@ -491,10 +488,9 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     scipy's rule differs only at an exact zero) it calls ``polish`` with the
     events that crossed and the step's interpolant, built on the loop's
     live stages with 3 more evaluations (which ``nfev`` does not count).
-    ``polish`` locates each zero by Brent's method on the event evaluated
-    on the interpolant and records whether g rose across the step; where
-    the interpolant's end values miss the sign change that g shows at the
-    accepted states, the search takes those values at the step's ends. At
+    ``polish`` locates each zero by Brent's method, on g's values at the
+    accepted states for the step's ends and on g evaluated on the
+    interpolant inside it, and records whether g rose across the step. At
     the zero that ends the run, ``polish`` cuts the last step there, or
     drops it if the zero is its start, and the loop returns. A run fails
     after a crossed step whose extra stages overflow, since that step has
@@ -506,15 +502,12 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
     y = tuple(float(v) for v in y0)
     rtol = max(rtol, 100 * _EPS)
     atol = tuple(atol) if isinstance(atol, tuple) else (atol,) * n
-    fun = field.function(consts)
-    f = fun(t0, y)
-    h_abs = _initial_step(fun, t0, y, f, t_end, rtol, atol)
     # per event: whether it may rise and whether it may fall through zero
     scan = tuple((ev.direction >= 0, ev.direction <= 0) for ev in events)
-    advance, bind = _loop(field, tuple(ev.expr for ev in events), scan)
+    advance, bind, rates, g = _loop(field, tuple(ev.expr for ev in events), scan)
     max_steps, values = MAX_STEPS, [consts[name] for name in field.consts]
-    # each event as the plain function g(t, y) -> (g,) of the field's names
-    gs = [field._replace(body=(), rates=(ev.expr,)).function(consts) for ev in events]
+    f = rates(t0, y, *values)
+    h_abs = _initial_step(lambda t, s: rates(t, s, *values), t0, y, f, t_end, rtol, atol)
     # flat double arrays: a step keeps its end, length and state, 2 + n
     # doubles; its stages are rebuilt when it is queried
     ts, ys, hs = array("d", [t0]), array("d", y), array("d")
@@ -528,17 +521,11 @@ def solve(field: Field, consts, t0, y0, t_end, rtol, atol, events=()) -> Run:
         active = [j for j, x in enumerate(crossed) if x]
         t_old, t, roots = ts[-2], ts[-1], {}
         for j in active:
-            def g(s, event=gs[j]):
-                return event(s, at(s))[0]
-
-            try:
-                roots[j] = brentq(g, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-            except ValueError:
-                # the interpolant's ends miss the sign change of the
-                # accepted states: take those at the ends, it inside
-                ends = {t_old: before[j], t: after[j]}
-                roots[j] = brentq(lambda s: ends[s] if s in ends else g(s),
-                                  t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            # the values at the accepted states bracket the zero, and the
+            # interpolant serves only inside the step
+            ends = {t_old: before[j], t: after[j]}
+            roots[j] = brentq(lambda s: ends[s] if s in ends else g(s, at(s), *values)[j],
+                              t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
         done = {j for j in active if 0 < events[j].terminal <= len(t_events[j]) + 1}
         if done:
             # keep the zeros up to the first one that ends the run

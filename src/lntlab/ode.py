@@ -68,7 +68,7 @@ def energy_values(u, du, p: float) -> Column:
     return Column([0.5 * d * d - 0.5 * v * v + v**q / q for v, d in zip(u, du)])
 
 
-def energy_rate(r, u, du, N: int) -> Column:
+def energy_rate(r, du, N: int) -> Column:
     """Exact energy derivative -(N-1) u'**2 / r along solutions."""
     nm1 = -(N - 1.0)
     return Column([nm1 * d * d / s for s, d in zip(r, du)])
@@ -91,7 +91,7 @@ def energy_rate_deviation(traj: "RadialTrajectory") -> float:
     h = grid[1] - grid[0]
     u, du = traj.sample(grid)
     e = energy_values(u, du, traj.params.p)
-    rate = energy_rate(grid[1:-1], u[1:-1], du[1:-1], traj.params.N)
+    rate = energy_rate(grid[1:-1], du[1:-1], traj.params.N)
     floor = 1e-2 * max(map(abs, rate))
     return max((abs((hi - lo) / (2.0 * h) - q) / abs(q)
                 for lo, hi, q in zip(e, e[2:], rate) if q != 0.0 and abs(q) >= floor),

@@ -207,6 +207,9 @@ def compute_PN(c: DerivedConstants, ctilde: float) -> tuple[float, float]:
         raise ParameterError("kernel bound undefined for beta = 0")
     p = c.p
     f_edge = c.Dp * ctilde * ctilde / p
+    if f_edge == 0.0:
+        raise ParameterError(f"Dp * ctilde**2 / p underflows to 0 at p = {p}; "
+                             "the power is outside the supported range")
     ratio = abs(phi_nonlinearity(f_edge, p)) / f_edge
     if c.N < 10:
         damp = math.exp(-(c.alpha + 8.0 * c.m) * math.pi / (2.0 * c.beta))

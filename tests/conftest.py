@@ -1,6 +1,6 @@
 import pytest
 
-from lntlab import ProblemParams, shoot, solve_singular, solve_with_criticals
+from lntlab import ProblemParams, _dop853, shoot, solve_singular, solve_with_criticals
 
 # verdict lines from the acceptance suite, echoed after the pytest summary
 ACCEPTANCE_LINES = []
@@ -18,6 +18,13 @@ def record_verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
 def constant_profile(v: float, p: float):
     """Scaled profile of the constant solution u = v: r -> v r**theta."""
     return lambda radii: [v * r ** (2.0 / (p - 1.0)) for r in radii]
+
+
+def plain_function(field, consts):
+    """The plain f(t, y) of a field, taken from its generated unit, with its
+    constants taken by name from the mapping ``consts``."""
+    rates, values = _dop853._loop(field, (), ())[2], [consts[name] for name in field.consts]
+    return lambda t, y: rates(t, y, *values)
 
 
 def pytest_terminal_summary(terminalreporter):

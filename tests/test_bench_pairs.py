@@ -1,6 +1,8 @@
 """The verdicts of tools/bench_pairs.py on made-up runs; no benchmark runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,18 @@ def test_compare_higher_is_better(scale, verdict, within):
     assert got["verdict"] == verdict
     assert got["within_bound"] is within
 
+
+
+def test_runs_write_no_bytecode(monkeypatch, tmp_path):
+    # each side compiles its source in every run, as a fresh checkout does,
+    # rather than reading the bytecode an earlier run cached
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps({"metrics": {}}) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs._run(tmp_path, "exponent-roots", 1, 1.0) == {"metrics": {}}
+    [kwargs] = calls
+    assert kwargs["cwd"] == tmp_path and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

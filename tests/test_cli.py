@@ -386,6 +386,22 @@ def test_config_error_leaves_no_run_directory(tmp_path, flags):
     assert not list(tmp_path.glob("run-*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["singular", "--N", "5", "--p", "1e308", "--r-end", "1"],
+    ["morse", "--N", "5", "--p", "1e308"],
+    ["hardy", "--N", "5", "--p", "1e308"],
+    ["sweep", "--N", "5", "--p-list", "1e308"],
+], ids=["singular", "morse", "hardy", "sweep"])
+def test_power_at_the_top_of_the_double_range_exits_2(tmp_path, argv):
+    # Dp ctilde**2 / p underflows to 0 on the ctilde grid: a configuration
+    # error that names the power, not a division by zero
+    out = run_child([*argv, "--out-dir", tmp_path])
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "p = 1e+308" in out.stderr and "outside the supported range" in out.stderr
+    assert not list(tmp_path.glob("run-*"))
+
+
 BASE = ["--N", "5", "--p", "20", "--r-end", "1"]
 
 

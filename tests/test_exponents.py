@@ -12,7 +12,7 @@ from lntlab import (
     find_istar,
     solve_with_criticals,
 )
-from lntlab import exponents, singular
+from lntlab import _dop853, exponents, singular
 from lntlab.exponents import continuity_scan
 
 # regression fixture: power with first critical radius at R = 1 (N = 5)
@@ -270,3 +270,29 @@ def test_find_exponent_round_counters(monkeypatch):
     assert sum(t.n_accepted for t in trajs) == 912
     assert sum(t.n_rejected for t in trajs) == 167
     assert sum(t.nfev for t in trajs) == 12998
+
+
+def test_polish_evaluates_events_only_inside_the_step(monkeypatch):
+    # Brent's bracket holds the events' values at the accepted states, so
+    # the interpolant of a crossed step is evaluated strictly between its
+    # stored ends: 630 times in a round, where also evaluating it at the
+    # ends made 874
+    loop, runs, inside = _dop853._loop, [], []
+
+    def hooked(*key):
+        advance, bind, rates, events = loop(*key)
+
+        def entered(*args):
+            runs.append(args[8])  # the step ends, ts
+            return advance(*args)
+
+        def counted(t, y, *consts):
+            inside.append(runs[-1][-2] < t < runs[-1][-1])
+            return events(t, y, *consts)
+
+        return entered, bind, rates, counted
+
+    monkeypatch.setattr(_dop853, "_loop", hooked)
+    for i in range(1, 5):
+        find_exponent(i, 1.0, 5, p_lo=6.0)
+    assert len(runs) == 25 and len(inside) == 630 and all(inside)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import plain_function
 from lntlab import (
     CoverageError,
     ParameterError,
@@ -19,7 +20,7 @@ from lntlab.singular import seed_at_origin, seed_window
 
 
 def _function(field, params):
-    return field.function(_constants(params, 1e-10))
+    return plain_function(field, _constants(params, 1e-10))
 
 
 def test_vector_field_equilibrium_and_hand_value():

@@ -27,6 +27,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
+from conftest import plain_function
 import lntlab
 from lntlab import (
     IntegrationError,
@@ -67,7 +68,7 @@ def _radial_events(stop_at_critical):
 def _function(field, params, rtol=1e-10):
     """The plain f(t, y) of one of ode's fields, as the stepper runs it at
     tolerance rtol."""
-    return field.function(_constants(params, rtol))
+    return plain_function(field, _constants(params, rtol))
 
 
 def _scaled_gap(a, b):
@@ -166,7 +167,7 @@ def test_run_below_minimum_step_fails_like_rk45(monkeypatch):
         integrate_adaptive(params, start, 3.0)
     partial = exc.value.partial
     assert partial is not None and partial.status == "failed"
-    ref = solve_ivp(blowup.function({}), (1.0, 3.0), (2.0, 0.1), method="DOP853",
+    ref = solve_ivp(plain_function(blowup, {}), (1.0, 3.0), (2.0, 0.1), method="DOP853",
                     rtol=1e-10, atol=1e-12, events=_radial_events(0))
     assert ref.status == -1
     assert partial.r.size == ref.t.size
@@ -227,9 +228,9 @@ def test_import_leaves_scipy_integrate_out(tmp_path):
 
 
 def test_import_compiles_no_generated_code():
-    # a fresh `import lntlab.cli` compiles no generated unit: the stepping
-    # loops, step rebuilds and field functions are compiled on first use, so
-    # a command pays only for those it runs
+    # a fresh `import lntlab.cli` compiles no generated unit: a field's
+    # stepping loop, step rebuild, f(t, y) and events are compiled together
+    # on first use, so a command pays only for the units it runs
     env = dict(os.environ)
     src = str(Path(lntlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -247,7 +248,8 @@ def test_import_compiles_no_generated_code():
                          check=True, timeout=120, env=env)
     at_import, after_solve = out.stdout.strip().splitlines()[-2:]
     assert at_import == "[]"
-    assert int(after_solve) > 0  # the hook sees what a solve compiles
+    # the radial field with its three events
+    assert int(after_solve) == 1
 
 
 def test_package_source_imports_no_numpy_scipy_dataclasses_or_statistics():
@@ -368,7 +370,7 @@ class _ReferenceDense:
 
 def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
     """The stepper's Python loop on the field's plain f(t, y)."""
-    fun = field.function(consts)
+    fun = plain_function(field, consts)
     n = len(y0)
     y = tuple(float(v) for v in y0)
     rtol = max(rtol, 100 * _dop853._EPS)
@@ -443,17 +445,12 @@ def _reference_solve(field, consts, t0, y0, t_end, rtol, atol, events=()):
             for j in active:
                 counts[j] += 1
 
-                def on_step(s, gj=gs[j]):
-                    return gj(s, interp(s))
-
-                try:
-                    roots[j] = _dop853.brentq(on_step, t_old, t,
-                                              xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
-                except ValueError:
-                    ends = {t_old: before[j], t: g[j]}
-                    roots[j] = _dop853.brentq(lambda s: ends[s] if s in ends else on_step(s),
-                                              t_old, t, xtol=4 * _dop853._EPS,
-                                              rtol=4 * _dop853._EPS)
+                # g at the accepted states on the step's ends, on the
+                # interpolant inside it
+                ends = {t_old: before[j], t: g[j]}
+                roots[j] = _dop853.brentq(
+                    lambda s, gj=gs[j]: ends[s] if s in ends else gj(s, interp(s)),
+                    t_old, t, xtol=4 * _dop853._EPS, rtol=4 * _dop853._EPS)
             done = {j for j in active if 0 < events[j].terminal <= counts[j]}
             if done:
                 active.sort(key=roots.get)
@@ -614,13 +611,13 @@ def test_generated_loop_is_entered_once_per_solve(monkeypatch):
     loop, entries = _dop853._loop, []
 
     def counted(*key):
-        advance, bind = loop(*key)
+        advance, *rest = loop(*key)
 
         def entered(*args):
             entries.append(key)
             return advance(*args)
 
-        return entered, bind
+        return entered, *rest
 
     monkeypatch.setattr(_dop853, "_loop", counted)
     traj = solve_singular(ProblemParams(5, 1e6), 1.0).trajectory
@@ -632,18 +629,16 @@ def test_generated_loop_is_entered_once_per_solve(monkeypatch):
 
 
 def test_event_functions_are_built_once_per_field_and_expression():
-    # each event's g(t, y) comes from the field's function factory, one per
-    # field and expression, and the step rebuild it is evaluated on comes
-    # with the loop: a second solve of equal declarations builds no new one
+    # the events' g(t, y), the field's f(t, y) and the step rebuild come with
+    # the loop, one unit per field and event set: a second solve of equal
+    # declarations builds no new one
     params, start = ProblemParams(5, 20.0), RadialState(0.5, 1.5, -1.0)
     integrate_adaptive(params, start, 2.0)
-    caches = (_dop853._function_factory, _dop853._loop)
-    before = [cache.cache_info() for cache in caches]
+    before = _dop853._loop.cache_info()
     traj = integrate_adaptive(params, start, 3.0)
     assert traj.unit_crossings.size + traj.critical_points.size > 0
-    for cache, info in zip(caches, before):
-        after = cache.cache_info()
-        assert after.misses == info.misses and after.hits > info.hits
+    after = _dop853._loop.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
@@ -652,13 +647,13 @@ def test_run_buffers_hold_step_ends_lengths_and_states(monkeypatch):
     loop, buffers = _dop853._loop, []
 
     def recorded(*key):
-        advance, bind = loop(*key)
+        advance, *rest = loop(*key)
 
         def entered(*args):
             buffers.append([a for a in args if isinstance(a, array)])
             return advance(*args)
 
-        return entered, bind
+        return entered, *rest
 
     monkeypatch.setattr(_dop853, "_loop", recorded)
     params, rtol = ProblemParams(5, 20.0), 1e-10

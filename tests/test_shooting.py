@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from conftest import plain_function
 from lntlab import (
     BracketError,
     EventError,
@@ -139,7 +140,7 @@ def test_convergence_distance_matches_dop853(collapse_report, k):
     start = _taylor_start(collapse_report.gammas[k], params, 2.1, 1e-10, 1e-12,
                           h_max=window.radius)
     ref = seed_at_origin(window, start.r)
-    sol = solve_ivp(_DIFFERENCE.function(_constants(params, 1e-13)), (start.r, 2.0),
+    sol = solve_ivp(plain_function(_DIFFERENCE, _constants(params, 1e-13)), (start.r, 2.0),
                     (ref.u, ref.du, start.u - ref.u, start.du - ref.du), method="DOP853",
                     rtol=1e-13, atol=(1e-15, 1e-15, 0.0, 0.0), dense_output=True)
     d = np.max(np.abs(sol.sol(np.linspace(0.5, 2.0, 2048))[2]))

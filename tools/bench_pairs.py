@@ -7,8 +7,9 @@ Run from the repository root:
 
 The parent commit is unpacked with ``git archive`` into a temporary
 directory, which is removed afterwards. Pair k runs ``bench/run.py --trace 0``
-once on each side with the seed ``--seed + k``; the parent runs first in the
-even-numbered pairs and the working tree in the odd ones. The last line of
+once on each side with the seed ``--seed + k``, under
+``PYTHONDONTWRITEBYTECODE=1``; the parent runs first in the even-numbered
+pairs and the working tree in the odd ones. The last line of
 standard output is one JSON object holding, per workload and end-to-end
 metric of BENCHMARK.json, every run of each side in pair order, each side's
 median and quartiles, the pairs each side won (ties count for neither), and
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -45,9 +47,12 @@ def _unpack(commit: str, into: Path) -> None:
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    # each side compiles its source as a fresh checkout does, and leaves no
+    # __pycache__ for the next run to read
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                         cwd=root, check=True, capture_output=True, text=True)
+                         cwd=root, env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
